@@ -6,8 +6,7 @@ missed detection, and covert connection probability against the analytic
 values, reporting the deviation in standard errors.
 """
 
-from covertfade import detection, link, simulation
-from covertfade.detection import WillieParams
+from covertfade import link, simulation
 from covertfade.link import LinkParams
 from covertfade.params import SystemParams
 
@@ -17,10 +16,7 @@ mc = simulation.McConfig(trials=300_000, seed=777,
                          fixed_threshold=params.sigma_w2)
 
 est = simulation.estimate_detection(params, mc)
-w = WillieParams(sigma_w2=params.sigma_w2, n_d=params.n_d, p_d=params.p_d)
-fa = detection.p_fa(params.sigma_w2, w)
-zeta = detection.expected_zeta_cdi(params.sigma_w2, w)
-md = zeta - fa
+fa, md, zeta = simulation.analytic_detection(params, mc)
 
 lp = LinkParams(sigma_b2=params.sigma_b2, rate=params.rate, n_t=params.n_t,
                 p_t=params.p_t, p_d=params.p_d, n_d=params.n_d)

@@ -8,7 +8,7 @@ import argparse
 import math
 import sys
 
-from scipy import integrate
+import numpy as np
 
 from . import detection, link, optimizer, simulation
 from .errors import DomainError, NumericError
@@ -25,7 +25,7 @@ _PARAM_FLAGS = [
 
 
 def _fmt(value) -> str:
-    if isinstance(value, bool):
+    if isinstance(value, (bool, np.bool_)):
         return "true" if value else "false"
     if isinstance(value, int):
         return str(value)
@@ -54,6 +54,8 @@ def _float_list(text):
         raise argparse.ArgumentTypeError(f"bad numeric list {text!r}") from exc
     if not values:
         raise argparse.ArgumentTypeError("empty list")
+    if not all(math.isfinite(v) for v in values):
+        raise argparse.ArgumentTypeError(f"non-finite value in {text!r}")
     return values
 
 
@@ -122,23 +124,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _willie(params: SystemParams, n_d=None, p_d=None) -> detection.WillieParams:
-    return detection.WillieParams(
-        sigma_w2=params.sigma_w2,
-        n_d=params.n_d if n_d is None else n_d,
-        p_d=params.p_d if p_d is None else p_d,
-    )
-
-
 def cmd_detect_sweep(args) -> int:
     params = _resolve_params(args)
     modes = ["csi", "cdi_exact"] if args.mode == "both" else [args.mode]
     rows = []
     for n_d in args.n_d_list:
         for p_d in args.p_d_grid:
-            if p_d < 0:
-                raise DomainError(f"p_d must be nonnegative, got {p_d}")
-            w = _willie(params, n_d=n_d, p_d=p_d)
+            w = detection.WillieParams(sigma_w2=params.sigma_w2, n_d=n_d, p_d=p_d)
             for mode in modes:
                 if mode == "csi":
                     zeta = detection.expected_zeta_star_csi(w)
@@ -172,8 +164,6 @@ def cmd_optimize(args) -> int:
     methods = ["exact", "suboptimal"] if args.method == "both" else [args.method]
     rows = []
     for eps in args.epsilon_grid:
-        if not 0.0 < eps < 1.0:
-            raise DomainError(f"epsilon must lie in (0, 1), got {eps}")
         prob = _design_problem(params.with_overrides(epsilon=eps))
         for method in methods:
             if method == "exact":
@@ -194,38 +184,6 @@ def cmd_optimize(args) -> int:
     return 0
 
 
-def _analytic_detection(params: SystemParams, policy, fixed_threshold):
-    """Closed-form (p_fa, p_md, zeta) matching the simulator's threshold rule."""
-    w = _willie(params)
-    if policy == "csi_optimal":
-        if params.p_d == 0:
-            lam = params.sigma_w2
-            fa = detection.p_fa(lam, w)
-            return fa, 1.0 - fa, 1.0
-
-        def lam_star(g):
-            s = g * params.p_d
-            return (params.sigma_w2 * (s + params.sigma_w2) / s
-                    * math.log1p(s / params.sigma_w2))
-
-        fa = integrate.quad(
-            lambda g: math.exp(-g) * detection.p_fa(lam_star(g), w),
-            1e-12, 30.0, epsabs=1e-10, limit=200,
-        )[0]
-        zeta = detection.expected_zeta_star_csi(w)
-        return fa, zeta - fa, zeta
-
-    if policy == "fixed":
-        lam = fixed_threshold
-    elif policy == "cdi_approx":
-        lam = detection.threshold_cdi_approx(params.sigma_w2)
-    else:
-        lam = detection.threshold_cdi_exact(w)
-    fa = detection.p_fa(lam, w)
-    zeta = detection.expected_zeta_cdi(lam, w)
-    return fa, zeta - fa, zeta
-
-
 def cmd_simulate(args) -> int:
     params = _resolve_params(args)
     mc = simulation.McConfig(
@@ -237,7 +195,7 @@ def cmd_simulate(args) -> int:
     est = simulation.estimate_detection(params, mc)
     pcc = simulation.estimate_pcc(params, mc)
 
-    fa, md, zeta = _analytic_detection(params, args.policy, args.fixed_threshold)
+    fa, md, zeta = simulation.analytic_detection(params, mc)
     lp = link.LinkParams(
         sigma_b2=params.sigma_b2, rate=params.rate, n_t=params.n_t,
         p_t=params.p_t, p_d=params.p_d, n_d=params.n_d,

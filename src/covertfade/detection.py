@@ -10,9 +10,11 @@ approximation of the minimum total error.
 import math
 from dataclasses import dataclass
 
+import numpy as np
 from scipy import integrate, optimize
 
 from .errors import DegenerateHypothesesError, DomainError, NumericError
+from .params import check_fields
 from .special import ln_gamma, reg_lower_gamma, reg_upper_gamma
 
 __all__ = [
@@ -21,6 +23,7 @@ __all__ = [
     "p_fa",
     "p_md",
     "detection_report",
+    "csi_threshold",
     "optimal_threshold_csi",
     "zeta_star_csi",
     "zeta_linear_csi",
@@ -29,6 +32,7 @@ __all__ = [
     "threshold_cdi_exact",
     "zeta_star_cdi",
     "expected_zeta_star_csi",
+    "expected_p_fa_csi",
 ]
 
 # Exponential tail of the fading gain beyond this point is < 1e-13 and the
@@ -49,15 +53,12 @@ class WillieParams:
     h_w2: float = None
 
     def __post_init__(self):
-        object.__setattr__(self, "n_d", int(self.n_d))
-        if self.sigma_w2 <= 0:
-            raise DomainError("sigma_w2 must be positive")
-        if self.n_d < 1:
-            raise DomainError("n_d must be >= 1")
-        if self.p_d < 0:
-            raise DomainError("p_d must be nonnegative")
-        if self.h_w2 is not None and self.h_w2 < 0:
-            raise DomainError("h_w2 must be nonnegative")
+        check_fields(
+            self,
+            positive=("sigma_w2",),
+            counts=("n_d",),
+            nonnegative=("p_d",) if self.h_w2 is None else ("p_d", "h_w2"),
+        )
 
 
 @dataclass(frozen=True)
@@ -94,14 +95,26 @@ def detection_report(lam: float, w: WillieParams) -> DetectionReport:
     return DetectionReport(threshold=lam, p_fa=p_fa(lam, w), p_md=p_md(lam, w))
 
 
+def csi_threshold(s, sigma_w2):
+    """Error-minimizing threshold at received signal power ``s`` = |h_w|^2 P_D,
+    elementwise over arrays.
+
+    Where s = 0 the hypotheses coincide and every threshold is equally good;
+    the noise floor sigma_w2 is returned there.
+    """
+    s = np.asarray(s, dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        lam = sigma_w2 * (s + sigma_w2) / s * np.log1p(s / sigma_w2)
+    return np.where(s > 0, lam, sigma_w2)
+
+
 def optimal_threshold_csi(w: WillieParams) -> float:
     """Error-minimizing radiometer threshold given the true channel gain."""
     if w.h_w2 is None or w.h_w2 * w.p_d == 0:
         raise DegenerateHypothesesError(
             "h_w2 * p_d = 0: hypotheses coincide, threshold is not unique"
         )
-    s = w.h_w2 * w.p_d
-    return w.sigma_w2 * (s + w.sigma_w2) / s * math.log((s + w.sigma_w2) / w.sigma_w2)
+    return float(csi_threshold(w.h_w2 * w.p_d, w.sigma_w2))
 
 
 def _zeta_star_csi_raw(gain_power: float, sigma_w2: float, n_d: int) -> float:
@@ -184,7 +197,7 @@ def threshold_cdi_exact(w: WillieParams) -> float:
         if not res.success:
             raise NumericError(f"threshold minimization failed: {res.message}")
         if res.x < hi - 0.01 * (hi - lo):
-            return res.x
+            return float(res.x)
         hi *= 2.0  # minimum sat on the bracket edge; widen and retry
     raise NumericError("could not bracket an interior minimum for the threshold")
 
@@ -202,6 +215,18 @@ def expected_zeta_star_csi(w: WillieParams) -> float:
         return 1.0
     return _quad(
         lambda g: math.exp(-g) * _zeta_star_csi_raw(g * w.p_d, w.sigma_w2, w.n_d),
+        0.0,
+        _GAIN_CUTOFF,
+    )
+
+
+def expected_p_fa_csi(w: WillieParams) -> float:
+    """False-alarm probability at the gain-dependent optimal threshold,
+    averaged over the fading gain; the noise floor is the threshold at p_d = 0."""
+    if w.p_d == 0:
+        return p_fa(w.sigma_w2, w)
+    return _quad(
+        lambda g: math.exp(-g) * p_fa(float(csi_threshold(g * w.p_d, w.sigma_w2)), w),
         0.0,
         _GAIN_CUTOFF,
     )

@@ -6,6 +6,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import DomainError
+from .params import check_fields
 from .special import ln_gamma, digamma
 
 __all__ = [
@@ -31,18 +32,12 @@ class LinkParams:
     n_d: int = 1
 
     def __post_init__(self):
-        object.__setattr__(self, "n_t", int(self.n_t))
-        object.__setattr__(self, "n_d", int(self.n_d))
-        if self.sigma_b2 <= 0:
-            raise DomainError("sigma_b2 must be positive")
-        if self.rate <= 0:
-            raise DomainError("rate must be positive")
-        if self.n_t < 1 or self.n_d < 1:
-            raise DomainError("n_t and n_d must be >= 1")
-        if self.p_t <= 0:
-            raise DomainError("p_t must be positive")
-        if self.p_d < 0:
-            raise DomainError("p_d must be nonnegative")
+        check_fields(
+            self,
+            positive=("sigma_b2", "rate", "p_t"),
+            nonnegative=("p_d",),
+            counts=("n_t", "n_d"),
+        )
 
 
 @dataclass(frozen=True)
@@ -53,8 +48,7 @@ class EstimationModel:
     beta_b: float
 
     def __post_init__(self):
-        if not 0.0 < self.beta_b < 1.0:
-            raise DomainError("beta_b must lie in (0, 1)")
+        check_fields(self, fractions=("beta_b",))
 
     @property
     def estimate_var(self) -> float:

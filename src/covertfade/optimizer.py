@@ -16,6 +16,7 @@ from scipy import optimize
 from .detection import WillieParams, expected_zeta_star_csi
 from .errors import DomainError, NumericError
 from .link import LinkParams, estimation_model, throughput
+from .params import check_fields
 from .special import ln_gamma
 
 __all__ = [
@@ -42,16 +43,14 @@ class DesignProblem:
     sigma_w2: float
 
     def __post_init__(self):
-        object.__setattr__(self, "n_d_min", int(self.n_d_min))
-        object.__setattr__(self, "n_d_max", int(self.n_d_max))
-        if not 0.0 < self.epsilon < 1.0:
-            raise DomainError("epsilon must lie in (0, 1)")
-        if self.p_max <= 0:
-            raise DomainError("p_max must be positive")
-        if not 1 <= self.n_d_min <= self.n_d_max:
-            raise DomainError("need 1 <= n_d_min <= n_d_max")
-        if self.sigma_w2 <= 0:
-            raise DomainError("sigma_w2 must be positive")
+        check_fields(
+            self,
+            positive=("p_max", "sigma_w2"),
+            counts=("n_d_min", "n_d_max"),
+            fractions=("epsilon",),
+        )
+        if self.n_d_min > self.n_d_max:
+            raise DomainError("need n_d_min <= n_d_max")
 
 
 @dataclass(frozen=True)

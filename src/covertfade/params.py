@@ -1,10 +1,38 @@
 """Scenario parameters shared by the analytic, optimizer and simulation layers."""
 
+import math
+import numbers
 from dataclasses import dataclass, replace, fields
 
 from .errors import DomainError
 
-__all__ = ["SystemParams", "parse_params_file"]
+__all__ = ["SystemParams", "parse_params_file", "check_fields"]
+
+_RANGES = {
+    "positive": (lambda v: v > 0, "a finite positive real"),
+    "nonnegative": (lambda v: v >= 0, "a finite nonnegative real"),
+    "counts": (lambda v: v >= 1, "a finite number >= 1"),
+    "fractions": (lambda v: 0 < v < 1, "a real in (0, 1)"),
+}
+
+
+def check_fields(obj, **groups) -> None:
+    """Validate the named fields of the frozen dataclass ``obj``.
+
+    Each keyword (``positive``, ``nonnegative``, ``counts``, ``fractions``)
+    lists field names whose values must be finite reals in that range; the
+    first offender raises a DomainError naming it.  ``counts`` fields are then
+    stored as ints.
+    """
+    for group, names in groups.items():
+        in_range, what = _RANGES[group]
+        for name in names:
+            value = getattr(obj, name)
+            if not (isinstance(value, numbers.Real) and math.isfinite(value)
+                    and in_range(value)):
+                raise DomainError(f"{name} must be {what}, got {value!r}")
+    for name in groups.get("counts", ()):
+        object.__setattr__(obj, name, int(getattr(obj, name)))
 
 
 @dataclass(frozen=True)
@@ -31,24 +59,15 @@ class SystemParams:
     def __post_init__(self):
         if self.p_t is None:
             object.__setattr__(self, "p_t", self.p_max)
-        object.__setattr__(self, "n_t", int(self.n_t))
-        object.__setattr__(self, "n_d", int(self.n_d))
-        object.__setattr__(self, "n_d_min", int(self.n_d_min))
-        object.__setattr__(self, "n_d_max", int(self.n_d_max))
-        if self.sigma_b2 <= 0 or self.sigma_w2 <= 0:
-            raise DomainError("noise variances must be positive")
-        if self.rate <= 0:
-            raise DomainError("rate must be positive")
-        if self.p_max <= 0 or self.p_t <= 0:
-            raise DomainError("p_max and p_t must be positive")
-        if self.p_d < 0:
-            raise DomainError("p_d must be nonnegative")
-        if self.n_t < 1 or self.n_d < 1:
-            raise DomainError("n_t and n_d must be >= 1")
-        if not (1 <= self.n_d_min <= self.n_d_max):
-            raise DomainError("need 1 <= n_d_min <= n_d_max")
-        if not (0 < self.epsilon < 1):
-            raise DomainError("epsilon must lie in (0, 1)")
+        check_fields(
+            self,
+            positive=("sigma_b2", "sigma_w2", "rate", "p_max", "p_t"),
+            nonnegative=("p_d",),
+            counts=("n_t", "n_d", "n_d_min", "n_d_max"),
+            fractions=("epsilon",),
+        )
+        if self.n_d_min > self.n_d_max:
+            raise DomainError("need n_d_min <= n_d_max")
 
     def with_overrides(self, **kwargs) -> "SystemParams":
         return replace(self, **kwargs)
@@ -71,5 +90,8 @@ def parse_params_file(path) -> dict:
             key, value = (part.strip() for part in line.split("=", 1))
             if key not in _FIELD_NAMES:
                 raise DomainError(f"{path}:{lineno}: unknown parameter {key!r}")
-            overrides[key] = int(value) if key in _INT_FIELDS else float(value)
+            try:
+                overrides[key] = int(value) if key in _INT_FIELDS else float(value)
+            except ValueError:
+                raise DomainError(f"{path}:{lineno}: bad value for {key}: {value!r}") from None
     return overrides

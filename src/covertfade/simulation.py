@@ -6,6 +6,10 @@ observations (so the LMMSE formula itself is exercised), the adversary's
 radiometer decides from the realized average power, and outage is declared
 from the realized estimate/error decomposition.
 
+All slot physics lives in ``simulate_slots``; ``simulate_slot`` is its
+one-slot view with the threshold decision attached.  ``analytic_detection``
+gives the closed-form counterpart of each threshold policy.
+
 Randomness comes from numpy's counter-based Philox generator keyed by an
 explicit 64-bit seed; batch estimators consume one deterministic stream per
 hypothesis, so identical (params, config) pairs reproduce identical results.
@@ -15,6 +19,7 @@ variance s/2.
 
 import csv
 import math
+import numbers
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
@@ -22,7 +27,7 @@ import numpy as np
 
 from . import detection
 from .errors import DomainError
-from .params import SystemParams
+from .params import SystemParams, check_fields
 
 __all__ = [
     "SlotTrace",
@@ -33,6 +38,7 @@ __all__ = [
     "simulate_slots",
     "estimate_detection",
     "estimate_pcc",
+    "analytic_detection",
     "write_trace_csv",
 ]
 
@@ -61,17 +67,16 @@ class McConfig:
     fixed_threshold: Optional[float] = None
 
     def __post_init__(self):
-        object.__setattr__(self, "trials", int(self.trials))
-        if self.trials < 1:
-            raise DomainError("trials must be >= 1")
+        check_fields(self, counts=("trials",))
+        if not (isinstance(self.seed, numbers.Integral) and 0 <= self.seed < 2**64):
+            raise DomainError(f"seed must be an integer in [0, 2**64), got {self.seed!r}")
         if self.threshold_policy not in _POLICIES:
             raise DomainError(
                 f"threshold_policy must be one of {_POLICIES}, "
                 f"got {self.threshold_policy!r}"
             )
         if self.threshold_policy == "fixed":
-            if self.fixed_threshold is None or self.fixed_threshold <= 0:
-                raise DomainError("fixed policy needs a positive fixed_threshold")
+            check_fields(self, positive=("fixed_threshold",))
 
 
 class DetectionEstimate(NamedTuple):
@@ -112,70 +117,34 @@ def _scalar_threshold(params: SystemParams, mc: Optional[McConfig]):
     return None
 
 
-def _csi_thresholds(params: SystemParams, h_w2):
-    """Per-slot error-minimizing thresholds; degenerate slots fall back to
-    the noise floor (any threshold is equally good when the hypotheses
-    coincide)."""
-    s = h_w2 * params.p_d
-    with np.errstate(divide="ignore", invalid="ignore"):
-        lam = (
-            params.sigma_w2 * (s + params.sigma_w2) / s
-            * np.log1p(s / params.sigma_w2)
-        )
-    return np.where(s > 0, lam, params.sigma_w2)
+def _thresholds(params: SystemParams, lam, h_w):
+    """The policy's scalar threshold, or per-slot CSI thresholds from h_w."""
+    if lam is not None:
+        return lam
+    return detection.csi_threshold(np.abs(h_w) ** 2 * params.p_d, params.sigma_w2)
 
 
 def simulate_slot(params: SystemParams, hypothesis: str,
                   rng: np.random.Generator, mc: Optional[McConfig] = None) -> SlotTrace:
     """Simulate one slot end to end and return its full trace.
 
-    Draw order is fixed (h_b, h_w, pilot noise, data symbols on H1, adversary
-    noise) so a freshly seeded generator reproduces the trace exactly.
+    A one-slot ``simulate_slots`` batch, so a freshly seeded generator
+    reproduces the trace exactly.
     """
-    if hypothesis not in ("H0", "H1"):
-        raise DomainError("hypothesis must be 'H0' or 'H1'")
-    h_b = complex(_cn(rng, (), 1.0))
-    h_w = complex(_cn(rng, (), 1.0))
-
-    # pilot phase: unit training symbols, LMMSE estimate from observations
-    n_b = _cn(rng, params.n_t, params.sigma_b2)
-    y_t = math.sqrt(params.p_t) * h_b + n_b
-    h_hat = math.sqrt(params.p_t) / (params.sigma_b2 + params.n_t * params.p_t) * np.sum(y_t)
-    h_hat = complex(h_hat)
-    h_tilde = h_b - h_hat
-
-    # data phase as seen by the adversary
-    n_w = _cn(rng, params.n_d, params.sigma_w2)
-    if hypothesis == "H1" and params.p_d > 0:
-        x_d = _cn(rng, params.n_d, 1.0)
-        y_w = math.sqrt(params.p_d) * h_w * x_d + n_w
-    else:
-        y_w = n_w
-    statistic = float(np.mean(np.abs(y_w) ** 2))
-
-    lam = _scalar_threshold(params, mc)
-    if lam is None:
-        lam = float(_csi_thresholds(params, np.array(abs(h_w) ** 2)))
-    decision = "H1" if statistic > lam else "H0"
-
-    outage = None
-    if hypothesis == "H1":
-        snr = (
-            abs(h_hat) ** 2 * params.p_d
-            / (abs(h_tilde) ** 2 * params.p_d + params.sigma_b2)
-        )
-        outage = bool(math.log2(1.0 + snr) <= params.rate)
-
+    batch = simulate_slots(params, hypothesis, 1, rng)
+    first = {key: value[0] for key, value in batch.items()}
+    statistic = float(first["statistic"])
+    lam = float(_thresholds(params, _scalar_threshold(params, mc), first["h_w"]))
     return SlotTrace(
         hypothesis=hypothesis,
-        h_b=h_b,
-        h_w=h_w,
-        h_b_hat=h_hat,
-        h_b_tilde=h_tilde,
+        h_b=complex(first["h_b"]),
+        h_w=complex(first["h_w"]),
+        h_b_hat=complex(first["h_b_hat"]),
+        h_b_tilde=complex(first["h_b_tilde"]),
         statistic=statistic,
-        threshold=float(lam),
-        decision=decision,
-        outage=outage,
+        threshold=lam,
+        decision="H1" if statistic > lam else "H0",
+        outage=bool(first["outage"]) if "outage" in first else None,
     )
 
 
@@ -242,13 +211,11 @@ def estimate_detection(params: SystemParams, mc: McConfig) -> DetectionEstimate:
     lam = _scalar_threshold(params, mc)
 
     batch0 = simulate_slots(params, "H0", n_h0, _rng(mc.seed, 0))
-    lam0 = lam if lam is not None else _csi_thresholds(params, np.abs(batch0["h_w"]) ** 2)
-    p_fa_hat = float(np.mean(batch0["statistic"] > lam0))
+    p_fa_hat = float(np.mean(batch0["statistic"] > _thresholds(params, lam, batch0["h_w"])))
 
     if n_h1 > 0:
         batch1 = simulate_slots(params, "H1", n_h1, _rng(mc.seed, 1))
-        lam1 = lam if lam is not None else _csi_thresholds(params, np.abs(batch1["h_w"]) ** 2)
-        p_md_hat = float(np.mean(batch1["statistic"] <= lam1))
+        p_md_hat = float(np.mean(batch1["statistic"] <= _thresholds(params, lam, batch1["h_w"])))
     else:
         p_md_hat = float("nan")
 
@@ -265,6 +232,20 @@ def estimate_pcc(params: SystemParams, mc: McConfig) -> PccEstimate:
     batch = simulate_slots(params, "H1", mc.trials, _rng(mc.seed, 2))
     p_cc_hat = float(np.mean(~batch["outage"]))
     return PccEstimate(p_cc_hat, _binomial_se(p_cc_hat, mc.trials))
+
+
+def analytic_detection(params: SystemParams, mc: McConfig):
+    """Closed-form (p_fa, p_md, zeta) under the threshold rule the simulator
+    applies for ``mc``'s policy."""
+    w = detection.WillieParams(sigma_w2=params.sigma_w2, n_d=params.n_d, p_d=params.p_d)
+    lam = _scalar_threshold(params, mc)
+    if lam is None:
+        fa = detection.expected_p_fa_csi(w)
+        zeta = detection.expected_zeta_star_csi(w)
+    else:
+        fa = detection.p_fa(lam, w)
+        zeta = detection.expected_zeta_cdi(lam, w)
+    return fa, zeta - fa, zeta
 
 
 def write_trace_csv(path, traces) -> None:

@@ -1,25 +1,28 @@
 """Gamma-family special functions.
 
-Self-contained on the standard library: regularized incomplete gamma uses
-the classical split (power series for x < a+1, Lentz continued fraction
-otherwise), digamma uses recurrence plus the Bernoulli asymptotic series.
-All prefactors are assembled in log space so large shape parameters
-(a ~ 100 and beyond) stay well inside double range.
+Thin scalar wrappers over ``math.lgamma`` and ``scipy.special`` that reject
+arguments outside the mathematical domain with a DomainError (instead of
+scipy's silent NaN) and return Python floats.
 """
 
 import math
 
-from .errors import DomainError, NumericError
+from scipy import special as _sp
+
+from .errors import DomainError
 
 __all__ = ["ln_gamma", "reg_lower_gamma", "reg_upper_gamma", "digamma"]
-
-_EPS = 1e-16
-_MAX_ITER = 10_000
 
 
 def _check_positive(name, value):
     if not (isinstance(value, (int, float)) and math.isfinite(value) and value > 0):
         raise DomainError(f"{name} must be a finite positive real, got {value!r}")
+
+
+def _check_gamma_args(a, x):
+    _check_positive("a", a)
+    if not (isinstance(x, (int, float)) and math.isfinite(x) and x >= 0):
+        raise DomainError(f"x must be a finite nonnegative real, got {x!r}")
 
 
 def ln_gamma(a: float) -> float:
@@ -28,91 +31,19 @@ def ln_gamma(a: float) -> float:
     return math.lgamma(a)
 
 
-def _lower_series(a, x):
-    # P(a, x) by the ascending series, valid for x < a + 1.
-    term = 1.0 / a
-    total = term
-    n = a
-    for _ in range(_MAX_ITER):
-        n += 1.0
-        term *= x / n
-        total += term
-        if abs(term) < abs(total) * _EPS:
-            return total * math.exp(a * math.log(x) - x - math.lgamma(a))
-    raise NumericError(f"lower gamma series failed to converge (a={a}, x={x})")
-
-
-def _upper_cf(a, x):
-    # Q(a, x) by the continued fraction (modified Lentz), valid for x >= a + 1.
-    tiny = 1e-300
-    b = x + 1.0 - a
-    c = 1.0 / tiny
-    d = 1.0 / b if b != 0 else 1.0 / tiny
-    h = d
-    for i in range(1, _MAX_ITER):
-        an = -i * (i - a)
-        b += 2.0
-        d = an * d + b
-        if abs(d) < tiny:
-            d = tiny
-        c = b + an / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < _EPS:
-            return h * math.exp(a * math.log(x) - x - math.lgamma(a))
-    raise NumericError(f"upper gamma continued fraction failed (a={a}, x={x})")
-
-
-def _gamma_pq(a, x):
-    """Return (P(a,x), Q(a,x)) with P + Q = 1 held exactly."""
-    _check_positive("a", a)
-    if not (isinstance(x, (int, float)) and math.isfinite(x) and x >= 0):
-        raise DomainError(f"x must be a finite nonnegative real, got {x!r}")
-    if x == 0:
-        return 0.0, 1.0
-    if x < a + 1.0:
-        p = _lower_series(a, x)
-        return p, 1.0 - p
-    q = _upper_cf(a, x)
-    return 1.0 - q, q
-
-
 def reg_lower_gamma(a: float, x: float) -> float:
     """Regularized lower incomplete gamma P(a, x) = gamma(a, x) / Gamma(a)."""
-    return _gamma_pq(a, x)[0]
+    _check_gamma_args(a, x)
+    return float(_sp.gammainc(a, x))
 
 
 def reg_upper_gamma(a: float, x: float) -> float:
     """Regularized upper incomplete gamma Q(a, x) = 1 - P(a, x)."""
-    return _gamma_pq(a, x)[1]
+    _check_gamma_args(a, x)
+    return float(_sp.gammaincc(a, x))
 
 
 def digamma(x: float) -> float:
     """Digamma function psi(x) = d/dx ln Gamma(x), x > 0."""
     _check_positive("x", x)
-    result = 0.0
-    while x < 10.0:
-        result -= 1.0 / x
-        x += 1.0
-    inv2 = 1.0 / (x * x)
-    # psi(x) ~ ln x - 1/(2x) - sum B_{2n} / (2n x^{2n})
-    series = inv2 * (
-        1.0 / 12
-        - inv2
-        * (
-            1.0 / 120
-            - inv2
-            * (
-                1.0 / 252
-                - inv2
-                * (
-                    1.0 / 240
-                    - inv2 * (1.0 / 132 - inv2 * (691.0 / 32760 - inv2 / 12))
-                )
-            )
-        )
-    )
-    return result + math.log(x) - 0.5 / x - series
+    return float(_sp.digamma(x))

@@ -9,6 +9,15 @@ def run(capsys, *argv):
     return code, capsys.readouterr().out
 
 
+def run_err(capsys, *argv):
+    """Exit code and stderr, counting argparse's SystemExit as an exit."""
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    return code, capsys.readouterr().err
+
+
 def parse_csv(text):
     lines = text.strip().split("\n")
     header = lines[0].split(",")
@@ -115,6 +124,24 @@ class TestSimulate:
         md = next(r for r in rows if r["metric"] == "p_md")
         assert md["pass_3sigma"] == "n/a" and md["stderr"] == "n/a"
 
+    @pytest.mark.parametrize(
+        "policy", ["csi_optimal", "cdi_exact", "cdi_approx", "fixed"]
+    )
+    def test_pass_flag_spelling(self, policy, capsys):
+        code, out = run(
+            capsys, "simulate", "--trials", "2000", "--seed", "4", "--p-d", "0.02",
+            "--policy", policy, "--fixed-threshold", "0.05",
+        )
+        assert code == 0
+        _, rows = parse_csv(out)
+        assert {r["pass_3sigma"] for r in rows} <= {"true", "false", "n/a"}
+
+    @pytest.mark.parametrize("seed", ["-1", str(2**64)])
+    def test_seed_out_of_range_exits_2(self, seed, capsys):
+        code, err = run_err(capsys, "simulate", "--trials", "10", "--seed", seed)
+        assert code == 2
+        assert "seed" in err
+
     def test_trace_dump(self, tmp_path, capsys):
         path = tmp_path / "t.csv"
         code = main(
@@ -126,6 +153,37 @@ class TestSimulate:
 
 
 class TestParameterHandling:
+    @pytest.mark.parametrize(
+        "argv, field",
+        [
+            (["detect-sweep", "--p-d-grid", "0.01", "--sigma-w2", "inf"], "sigma_w2"),
+            (["detect-sweep", "--p-d-grid", "nan"], "--p-d-grid"),
+            (["detect-sweep", "--p-d-grid", "0.01", "--n-d-list", "inf"], "--n-d-list"),
+            (["optimize", "--epsilon-grid", "0.05", "--p-max", "nan"], "p_max"),
+            (["optimize", "--epsilon-grid", "nan"], "--epsilon-grid"),
+            (["optimize", "--epsilon-grid", "0.05", "--rate", "-inf"], "rate"),
+            (["optimize", "--epsilon-grid", "0.05", "--n-d-min", "80",
+              "--n-d-max", "60"], "n_d_min"),
+            (["simulate", "--trials", "10", "--sigma-b2", "0"], "sigma_b2"),
+            (["simulate", "--trials", "10", "--p-d", "inf"], "p_d"),
+            (["simulate", "--trials", "10", "--p-t", "nan"], "p_t"),
+            (["simulate", "--trials", "0"], "trials"),
+            (["simulate", "--trials", "10", "--policy", "fixed",
+              "--fixed-threshold", "nan"], "fixed_threshold"),
+        ],
+    )
+    def test_bad_input_exits_2_naming_field(self, argv, field, capsys):
+        code, err = run_err(capsys, *argv)
+        assert code == 2
+        assert field in err
+
+    def test_bad_value_in_file_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "params.txt"
+        cfg.write_text("n_d = nan\n")
+        code, err = run_err(capsys, "simulate", "--trials", "10", "--params", str(cfg))
+        assert code == 2
+        assert "n_d" in err
+
     def test_file_then_flag_precedence(self, tmp_path, capsys):
         cfg = tmp_path / "params.txt"
         cfg.write_text("sigma_w2 = 0.1  # loud adversary\nn_d_min = 60\n")

@@ -56,6 +56,17 @@ class TestSimulateSlot:
             simulate_slot(params(), "H2", _rng(1, 0))
 
 
+class TestMcConfig:
+    @pytest.mark.parametrize("seed", [-1, 2**64, 2**70, 1.5])
+    def test_seed_outside_64_bits_rejected(self, seed):
+        with pytest.raises(DomainError):
+            McConfig(trials=10, seed=seed)
+
+    @pytest.mark.parametrize("seed", [0, 2**64 - 1])
+    def test_seed_range_ends_accepted(self, seed):
+        assert McConfig(trials=10, seed=seed).seed == seed
+
+
 class TestEstimateDetection:
     def test_silent_alice_gives_total_error_one(self):
         p = params(p_d=0.0, n_d=50)

@@ -1,5 +1,7 @@
 import math
 
+import mpmath
+import numpy as np
 import pytest
 from scipy import integrate
 
@@ -103,3 +105,27 @@ class TestIdentities:
         h = 1e-6 * max(1.0, x / 10.0)
         fd = (ln_gamma(x + h) - ln_gamma(x - h)) / (2.0 * h)
         assert digamma(x) == pytest.approx(fd, abs=1e-5)
+
+
+class TestMpmathOracle:
+    """Spot checks against mpmath's arbitrary-precision gamma routines, an
+    oracle that shares no code with scipy.special."""
+
+    SHAPES = [1.0, 50.0, 75.0, 100.0, 200.0, 500.0]
+    FACTORS = np.geomspace(1e-3, 30.0, 9)
+
+    @pytest.mark.parametrize("a", SHAPES)
+    def test_incomplete_gamma(self, a):
+        for factor in self.FACTORS:
+            x = float(factor * a)
+            with mpmath.workdps(30):
+                lower = float(mpmath.gammainc(a, 0, x, regularized=True))
+                upper = float(mpmath.gammainc(a, x, mpmath.inf, regularized=True))
+            assert reg_lower_gamma(a, x) == pytest.approx(lower, abs=1e-12)
+            assert reg_upper_gamma(a, x) == pytest.approx(upper, abs=1e-12)
+
+    @pytest.mark.parametrize("x", SHAPES + [1.5, 2.5, 9.75])
+    def test_digamma(self, x):
+        with mpmath.workdps(30):
+            oracle = float(mpmath.digamma(x))
+        assert digamma(x) == pytest.approx(oracle, abs=1e-12)

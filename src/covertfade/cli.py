@@ -192,10 +192,11 @@ def cmd_simulate(args) -> int:
         threshold_policy=args.policy,
         fixed_threshold=args.fixed_threshold,
     )
-    est = simulation.estimate_detection(params, mc)
+    threshold = simulation.policy_threshold(params, mc)
+    est = simulation.estimate_detection(params, mc, threshold)
     pcc = simulation.estimate_pcc(params, mc)
 
-    fa, md, zeta = simulation.analytic_detection(params, mc)
+    fa, md, zeta = simulation.analytic_detection(params, mc, threshold)
     lp = link.LinkParams(
         sigma_b2=params.sigma_b2, rate=params.rate, n_t=params.n_t,
         p_t=params.p_t, p_d=params.p_d, n_d=params.n_d,
@@ -218,7 +219,8 @@ def cmd_simulate(args) -> int:
     if args.dump_traces:
         rng = simulation._rng(args.seed, 9)
         traces = [
-            simulation.simulate_slot(params, "H0" if i % 2 == 0 else "H1", rng, mc)
+            simulation.simulate_slot(params, "H0" if i % 2 == 0 else "H1", rng, mc,
+                                     threshold)
             for i in range(args.trace_slots)
         ]
         simulation.write_trace_csv(args.dump_traces, traces)

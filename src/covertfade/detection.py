@@ -153,8 +153,8 @@ def zeta_linear_csi(w: WillieParams) -> float:
 
 def threshold_cdi_approx(sigma_w2: float) -> float:
     """Low-power closed-form threshold when only the fading law is known."""
-    if sigma_w2 <= 0:
-        raise DomainError("sigma_w2 must be positive")
+    if not (math.isfinite(sigma_w2) and sigma_w2 > 0):
+        raise DomainError(f"sigma_w2 must be a finite positive real, got {sigma_w2!r}")
     return sigma_w2
 
 

@@ -6,15 +6,23 @@ observations (so the LMMSE formula itself is exercised), the adversary's
 radiometer decides from the realized average power, and outage is declared
 from the realized estimate/error decomposition.
 
-All slot physics lives in ``simulate_slots``; ``simulate_slot`` is its
-one-slot view with the threshold decision attached.  ``analytic_detection``
-gives the closed-form counterpart of each threshold policy.
+A slot runs in two stages.  ``draw_channels`` draws the fading gains h_b and
+h_w and the pilot noise, and forms Bob's LMMSE estimate and its error;
+``radiometer_statistic`` then draws Willie's n_d received samples and
+averages their power.  ``simulate_slots`` composes the two and adds the
+outage decision.  Bob's connection probability depends only on the first
+stage, so ``estimate_pcc`` draws channels and nothing else.  A generator is
+consumed in the order h_b, h_w, pilot noise, radiometer samples, so stopping
+after the first stage leaves every channel draw, and hence the outage array,
+unchanged.  ``simulate_slot`` is the one-slot view with the threshold
+decision attached, and ``analytic_detection`` gives the closed-form
+counterpart of each threshold policy.
 
 Randomness comes from numpy's counter-based Philox generator keyed by an
 explicit 64-bit seed; batch estimators consume one deterministic stream per
 hypothesis, so identical (params, config) pairs reproduce identical results.
 Complex Gaussian CN(0, s) is drawn as two independent real normals of
-variance s/2.
+variance s/2, real part first.
 """
 
 import csv
@@ -34,6 +42,9 @@ __all__ = [
     "McConfig",
     "DetectionEstimate",
     "PccEstimate",
+    "policy_threshold",
+    "draw_channels",
+    "radiometer_statistic",
     "simulate_slot",
     "simulate_slots",
     "estimate_detection",
@@ -99,11 +110,17 @@ def _cn(rng, size, var):
 
 
 def _rng(seed, stream):
-    return np.random.Generator(np.random.Philox(key=np.uint64(seed) + np.uint64(stream)))
+    # Key (seed + stream) mod 2**64, in Python ints so seeds near 2**64 wrap
+    # without a numpy overflow warning.  Seed s, stream k shares its key with
+    # seed s + k, stream 0.
+    return np.random.Generator(np.random.Philox(key=(int(seed) + stream) % 2**64))
 
 
-def _scalar_threshold(params: SystemParams, mc: Optional[McConfig]):
-    """Threshold for gain-independent policies; None means per-slot CSI."""
+def policy_threshold(params: SystemParams, mc: Optional[McConfig]):
+    """Threshold of a gain-independent policy; None means per-slot CSI.
+
+    ``mc`` = None selects the CSI policy.
+    """
     policy = mc.threshold_policy if mc is not None else "csi_optimal"
     if policy == "fixed":
         return mc.fixed_threshold
@@ -117,6 +134,11 @@ def _scalar_threshold(params: SystemParams, mc: Optional[McConfig]):
     return None
 
 
+def _resolve(params: SystemParams, mc: Optional[McConfig], threshold):
+    """``threshold`` if the caller resolved the policy already, else resolve it."""
+    return threshold if threshold is not None else policy_threshold(params, mc)
+
+
 def _thresholds(params: SystemParams, lam, h_w):
     """The policy's scalar threshold, or per-slot CSI thresholds from h_w."""
     if lam is not None:
@@ -125,16 +147,19 @@ def _thresholds(params: SystemParams, lam, h_w):
 
 
 def simulate_slot(params: SystemParams, hypothesis: str,
-                  rng: np.random.Generator, mc: Optional[McConfig] = None) -> SlotTrace:
+                  rng: np.random.Generator, mc: Optional[McConfig] = None,
+                  threshold: Optional[float] = None) -> SlotTrace:
     """Simulate one slot end to end and return its full trace.
 
     A one-slot ``simulate_slots`` batch, so a freshly seeded generator
-    reproduces the trace exactly.
+    reproduces the trace exactly.  ``threshold`` is
+    ``policy_threshold(params, mc)`` when the caller has already resolved it
+    (a run of many slots resolves it once); None resolves it here.
     """
     batch = simulate_slots(params, hypothesis, 1, rng)
     first = {key: value[0] for key, value in batch.items()}
     statistic = float(first["statistic"])
-    lam = float(_thresholds(params, _scalar_threshold(params, mc), first["h_w"]))
+    lam = float(_thresholds(params, _resolve(params, mc, threshold), first["h_w"]))
     return SlotTrace(
         hypothesis=hypothesis,
         h_b=complex(first["h_b"]),
@@ -148,11 +173,11 @@ def simulate_slot(params: SystemParams, hypothesis: str,
     )
 
 
-def simulate_slots(params: SystemParams, hypothesis: str, n_slots: int,
-                   rng: np.random.Generator) -> dict:
-    """Vectorized slot batch; returns arrays keyed like the trace fields."""
-    if hypothesis not in ("H0", "H1"):
-        raise DomainError("hypothesis must be 'H0' or 'H1'")
+def draw_channels(params: SystemParams, n_slots: int,
+                  rng: np.random.Generator) -> dict:
+    """Channel stage of a slot batch: fading gains h_b and h_w, then the
+    pilot noise, and Bob's LMMSE estimate of h_b with its error; arrays keyed
+    like the trace fields."""
     if n_slots < 1:
         raise DomainError("n_slots must be >= 1")
 
@@ -165,34 +190,73 @@ def simulate_slots(params: SystemParams, hypothesis: str, n_slots: int,
         math.sqrt(params.p_t) / (params.sigma_b2 + params.n_t * params.p_t)
         * y_t.sum(axis=1)
     )
-    h_tilde = h_b - h_hat
+    return {"h_b": h_b, "h_w": h_w, "h_b_hat": h_hat, "h_b_tilde": h_b - h_hat}
 
-    statistic = np.empty(n_slots)
+
+def radiometer_statistic(params: SystemParams, transmit: bool, h_w,
+                         rng: np.random.Generator) -> np.ndarray:
+    """Radiometer stage: Willie's average received power over n_d samples in
+    each slot whose channel gain is the matching entry of ``h_w``.
+
+    Each sample is noise n ~ CN(0, sigma_w2), plus sqrt(p_d) h_w x with
+    x ~ CN(0, 1) when ``transmit`` and p_d > 0.  Slots are processed in
+    chunks of about ``_CHUNK_SAMPLES`` samples; per chunk the real and
+    imaginary parts of n, then those of x, are drawn as separate real arrays
+    (the order ``_cn`` draws them in), and y and |y|^2 are formed in place in
+    real arithmetic.
+    """
+    h_w = np.asarray(h_w)
+    statistic = np.empty(h_w.shape[0])
     chunk = max(1, _CHUNK_SAMPLES // params.n_d)
-    transmit = hypothesis == "H1" and params.p_d > 0
-    for start in range(0, n_slots, chunk):
-        stop = min(start + chunk, n_slots)
-        noise = _cn(rng, (stop - start, params.n_d), params.sigma_w2)
+    noise_scale = math.sqrt(params.sigma_w2 / 2.0)
+    x_scale = math.sqrt(0.5)
+    transmit = transmit and params.p_d > 0
+    amp = math.sqrt(params.p_d) * h_w
+    for start in range(0, h_w.shape[0], chunk):
+        stop = min(start + chunk, h_w.shape[0])
+        shape = (stop - start, params.n_d)
+        y_re = rng.normal(0.0, noise_scale, shape)
+        y_im = rng.normal(0.0, noise_scale, shape)
         if transmit:
-            x_d = _cn(rng, (stop - start, params.n_d), 1.0)
-            y_w = math.sqrt(params.p_d) * h_w[start:stop, None] * x_d + noise
-        else:
-            y_w = noise
-        statistic[start:stop] = np.mean(np.abs(y_w) ** 2, axis=1)
+            x_re = rng.normal(0.0, x_scale, shape)
+            x_im = rng.normal(0.0, x_scale, shape)
+            a_re = amp.real[start:stop, None]
+            a_im = amp.imag[start:stop, None]
+            prod = np.multiply(a_re, x_re)
+            cross = np.multiply(a_im, x_im)
+            prod -= cross
+            y_re += prod  # Re(a x) = a_re x_re - a_im x_im
+            np.multiply(a_re, x_im, out=prod)
+            np.multiply(a_im, x_re, out=cross)
+            prod += cross
+            y_im += prod  # Im(a x) = a_re x_im + a_im x_re
+        y_re *= y_re
+        y_im *= y_im
+        y_re += y_im
+        statistic[start:stop] = np.mean(y_re, axis=1)
+    return statistic
 
-    out = {
-        "h_b": h_b,
-        "h_w": h_w,
-        "h_b_hat": h_hat,
-        "h_b_tilde": h_tilde,
-        "statistic": statistic,
-    }
+
+def _outage(params: SystemParams, h_hat, h_tilde):
+    """Slots whose realized post-estimation SNR cannot support the rate."""
+    snr = (
+        np.abs(h_hat) ** 2 * params.p_d
+        / (np.abs(h_tilde) ** 2 * params.p_d + params.sigma_b2)
+    )
+    return np.log2(1.0 + snr) <= params.rate
+
+
+def simulate_slots(params: SystemParams, hypothesis: str, n_slots: int,
+                   rng: np.random.Generator) -> dict:
+    """Vectorized slot batch, the channel stage then the radiometer stage;
+    returns arrays keyed like the trace fields, with the outage decision
+    under H1."""
+    if hypothesis not in ("H0", "H1"):
+        raise DomainError("hypothesis must be 'H0' or 'H1'")
+    out = draw_channels(params, n_slots, rng)
+    out["statistic"] = radiometer_statistic(params, hypothesis == "H1", out["h_w"], rng)
     if hypothesis == "H1":
-        snr = (
-            np.abs(h_hat) ** 2 * params.p_d
-            / (np.abs(h_tilde) ** 2 * params.p_d + params.sigma_b2)
-        )
-        out["outage"] = np.log2(1.0 + snr) <= params.rate
+        out["outage"] = _outage(params, out["h_b_hat"], out["h_b_tilde"])
     return out
 
 
@@ -202,13 +266,18 @@ def _binomial_se(p_hat, n):
     return math.sqrt(max(p_hat * (1.0 - p_hat), 0.0) / n)
 
 
-def estimate_detection(params: SystemParams, mc: McConfig) -> DetectionEstimate:
+def estimate_detection(params: SystemParams, mc: McConfig,
+                       threshold: Optional[float] = None) -> DetectionEstimate:
     """Empirical false-alarm / missed-detection / total error rates with
-    binomial standard errors; half the trials run under each hypothesis."""
+    binomial standard errors; half the trials run under each hypothesis.
+
+    ``threshold`` is ``policy_threshold(params, mc)`` when the caller has
+    already resolved it; None resolves it here.
+    """
     n_h1 = mc.trials // 2
     n_h0 = mc.trials - n_h1
 
-    lam = _scalar_threshold(params, mc)
+    lam = _resolve(params, mc, threshold)
 
     batch0 = simulate_slots(params, "H0", n_h0, _rng(mc.seed, 0))
     p_fa_hat = float(np.mean(batch0["statistic"] > _thresholds(params, lam, batch0["h_w"])))
@@ -228,17 +297,23 @@ def estimate_detection(params: SystemParams, mc: McConfig) -> DetectionEstimate:
 
 def estimate_pcc(params: SystemParams, mc: McConfig) -> PccEstimate:
     """Empirical connection probability: fraction of transmission slots whose
-    realized post-estimation SNR supports the fixed rate."""
-    batch = simulate_slots(params, "H1", mc.trials, _rng(mc.seed, 2))
-    p_cc_hat = float(np.mean(~batch["outage"]))
+    realized post-estimation SNR supports the fixed rate.
+
+    Runs the channel stage alone; its draws are the ones a full H1 batch on
+    the same stream would make.
+    """
+    channels = draw_channels(params, mc.trials, _rng(mc.seed, 2))
+    outage = _outage(params, channels["h_b_hat"], channels["h_b_tilde"])
+    p_cc_hat = float(np.mean(~outage))
     return PccEstimate(p_cc_hat, _binomial_se(p_cc_hat, mc.trials))
 
 
-def analytic_detection(params: SystemParams, mc: McConfig):
+def analytic_detection(params: SystemParams, mc: McConfig,
+                       threshold: Optional[float] = None):
     """Closed-form (p_fa, p_md, zeta) under the threshold rule the simulator
-    applies for ``mc``'s policy."""
+    applies for ``mc``'s policy; ``threshold`` as in ``estimate_detection``."""
     w = detection.WillieParams(sigma_w2=params.sigma_w2, n_d=params.n_d, p_d=params.p_d)
-    lam = _scalar_threshold(params, mc)
+    lam = _resolve(params, mc, threshold)
     if lam is None:
         fa = detection.expected_p_fa_csi(w)
         zeta = detection.expected_zeta_star_csi(w)

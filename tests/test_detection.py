@@ -152,6 +152,13 @@ class TestCdiThreshold:
         with pytest.raises(DomainError):
             threshold_cdi_approx(0.0)
 
+    @pytest.mark.parametrize(
+        "sigma_w2", [float("nan"), float("inf"), float("-inf"), 0.0, -0.05]
+    )
+    def test_approx_rejects_non_finite_and_non_positive(self, sigma_w2):
+        with pytest.raises(DomainError):
+            threshold_cdi_approx(sigma_w2)
+
     def test_exact_approaches_noise_floor_at_low_power(self):
         lam = threshold_cdi_exact(willie(p_d=1e-4))
         assert abs(lam - SW2) / SW2 <= 0.05

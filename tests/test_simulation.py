@@ -1,15 +1,21 @@
 import math
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from conftest import radiometer_statistics_signal
 from covertfade import detection, link
+from covertfade.cli import main
 from covertfade.errors import DomainError
 from covertfade.params import SystemParams
 from covertfade.simulation import (
     McConfig,
+    draw_channels,
     estimate_detection,
     estimate_pcc,
+    radiometer_statistic,
     simulate_slot,
     simulate_slots,
     write_trace_csv,
@@ -54,6 +60,62 @@ class TestSimulateSlot:
     def test_bad_hypothesis(self):
         with pytest.raises(DomainError):
             simulate_slot(params(), "H2", _rng(1, 0))
+
+
+class TestStages:
+    @pytest.mark.parametrize("seed, n_t", [(33, 1), (2**40, 4)])
+    def test_channel_stage_is_prefix_of_full_batch(self, seed, n_t):
+        p = params(p_d=0.05, n_d=50, n_t=n_t)
+        full = simulate_slots(p, "H1", 20_000, _rng(seed, 2))
+        channels = draw_channels(p, 20_000, _rng(seed, 2))
+        for key, value in channels.items():
+            assert np.array_equal(value, full[key]), key
+        est = estimate_pcc(p, McConfig(trials=20_000, seed=seed))
+        assert est.p_cc == float(np.mean(~full["outage"]))
+
+    @pytest.mark.parametrize("transmit", [True, False])
+    def test_radiometer_matches_symbol_level_oracle(self, transmit):
+        p = params(p_d=0.05, n_d=50)
+        h_w = 0.8 - 0.6j
+        n = 100_000
+        stats = radiometer_statistic(p, transmit, np.full(n, h_w), _rng(61, 0))
+        ref = radiometer_statistics_signal(
+            50, p.p_d if transmit else 0.0, h_w, p.sigma_w2, n, seed=62
+        )
+        se_mean = math.sqrt((np.var(stats) + np.var(ref)) / n)
+        assert abs(np.mean(stats) - np.mean(ref)) <= 4.0 * se_mean
+        assert np.var(stats) == pytest.approx(np.var(ref), rel=0.03)
+
+    def test_cdi_exact_threshold_resolved_once_per_run(self, tmp_path, monkeypatch):
+        calls = []
+        exact = detection.threshold_cdi_exact
+        monkeypatch.setattr(
+            detection, "threshold_cdi_exact", lambda w: calls.append(w) or exact(w)
+        )
+        code = main(
+            ["simulate", "--trials", "200", "--seed", "3", "--p-d", "0.02",
+             "--policy", "cdi_exact", "--out", str(tmp_path / "out.csv"),
+             "--dump-traces", str(tmp_path / "t.csv"), "--trace-slots", "5"]
+        )
+        assert code == 0
+        assert len(calls) == 1
+
+    def test_golden_simulate_bytes(self, tmp_path):
+        # Pinned output bytes: a change to the stream keys, the draw order or
+        # the arithmetic that moves any printed digit shows up here.
+        out = tmp_path / "out.csv"
+        code = main(["simulate", "--trials", "20000", "--seed", "314",
+                     "--p-d", "0.02", "--out", str(out)])
+        assert code == 0
+        golden = Path(__file__).with_name("data") / "simulate_seed314.csv"
+        assert out.read_bytes() == golden.read_bytes()
+
+
+class TestRng:
+    def test_seed_near_2_64_does_not_warn(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            _rng(2**64 - 1, 9).random()
 
 
 class TestMcConfig:

@@ -12,15 +12,14 @@ number of data symbols.  Two findings worth noticing in the output:
 
 import numpy as np
 
-from covertfade.link import LinkParams
-from covertfade.optimizer import DesignProblem, solve_p1, solve_p1_1
+from covertfade.optimizer import solve_p1, solve_p1_1
+from covertfade.params import SystemParams
 
 
 def problem(epsilon):
-    return DesignProblem(
-        epsilon=epsilon, p_max=1.0, n_d_min=50, n_d_max=100,
-        link=LinkParams(sigma_b2=0.01, rate=1.0, n_t=1, p_t=1.0),
-        sigma_w2=0.05,
+    return SystemParams(
+        sigma_b2=0.01, sigma_w2=0.05, rate=1.0, p_max=1.0, n_t=1, p_t=1.0,
+        n_d_min=50, n_d_max=100, epsilon=epsilon,
     )
 
 

@@ -7,7 +7,6 @@ values, reporting the deviation in standard errors.
 """
 
 from covertfade import link, simulation
-from covertfade.link import LinkParams
 from covertfade.params import SystemParams
 
 params = SystemParams(p_d=0.02, n_d=50)
@@ -18,9 +17,7 @@ mc = simulation.McConfig(trials=300_000, seed=777,
 est = simulation.estimate_detection(params, mc)
 fa, md, zeta = simulation.analytic_detection(params, mc)
 
-lp = LinkParams(sigma_b2=params.sigma_b2, rate=params.rate, n_t=params.n_t,
-                p_t=params.p_t, p_d=params.p_d, n_d=params.n_d)
-pcc = link.covert_connection_prob(lp, link.estimation_model(lp))
+pcc = link.covert_connection_prob(params)
 pcc_est = simulation.estimate_pcc(params, mc)
 
 rows = [

@@ -5,7 +5,6 @@ validation."""
 from .errors import DegenerateHypothesesError, DomainError, NumericError
 from .params import SystemParams, parse_params_file
 from .detection import (
-    DetectionReport,
     WillieParams,
     expected_zeta_cdi,
     expected_zeta_star_csi,
@@ -19,15 +18,12 @@ from .detection import (
     zeta_star_csi,
 )
 from .link import (
-    EstimationModel,
-    LinkParams,
     covert_connection_prob,
-    estimation_model,
+    estimation_error_var,
     snr_bob,
     throughput,
 )
 from .optimizer import (
-    DesignProblem,
     DesignSolution,
     power_for_covertness_exact,
     power_for_covertness_suboptimal,

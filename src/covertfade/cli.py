@@ -7,6 +7,7 @@ Exit codes: 0 success, 2 usage error, 3 numeric failure.
 import argparse
 import math
 import sys
+from dataclasses import fields, replace
 
 import numpy as np
 
@@ -16,12 +17,7 @@ from .params import SystemParams, parse_params_file
 
 __all__ = ["main", "build_parser"]
 
-_PARAM_FLAGS = [
-    ("sigma_b2", float), ("sigma_w2", float), ("rate", float),
-    ("p_max", float), ("n_t", int), ("p_t", float),
-    ("n_d_min", int), ("n_d_max", int), ("epsilon", float),
-    ("p_d", float), ("n_d", int),
-]
+_PARAM_FLAGS = [(f.name, f.type) for f in fields(SystemParams)]
 
 
 def _fmt(value) -> str:
@@ -145,26 +141,12 @@ def cmd_detect_sweep(args) -> int:
     return 0
 
 
-def _design_problem(params: SystemParams) -> optimizer.DesignProblem:
-    return optimizer.DesignProblem(
-        epsilon=params.epsilon,
-        p_max=params.p_max,
-        n_d_min=params.n_d_min,
-        n_d_max=params.n_d_max,
-        link=link.LinkParams(
-            sigma_b2=params.sigma_b2, rate=params.rate,
-            n_t=params.n_t, p_t=params.p_t,
-        ),
-        sigma_w2=params.sigma_w2,
-    )
-
-
 def cmd_optimize(args) -> int:
     params = _resolve_params(args)
     methods = ["exact", "suboptimal"] if args.method == "both" else [args.method]
     rows = []
     for eps in args.epsilon_grid:
-        prob = _design_problem(params.with_overrides(epsilon=eps))
+        prob = replace(params, epsilon=eps)
         for method in methods:
             if method == "exact":
                 sol = optimizer.solve_p1(prob, force_nd=args.force_nd)
@@ -197,11 +179,7 @@ def cmd_simulate(args) -> int:
     pcc = simulation.estimate_pcc(params, mc)
 
     fa, md, zeta = simulation.analytic_detection(params, mc, threshold)
-    lp = link.LinkParams(
-        sigma_b2=params.sigma_b2, rate=params.rate, n_t=params.n_t,
-        p_t=params.p_t, p_d=params.p_d, n_d=params.n_d,
-    )
-    pcc_analytic = link.covert_connection_prob(lp, link.estimation_model(lp))
+    pcc_analytic = link.covert_connection_prob(params)
 
     rows = []
     for name, emp, ana, se in [

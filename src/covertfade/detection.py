@@ -19,10 +19,8 @@ from .special import ln_gamma, reg_lower_gamma, reg_upper_gamma
 
 __all__ = [
     "WillieParams",
-    "DetectionReport",
     "p_fa",
     "p_md",
-    "detection_report",
     "csi_threshold",
     "optimal_threshold_csi",
     "zeta_star_csi",
@@ -61,17 +59,6 @@ class WillieParams:
         )
 
 
-@dataclass(frozen=True)
-class DetectionReport:
-    threshold: float
-    p_fa: float
-    p_md: float
-
-    @property
-    def zeta(self) -> float:
-        return self.p_fa + self.p_md
-
-
 def _check_threshold(lam):
     if not (math.isfinite(lam) and lam > 0):
         raise DomainError(f"threshold must be positive and finite, got {lam!r}")
@@ -89,10 +76,6 @@ def p_md(lam: float, w: WillieParams) -> float:
     if w.h_w2 is None:
         raise DomainError("p_md requires h_w2")
     return reg_lower_gamma(w.n_d, w.n_d * lam / (w.h_w2 * w.p_d + w.sigma_w2))
-
-
-def detection_report(lam: float, w: WillieParams) -> DetectionReport:
-    return DetectionReport(threshold=lam, p_fa=p_fa(lam, w), p_md=p_md(lam, w))
 
 
 def csi_threshold(s, sigma_w2):
@@ -183,9 +166,13 @@ def expected_zeta_cdi(lam: float, w: WillieParams) -> float:
 
 
 def threshold_cdi_exact(w: WillieParams) -> float:
-    """Threshold minimizing the fading-averaged total error (numeric argmin)."""
-    if w.p_d <= 0:
-        raise DomainError("threshold_cdi_exact requires p_d > 0")
+    """Threshold minimizing the fading-averaged total error (numeric argmin).
+
+    At p_d = 0 the hypotheses coincide and every threshold is equally good;
+    the noise floor sigma_w2 is returned there, its low-power limit.
+    """
+    if w.p_d == 0:
+        return w.sigma_w2
     lo = 0.1 * w.sigma_w2
     snr = w.p_d / w.sigma_w2
     hi = w.sigma_w2 * (1.0 + snr) * (1.0 + math.log1p(snr))
@@ -204,8 +191,6 @@ def threshold_cdi_exact(w: WillieParams) -> float:
 
 def zeta_star_cdi(w: WillieParams) -> float:
     """Minimum fading-averaged total error with distribution knowledge only."""
-    if w.p_d == 0:
-        return 1.0
     return expected_zeta_cdi(threshold_cdi_exact(w), w)
 
 

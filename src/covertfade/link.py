@@ -1,18 +1,17 @@
-"""Receiver-side analytics: pilot-based LMMSE estimation quality, effective
-SNR under channel uncertainty, connection (non-outage) probability at a fixed
-rate, and per-slot throughput."""
+"""Receiver-side analytics for the scenario in ``SystemParams``: pilot-based
+LMMSE estimation quality, effective SNR under channel uncertainty, connection
+(non-outage) probability at a fixed rate, and per-slot throughput."""
 
 import math
-from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import DomainError
-from .params import check_fields
+from .params import SystemParams
 from .special import ln_gamma, digamma
 
 __all__ = [
-    "LinkParams",
-    "EstimationModel",
-    "estimation_model",
+    "estimation_error_var",
     "covert_connection_prob",
     "snr_bob",
     "throughput",
@@ -20,44 +19,13 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class LinkParams:
-    """Legitimate-link scenario: noise variance, rate, pilot and data setup."""
-
-    sigma_b2: float
-    rate: float
-    n_t: int = 1
-    p_t: float = 1.0
-    p_d: float = 0.0
-    n_d: int = 1
-
-    def __post_init__(self):
-        check_fields(
-            self,
-            positive=("sigma_b2", "rate", "p_t"),
-            nonnegative=("p_d",),
-            counts=("n_t", "n_d"),
-        )
-
-
-@dataclass(frozen=True)
-class EstimationModel:
-    """LMMSE decomposition variances: error variance beta_b and estimate
-    variance 1 - beta_b."""
-
-    beta_b: float
-
-    def __post_init__(self):
-        check_fields(self, fractions=("beta_b",))
-
-    @property
-    def estimate_var(self) -> float:
-        return 1.0 - self.beta_b
-
-
-def estimation_model(l: LinkParams) -> EstimationModel:
-    """Channel estimation error variance from the pilot budget n_t * p_t."""
-    return EstimationModel(beta_b=l.sigma_b2 / (l.sigma_b2 + l.n_t * l.p_t))
+def estimation_error_var(params: SystemParams) -> float:
+    """LMMSE error variance beta_b from the pilot budget n_t * p_t; the
+    estimate's variance is 1 - beta_b."""
+    beta_b = params.sigma_b2 / (params.sigma_b2 + params.n_t * params.p_t)
+    if not 0 < beta_b < 1:
+        raise DomainError(f"beta_b must be a real in (0, 1), got {beta_b!r}")
+    return beta_b
 
 
 def _rate_factor(rate: float) -> float:
@@ -65,33 +33,32 @@ def _rate_factor(rate: float) -> float:
     return math.expm1(rate * math.log(2.0))
 
 
-def covert_connection_prob(l: LinkParams, e: EstimationModel) -> float:
+def covert_connection_prob(params: SystemParams) -> float:
     """Probability the receiver decodes a rate-R message despite estimation
     error; 0 when no data power is spent."""
-    if l.p_d == 0:
+    beta_b = estimation_error_var(params)
+    if params.p_d == 0:
         return 0.0
-    g = _rate_factor(l.rate)
-    ok = e.estimate_var
-    prefactor = ok / (ok + e.beta_b * g)
-    return prefactor * math.exp(-l.sigma_b2 * g / (ok * l.p_d))
+    g = _rate_factor(params.rate)
+    ok = 1.0 - beta_b
+    prefactor = ok / (ok + beta_b * g)
+    return prefactor * math.exp(-params.sigma_b2 * g / (ok * params.p_d))
 
 
-def snr_bob(h_hat2: float, h_tilde2: float, l: LinkParams) -> float:
-    """Effective SNR with the estimation error acting as extra noise."""
-    if h_hat2 < 0 or h_tilde2 < 0:
+def snr_bob(h_hat2, h_tilde2, params: SystemParams):
+    """Effective SNR with the estimation error acting as extra noise,
+    elementwise over arrays of squared magnitudes."""
+    if np.any(h_hat2 < 0) or np.any(h_tilde2 < 0):
         raise DomainError("squared magnitudes must be nonnegative")
-    return h_hat2 * l.p_d / (h_tilde2 * l.p_d + l.sigma_b2)
+    return h_hat2 * params.p_d / (h_tilde2 * params.p_d + params.sigma_b2)
 
 
-def throughput(n_d: int, l: LinkParams, e: EstimationModel) -> float:
+def throughput(params: SystemParams) -> float:
     """Expected reliably delivered bits per slot, counting data symbols only."""
-    if n_d < 1:
-        raise DomainError("n_d must be >= 1")
-    return n_d * l.rate * covert_connection_prob(l, e)
+    return params.n_d * params.rate * covert_connection_prob(params)
 
 
-def throughput_derivative_sign(n_d: float, l: LinkParams, e: EstimationModel,
-                               sigma_w2: float, epsilon: float) -> float:
+def throughput_derivative_sign(n_d: float, params: SystemParams) -> float:
     """Sign of d/dN of N * R * P_cc when the data power rides the linearized
     covertness constraint (treating N as continuous).
 
@@ -100,7 +67,9 @@ def throughput_derivative_sign(n_d: float, l: LinkParams, e: EstimationModel,
     ``A = sigma_b2 (2^R - 1) / (sigma_w2 (1 - beta_b) epsilon)``; both sides
     are compared in log space since N^N overflows long before N = 200.
     """
-    a = l.sigma_b2 * _rate_factor(l.rate) / (sigma_w2 * e.estimate_var * epsilon)
+    a = params.sigma_b2 * _rate_factor(params.rate) / (
+        params.sigma_w2 * (1.0 - estimation_error_var(params)) * params.epsilon
+    )
     n = float(n_d)
     # ln N - psi(N) > 0 for every N >= 1
     log_neg = math.log(a) + (n + 1.0) * math.log(n) + math.log(

@@ -1,8 +1,13 @@
-"""Scenario parameters shared by the analytic, optimizer and simulation layers."""
+"""The one scenario model: ``SystemParams`` holds every scenario constant and
+validates it when built.  The link, optimizer and simulation layers read it,
+and the CLI flags and parameter-file types are derived from its fields.
+Callers that vary a field (the optimizer ``p_d`` and ``n_d``, the CLI
+``epsilon``) do so on copies made with ``dataclasses.replace``, which
+validates again."""
 
 import math
 import numbers
-from dataclasses import dataclass, replace, fields
+from dataclasses import dataclass, fields
 
 from .errors import DomainError
 
@@ -69,12 +74,8 @@ class SystemParams:
         if self.n_d_min > self.n_d_max:
             raise DomainError("need n_d_min <= n_d_max")
 
-    def with_overrides(self, **kwargs) -> "SystemParams":
-        return replace(self, **kwargs)
 
-
-_INT_FIELDS = {"n_t", "n_d", "n_d_min", "n_d_max"}
-_FIELD_NAMES = {f.name for f in fields(SystemParams)}
+_FIELD_TYPES = {f.name: f.type for f in fields(SystemParams)}
 
 
 def parse_params_file(path) -> dict:
@@ -88,10 +89,10 @@ def parse_params_file(path) -> dict:
             if "=" not in line:
                 raise DomainError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
             key, value = (part.strip() for part in line.split("=", 1))
-            if key not in _FIELD_NAMES:
+            if key not in _FIELD_TYPES:
                 raise DomainError(f"{path}:{lineno}: unknown parameter {key!r}")
             try:
-                overrides[key] = int(value) if key in _INT_FIELDS else float(value)
+                overrides[key] = _FIELD_TYPES[key](value)
             except ValueError:
                 raise DomainError(f"{path}:{lineno}: bad value for {key}: {value!r}") from None
     return overrides

@@ -9,14 +9,14 @@ from the realized estimate/error decomposition.
 A slot runs in two stages.  ``draw_channels`` draws the fading gains h_b and
 h_w and the pilot noise, and forms Bob's LMMSE estimate and its error;
 ``radiometer_statistic`` then draws Willie's n_d received samples and
-averages their power.  ``simulate_slots`` composes the two and adds the
-outage decision.  Bob's connection probability depends only on the first
-stage, so ``estimate_pcc`` draws channels and nothing else.  A generator is
-consumed in the order h_b, h_w, pilot noise, radiometer samples, so stopping
-after the first stage leaves every channel draw, and hence the outage array,
-unchanged.  ``simulate_slot`` is the one-slot view with the threshold
-decision attached, and ``analytic_detection`` gives the closed-form
-counterpart of each threshold policy.
+averages their power.  ``simulate_slots`` composes the two.  The outage
+decision (``link.snr_bob`` on the realized estimate and error) depends only
+on the first stage, so ``estimate_pcc`` draws channels and nothing else.  A
+generator is consumed in the order h_b, h_w, pilot noise, radiometer samples,
+so stopping after the first stage leaves every channel draw, and hence every
+outage decision, unchanged.  ``simulate_slot`` is the one-slot view with the
+threshold and outage decisions attached, and ``analytic_detection`` gives the
+closed-form counterpart of each threshold policy.
 
 Randomness comes from numpy's counter-based Philox generator keyed by an
 explicit 64-bit seed; batch estimators consume one deterministic stream per
@@ -33,7 +33,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from . import detection
+from . import detection, link
 from .errors import DomainError
 from .params import SystemParams, check_fields
 
@@ -157,6 +157,9 @@ def simulate_slot(params: SystemParams, hypothesis: str,
     (a run of many slots resolves it once); None resolves it here.
     """
     batch = simulate_slots(params, hypothesis, 1, rng)
+    outage = None
+    if hypothesis == "H1":
+        outage = bool(_outage(params, batch["h_b_hat"], batch["h_b_tilde"])[0])
     first = {key: value[0] for key, value in batch.items()}
     statistic = float(first["statistic"])
     lam = float(_thresholds(params, _resolve(params, mc, threshold), first["h_w"]))
@@ -169,7 +172,7 @@ def simulate_slot(params: SystemParams, hypothesis: str,
         statistic=statistic,
         threshold=lam,
         decision="H1" if statistic > lam else "H0",
-        outage=bool(first["outage"]) if "outage" in first else None,
+        outage=outage,
     )
 
 
@@ -239,24 +242,18 @@ def radiometer_statistic(params: SystemParams, transmit: bool, h_w,
 
 def _outage(params: SystemParams, h_hat, h_tilde):
     """Slots whose realized post-estimation SNR cannot support the rate."""
-    snr = (
-        np.abs(h_hat) ** 2 * params.p_d
-        / (np.abs(h_tilde) ** 2 * params.p_d + params.sigma_b2)
-    )
+    snr = link.snr_bob(np.abs(h_hat) ** 2, np.abs(h_tilde) ** 2, params)
     return np.log2(1.0 + snr) <= params.rate
 
 
 def simulate_slots(params: SystemParams, hypothesis: str, n_slots: int,
                    rng: np.random.Generator) -> dict:
     """Vectorized slot batch, the channel stage then the radiometer stage;
-    returns arrays keyed like the trace fields, with the outage decision
-    under H1."""
+    returns arrays keyed like the trace fields."""
     if hypothesis not in ("H0", "H1"):
         raise DomainError("hypothesis must be 'H0' or 'H1'")
     out = draw_channels(params, n_slots, rng)
     out["statistic"] = radiometer_statistic(params, hypothesis == "H1", out["h_w"], rng)
-    if hypothesis == "H1":
-        out["outage"] = _outage(params, out["h_b_hat"], out["h_b_tilde"])
     return out
 
 

@@ -16,7 +16,6 @@ from scipy.optimize import brentq
 from covertfade import detection, link, optimizer, simulation
 from covertfade.cli import main as cli_main
 from covertfade.detection import WillieParams
-from covertfade.link import LinkParams
 from covertfade.params import SystemParams
 from covertfade.special import digamma, ln_gamma, reg_lower_gamma, reg_upper_gamma
 
@@ -38,9 +37,9 @@ def willie(n_d, p_d):
 
 
 def design_problem(epsilon):
-    return optimizer.DesignProblem(
+    return SystemParams(
         epsilon=epsilon, p_max=1.0, n_d_min=50, n_d_max=100,
-        link=LinkParams(sigma_b2=0.01, rate=1.0, n_t=1, p_t=1.0),
+        sigma_b2=0.01, rate=1.0, n_t=1, p_t=1.0,
         sigma_w2=SW2,
     )
 
@@ -151,11 +150,7 @@ def test_criterion_6_monte_carlo_agreement():
             assert abs(est.zeta - zeta) <= 3.0 * est.se_zeta
 
             pcc_est = simulation.estimate_pcc(params, mc)
-            lp = LinkParams(
-                sigma_b2=params.sigma_b2, rate=params.rate, n_t=params.n_t,
-                p_t=params.p_t, p_d=p_d, n_d=n_d,
-            )
-            pcc = link.covert_connection_prob(lp, link.estimation_model(lp))
+            pcc = link.covert_connection_prob(params)
             assert abs(pcc_est.p_cc - pcc) <= 3.0 * pcc_est.se
         assert time.monotonic() - start <= 300.0
 
@@ -197,11 +192,9 @@ def test_criterion_7_property_suites():
             for p in (0.0, 0.001, 0.01, 0.1)
         ]
         assert all(b < a for a, b in zip(e_vals, e_vals[1:]))
-        lp0 = LinkParams(sigma_b2=0.01, rate=1.0, p_t=1.0)
-        e = link.estimation_model(lp0)
         pcc_vals = [
             link.covert_connection_prob(
-                LinkParams(sigma_b2=0.01, rate=1.0, p_t=1.0, p_d=p), e
+                SystemParams(sigma_b2=0.01, rate=1.0, p_t=1.0, p_d=p)
             )
             for p in (0.001, 0.01, 0.1)
         ]

@@ -1,7 +1,11 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from covertfade.cli import main
+
+DATA = Path(__file__).with_name("data")
 
 
 def run(capsys, *argv):
@@ -58,6 +62,15 @@ class TestDetectSweep:
     def test_invalid_grid_exits_2(self, capsys):
         assert run(capsys, "detect-sweep", "--p-d-grid", "-0.5")[0] == 2
 
+    def test_golden_bytes(self, capsys):
+        # Pinned output: any change that moves a printed digit shows up here.
+        code, out = run(
+            capsys, "detect-sweep", "--p-d-grid", "0,1e-3,1", "--n-d-list", "1,50",
+            "--mode", "both",
+        )
+        assert code == 0
+        assert out == (DATA / "detect_sweep_both.csv").read_text()
+
 
 class TestOptimize:
     def test_every_row_uses_minimum_symbols(self, capsys):
@@ -90,6 +103,14 @@ class TestOptimize:
 
     def test_bad_epsilon_exits_2(self, capsys):
         assert run(capsys, "optimize", "--epsilon-grid", "1.5")[0] == 2
+
+    def test_golden_bytes(self, capsys):
+        # Pinned output: any change that moves a printed digit shows up here.
+        code, out = run(
+            capsys, "optimize", "--epsilon-grid", "0.01,0.2", "--method", "both"
+        )
+        assert code == 0
+        assert out == (DATA / "optimize_both.csv").read_text()
 
 
 class TestSimulate:
@@ -136,6 +157,21 @@ class TestSimulate:
         _, rows = parse_csv(out)
         assert {r["pass_3sigma"] for r in rows} <= {"true", "false", "n/a"}
 
+    def test_cdi_exact_at_zero_power_matches_cdi_approx(self, tmp_path, capsys):
+        # Both policies use the noise floor sigma_w2 as threshold at p_d = 0,
+        # so they consume the same streams and print the same bytes.
+        outputs = []
+        for policy in ("cdi_exact", "cdi_approx"):
+            traces = tmp_path / f"{policy}.csv"
+            code, out = run(
+                capsys, "simulate", "--trials", "2000", "--seed", "8", "--p-d", "0",
+                "--policy", policy, "--dump-traces", str(traces),
+                "--trace-slots", "6",
+            )
+            assert code == 0
+            outputs.append((out, traces.read_bytes()))
+        assert outputs[0] == outputs[1]
+
     @pytest.mark.parametrize("seed", ["-1", str(2**64)])
     def test_seed_out_of_range_exits_2(self, seed, capsys):
         code, err = run_err(capsys, "simulate", "--trials", "10", "--seed", seed)
@@ -176,6 +212,25 @@ class TestParameterHandling:
         code, err = run_err(capsys, *argv)
         assert code == 2
         assert field in err
+
+    def test_degenerate_pilot_estimate_exits_2(self, capsys):
+        # beta_b = sigma_b2 / (sigma_b2 + n_t p_t) rounds to 1.0 here
+        code, err = run_err(
+            capsys, "simulate", "--trials", "10", "--sigma-b2", "1e300",
+            "--p-t", "1e-300",
+        )
+        assert code == 2
+        assert "beta_b" in err
+
+    def test_scenario_flags_follow_field_order(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["optimize", "--help"])
+        text = capsys.readouterr().out.split("scenario parameters:", 1)[1]
+        flags = [tok for tok in text.split() if tok.startswith("--")]
+        assert flags == [
+            "--sigma-b2", "--sigma-w2", "--rate", "--p-max", "--n-t", "--p-t",
+            "--n-d-min", "--n-d-max", "--epsilon", "--p-d", "--n-d",
+        ]
 
     def test_bad_value_in_file_exits_2(self, tmp_path, capsys):
         cfg = tmp_path / "params.txt"

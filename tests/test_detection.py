@@ -13,7 +13,6 @@ from conftest import (
 )
 from covertfade.detection import (
     WillieParams,
-    detection_report,
     expected_zeta_cdi,
     expected_zeta_star_csi,
     optimal_threshold_csi,
@@ -69,12 +68,6 @@ class TestErrorProbabilities:
             p_fa(0.0, willie())
         with pytest.raises(DomainError):
             p_md(-1.0, willie(p_d=0.01, h_w2=1.0))
-
-    def test_report_fields(self):
-        w = willie(p_d=0.02, h_w2=1.0)
-        rep = detection_report(SW2, w)
-        assert rep.zeta == rep.p_fa + rep.p_md
-        assert 0.0 <= rep.p_fa <= 1.0 and 0.0 <= rep.p_md <= 1.0
 
 
 class TestCsiThreshold:
@@ -162,6 +155,11 @@ class TestCdiThreshold:
     def test_exact_approaches_noise_floor_at_low_power(self):
         lam = threshold_cdi_exact(willie(p_d=1e-4))
         assert abs(lam - SW2) / SW2 <= 0.05
+
+    def test_exact_at_zero_power_is_noise_floor(self):
+        # hypotheses coincide; the low-power limit of the argmin is sigma_w2
+        assert threshold_cdi_exact(willie(p_d=0.0)) == SW2
+        assert threshold_cdi_exact(willie(p_d=0.0, sigma_w2=0.2)) == 0.2
 
     def test_exact_unimodality_spot_check(self):
         w = willie(p_d=0.05)

@@ -5,26 +5,25 @@ import pytest
 
 from covertfade.detection import WillieParams, expected_zeta_star_csi
 from covertfade.errors import DomainError
-from covertfade.link import LinkParams
 from covertfade import optimizer
 from covertfade.optimizer import (
-    DesignProblem,
     power_for_covertness_exact,
     power_for_covertness_suboptimal,
     solve_p1,
     solve_p1_1,
 )
+from covertfade.params import SystemParams
 
 SW2 = 0.05
 
 
 def problem(epsilon=0.05, p_max=1.0, n_d_min=50, n_d_max=100, sigma_w2=SW2):
-    return DesignProblem(
+    return SystemParams(
         epsilon=epsilon,
         p_max=p_max,
         n_d_min=n_d_min,
         n_d_max=n_d_max,
-        link=LinkParams(sigma_b2=0.01, rate=1.0, n_t=1, p_t=p_max),
+        sigma_b2=0.01, rate=1.0, n_t=1, p_t=p_max,
         sigma_w2=sigma_w2,
     )
 

@@ -19,6 +19,7 @@ from covertfade.simulation import (
     simulate_slot,
     simulate_slots,
     write_trace_csv,
+    _outage,
     _rng,
 )
 
@@ -70,8 +71,9 @@ class TestStages:
         channels = draw_channels(p, 20_000, _rng(seed, 2))
         for key, value in channels.items():
             assert np.array_equal(value, full[key]), key
+        outage = _outage(p, full["h_b_hat"], full["h_b_tilde"])
         est = estimate_pcc(p, McConfig(trials=20_000, seed=seed))
-        assert est.p_cc == float(np.mean(~full["outage"]))
+        assert est.p_cc == float(np.mean(~outage))
 
     @pytest.mark.parametrize("transmit", [True, False])
     def test_radiometer_matches_symbol_level_oracle(self, transmit):
@@ -179,11 +181,7 @@ class TestEstimatePcc:
     def test_matches_closed_form(self):
         p = params(p_d=0.05, n_d=50)
         est = estimate_pcc(p, McConfig(trials=1_000_000, seed=33))
-        lp = link.LinkParams(
-            sigma_b2=p.sigma_b2, rate=p.rate, n_t=p.n_t, p_t=p.p_t,
-            p_d=0.05, n_d=50,
-        )
-        analytic = link.covert_connection_prob(lp, link.estimation_model(lp))
+        analytic = link.covert_connection_prob(p)
         assert abs(est.p_cc - analytic) <= 3.0 * est.se
 
 

@@ -167,6 +167,8 @@ def cmd_optimize(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    if args.trace_slots < 0:
+        raise DomainError(f"--trace-slots must be >= 0, got {args.trace_slots}")
     params = _resolve_params(args)
     mc = simulation.McConfig(
         trials=args.trials,

@@ -1,26 +1,31 @@
 """Monte Carlo slot simulator.
 
-Serves as the independent oracle for the closed forms: fading and noise are
-drawn at the sample level, the channel estimate is formed from simulated pilot
-observations (so the LMMSE formula itself is exercised), the adversary's
-radiometer decides from the realized average power, and outage is declared
-from the realized estimate/error decomposition.
+Serves as the independent oracle for the closed forms: fading and pilot noise
+are drawn at the sample level, the channel estimate is formed from simulated
+pilot observations (so the LMMSE formula itself is exercised), the
+adversary's radiometer decides from its realized average power, and outage
+is declared from the realized estimate/error decomposition.
 
 A slot runs in two stages.  ``draw_channels`` draws the fading gains h_b and
 h_w and the pilot noise, and forms Bob's LMMSE estimate and its error;
-``radiometer_statistic`` then draws Willie's n_d received samples and
-averages their power.  ``simulate_slots`` composes the two.  The outage
+``radiometer_statistic`` then draws Willie's average received power over n_d
+samples.  At a fixed h_w that average is exactly a scaled Gamma(n_d, 1)
+variate (the energy-detector law), so it is drawn from that law, one variate
+per slot, rather than sample by sample; the symbol-level route is kept in the
+tests as its oracle.  ``simulate_slots`` composes the two stages.  The outage
 decision (``link.snr_bob`` on the realized estimate and error) depends only
 on the first stage, so ``estimate_pcc`` draws channels and nothing else.  A
-generator is consumed in the order h_b, h_w, pilot noise, radiometer samples,
-so stopping after the first stage leaves every channel draw, and hence every
-outage decision, unchanged.  ``simulate_slot`` is the one-slot view with the
-threshold and outage decisions attached, and ``analytic_detection`` gives the
-closed-form counterpart of each threshold policy.
+generator is consumed in the order h_b, h_w, pilot noise, then one Gamma
+variate per slot, so stopping after the first stage leaves every channel
+draw, and hence every outage decision, unchanged.  ``simulate_slot`` is the
+one-slot view with the threshold and outage decisions attached, and
+``analytic_detection`` gives the closed-form counterpart of each threshold
+policy.
 
-Randomness comes from numpy's counter-based Philox generator keyed by an
-explicit 64-bit seed; batch estimators consume one deterministic stream per
-hypothesis, so identical (params, config) pairs reproduce identical results.
+Randomness comes from numpy's counter-based Philox generator keyed by the
+two words (seed, stream), with a 64-bit seed; batch estimators consume one
+stream per hypothesis, so identical (params, config) pairs reproduce
+identical results and distinct (seed, stream) pairs never share a key.
 Complex Gaussian CN(0, s) is drawn as two independent real normals of
 variance s/2, real part first.
 """
@@ -54,7 +59,6 @@ __all__ = [
 ]
 
 _POLICIES = ("csi_optimal", "cdi_exact", "cdi_approx", "fixed")
-_CHUNK_SAMPLES = 1 << 22  # data samples per vectorized chunk
 
 
 @dataclass(frozen=True)
@@ -110,10 +114,8 @@ def _cn(rng, size, var):
 
 
 def _rng(seed, stream):
-    # Key (seed + stream) mod 2**64, in Python ints so seeds near 2**64 wrap
-    # without a numpy overflow warning.  Seed s, stream k shares its key with
-    # seed s + k, stream 0.
-    return np.random.Generator(np.random.Philox(key=(int(seed) + stream) % 2**64))
+    # Two-word Philox key: the seed in the low 64 bits, the stream above it.
+    return np.random.Generator(np.random.Philox(key=int(seed) + (stream << 64)))
 
 
 def policy_threshold(params: SystemParams, mc: Optional[McConfig]):
@@ -201,43 +203,17 @@ def radiometer_statistic(params: SystemParams, transmit: bool, h_w,
     """Radiometer stage: Willie's average received power over n_d samples in
     each slot whose channel gain is the matching entry of ``h_w``.
 
-    Each sample is noise n ~ CN(0, sigma_w2), plus sqrt(p_d) h_w x with
-    x ~ CN(0, 1) when ``transmit`` and p_d > 0.  Slots are processed in
-    chunks of about ``_CHUNK_SAMPLES`` samples; per chunk the real and
-    imaginary parts of n, then those of x, are drawn as separate real arrays
-    (the order ``_cn`` draws them in), and y and |y|^2 are formed in place in
-    real arithmetic.
+    Each sample is y ~ CN(0, v), with v = |h_w|^2 p_d + sigma_w2 when
+    ``transmit`` and p_d > 0 and v = sigma_w2 otherwise, so the average of
+    |y|^2 over n_d samples is exactly v Gamma(n_d, 1) / n_d.  It is drawn
+    from that law, one Gamma variate per slot, so time and memory do not
+    grow with n_d.
     """
     h_w = np.asarray(h_w)
-    statistic = np.empty(h_w.shape[0])
-    chunk = max(1, _CHUNK_SAMPLES // params.n_d)
-    noise_scale = math.sqrt(params.sigma_w2 / 2.0)
-    x_scale = math.sqrt(0.5)
-    transmit = transmit and params.p_d > 0
-    amp = math.sqrt(params.p_d) * h_w
-    for start in range(0, h_w.shape[0], chunk):
-        stop = min(start + chunk, h_w.shape[0])
-        shape = (stop - start, params.n_d)
-        y_re = rng.normal(0.0, noise_scale, shape)
-        y_im = rng.normal(0.0, noise_scale, shape)
-        if transmit:
-            x_re = rng.normal(0.0, x_scale, shape)
-            x_im = rng.normal(0.0, x_scale, shape)
-            a_re = amp.real[start:stop, None]
-            a_im = amp.imag[start:stop, None]
-            prod = np.multiply(a_re, x_re)
-            cross = np.multiply(a_im, x_im)
-            prod -= cross
-            y_re += prod  # Re(a x) = a_re x_re - a_im x_im
-            np.multiply(a_re, x_im, out=prod)
-            np.multiply(a_im, x_re, out=cross)
-            prod += cross
-            y_im += prod  # Im(a x) = a_re x_im + a_im x_re
-        y_re *= y_re
-        y_im *= y_im
-        y_re += y_im
-        statistic[start:stop] = np.mean(y_re, axis=1)
-    return statistic
+    v = params.sigma_w2
+    if transmit and params.p_d > 0:
+        v = np.abs(h_w) ** 2 * params.p_d + params.sigma_w2
+    return v * rng.standard_gamma(params.n_d, h_w.shape[0]) / params.n_d
 
 
 def _outage(params: SystemParams, h_hat, h_tilde):

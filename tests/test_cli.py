@@ -187,6 +187,23 @@ class TestSimulate:
         assert code == 0
         assert path.read_text().count("\n") == 21
 
+    def test_negative_trace_slots_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "t.csv"
+        code, err = run_err(
+            capsys, "simulate", "--trials", "10", "--dump-traces", str(path),
+            "--trace-slots", "-3",
+        )
+        assert code == 2
+        assert "--trace-slots" in err
+        assert not path.exists()
+
+    def test_zero_trace_slots_writes_header_only(self, tmp_path, capsys):
+        path = tmp_path / "t.csv"
+        code = main(["simulate", "--trials", "10", "--dump-traces", str(path),
+                     "--trace-slots", "0", "--out", str(tmp_path / "out.csv")])
+        assert code == 0
+        assert path.read_text().count("\n") == 1
+
 
 class TestParameterHandling:
     @pytest.mark.parametrize(

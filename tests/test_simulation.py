@@ -1,9 +1,11 @@
 import math
+import tracemalloc
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy import stats as stats_mod
 
 from conftest import radiometer_statistics_signal
 from covertfade import detection, link
@@ -76,17 +78,34 @@ class TestStages:
         assert est.p_cc == float(np.mean(~outage))
 
     @pytest.mark.parametrize("transmit", [True, False])
-    def test_radiometer_matches_symbol_level_oracle(self, transmit):
-        p = params(p_d=0.05, n_d=50)
+    @pytest.mark.parametrize("n_d", [1, 50, 400])
+    def test_radiometer_matches_symbol_level_oracle(self, n_d, transmit):
+        # The simulator draws the statistic from its Gamma law; the oracle
+        # builds it symbol by symbol.  Chunks hold at most 5e6 samples.
+        p = params(p_d=0.05, n_d=n_d)
         h_w = 0.8 - 0.6j
         n = 100_000
         stats = radiometer_statistic(p, transmit, np.full(n, h_w), _rng(61, 0))
         ref = radiometer_statistics_signal(
-            50, p.p_d if transmit else 0.0, h_w, p.sigma_w2, n, seed=62
+            n_d, p.p_d if transmit else 0.0, h_w, p.sigma_w2, n, seed=62,
+            chunk=min(100_000, 5_000_000 // n_d),
         )
         se_mean = math.sqrt((np.var(stats) + np.var(ref)) / n)
         assert abs(np.mean(stats) - np.mean(ref)) <= 4.0 * se_mean
         assert np.var(stats) == pytest.approx(np.var(ref), rel=0.03)
+        assert stats_mod.ks_2samp(stats, ref).pvalue > 1e-3
+
+    def test_detection_memory_does_not_grow_with_n_d(self):
+        p = params(p_d=0.02, n_d=10**6)
+        mc = McConfig(trials=2_000, seed=7, threshold_policy="fixed",
+                      fixed_threshold=p.sigma_w2)
+        tracemalloc.start()
+        try:
+            estimate_detection(p, mc)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5 * 2**20
 
     def test_cdi_exact_threshold_resolved_once_per_run(self, tmp_path, monkeypatch):
         calls = []
@@ -118,6 +137,10 @@ class TestRng:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             _rng(2**64 - 1, 9).random()
+
+    def test_streams_do_not_alias_neighbouring_seeds(self):
+        # A one-word key seed + stream would make these two generators equal.
+        assert not np.array_equal(_rng(314, 1).random(8), _rng(315, 0).random(8))
 
 
 class TestMcConfig:

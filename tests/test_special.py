@@ -107,6 +107,27 @@ class TestIdentities:
         assert digamma(x) == pytest.approx(fd, abs=1e-5)
 
 
+class TestNumpyScalars:
+    @pytest.mark.parametrize("kind", [np.int64, np.float32, np.float64])
+    def test_accepted_like_python_floats(self, kind):
+        assert reg_lower_gamma(kind(5), kind(1)) == reg_lower_gamma(5.0, 1.0)
+        assert reg_upper_gamma(kind(5), kind(1)) == reg_upper_gamma(5.0, 1.0)
+        assert ln_gamma(kind(5)) == ln_gamma(5.0)
+        assert digamma(kind(5)) == digamma(5.0)
+
+    @pytest.mark.parametrize(
+        "bad", [np.float64("nan"), np.float32("inf"), np.float64("-inf"), np.int64(-1)],
+        ids=["float64-nan", "float32-inf", "float64-neg-inf", "int64-negative"],
+    )
+    def test_bad_values_still_rejected(self, bad):
+        with pytest.raises(DomainError):
+            reg_lower_gamma(bad, 1.0)
+        with pytest.raises(DomainError):
+            reg_upper_gamma(2.0, bad)
+        with pytest.raises(DomainError):
+            digamma(bad)
+
+
 class TestMpmathOracle:
     """Spot checks against mpmath's arbitrary-precision gamma routines, an
     oracle that shares no code with scipy.special."""

@@ -86,7 +86,6 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--params", help="key = value override file")
         p.add_argument("--out", help="output CSV path (default stdout)")
-        p.add_argument("--seed", type=int, default=12345)
         _add_param_flags(p)
 
     p = sub.add_parser("detect-sweep", help="detection error vs data power")
@@ -108,6 +107,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="Monte Carlo vs closed-form check")
     common(p)
+    p.add_argument("--seed", type=int, default=12345)
     p.add_argument("--trials", type=int, default=100_000)
     p.add_argument(
         "--policy",

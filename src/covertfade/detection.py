@@ -5,6 +5,10 @@ test, the optimal threshold and minimum total error under perfect channel
 knowledge, the distribution-knowledge-only threshold found by numeric argmin,
 expectations over the Rayleigh fading gain, and the low-power linear
 approximation of the minimum total error.
+
+Fading averages check their domain once, at entry; their integrands call
+scipy's compiled gamma kernels directly, and ``_quad`` rejects a non-finite
+value or error estimate.
 """
 
 import math
@@ -12,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import integrate, optimize
+from scipy.special import cython_special as _cs
 
 from .errors import DegenerateHypothesesError, DomainError, NumericError
 from .params import check_fields
@@ -25,6 +30,7 @@ __all__ = [
     "optimal_threshold_csi",
     "zeta_star_csi",
     "zeta_linear_csi",
+    "low_power_scale",
     "threshold_cdi_approx",
     "expected_zeta_cdi",
     "threshold_cdi_exact",
@@ -108,7 +114,7 @@ def _zeta_star_csi_raw(gain_power: float, sigma_w2: float, n_d: int) -> float:
     log_term = math.log1p(snr)
     arg_fa = n_d * (1.0 + 1.0 / snr) * log_term
     arg_md = n_d * (1.0 / snr) * log_term
-    return 1.0 - reg_lower_gamma(n_d, arg_fa) + reg_lower_gamma(n_d, arg_md)
+    return 1.0 - _cs.gammainc(n_d, arg_fa) + _cs.gammainc(n_d, arg_md)
 
 
 def zeta_star_csi(w: WillieParams) -> float:
@@ -121,6 +127,11 @@ def zeta_star_csi(w: WillieParams) -> float:
     return _zeta_star_csi_raw(w.h_w2 * w.p_d, w.sigma_w2, w.n_d)
 
 
+def low_power_scale(n_d: int) -> float:
+    """Gamma(N) / (N^N e^-N), the inverse low-power slope of zeta_star_csi."""
+    return math.exp(ln_gamma(n_d) - n_d * math.log(n_d) + n_d)
+
+
 def zeta_linear_csi(w: WillieParams) -> float:
     """First-order (low-power) approximation of zeta_star_csi.
 
@@ -129,8 +140,7 @@ def zeta_linear_csi(w: WillieParams) -> float:
     """
     if w.h_w2 is None:
         raise DomainError("zeta_linear_csi requires h_w2")
-    n = w.n_d
-    slope = math.exp(n * math.log(n) - n - ln_gamma(n)) / w.sigma_w2
+    slope = 1.0 / (low_power_scale(w.n_d) * w.sigma_w2)
     return 1.0 - w.h_w2 * slope * w.p_d
 
 
@@ -145,8 +155,8 @@ def _quad(func, lo, hi):
     value, abserr, info, *rest = integrate.quad(func, lo, hi, full_output=1, **_QUAD_OPTS)
     if rest:
         raise NumericError(f"quadrature failed on ({lo}, {hi}): {rest[0]}")
-    if abserr > 1e-8:
-        raise NumericError(f"quadrature error {abserr:g} above tolerance on ({lo}, {hi})")
+    if not (math.isfinite(value) and abserr <= 1e-8):
+        raise NumericError(f"quadrature value {value:g}, error {abserr:g} on ({lo}, {hi})")
     return value
 
 
@@ -158,7 +168,7 @@ def expected_zeta_cdi(lam: float, w: WillieParams) -> float:
     fa = p_fa(lam, w)
     md = _quad(
         lambda g: math.exp(-g)
-        * reg_lower_gamma(w.n_d, w.n_d * lam / (g * w.p_d + w.sigma_w2)),
+        * _cs.gammainc(w.n_d, w.n_d * lam / (g * w.p_d + w.sigma_w2)),
         0.0,
         _GAIN_CUTOFF,
     )
@@ -211,7 +221,8 @@ def expected_p_fa_csi(w: WillieParams) -> float:
     if w.p_d == 0:
         return p_fa(w.sigma_w2, w)
     return _quad(
-        lambda g: math.exp(-g) * p_fa(float(csi_threshold(g * w.p_d, w.sigma_w2)), w),
+        lambda g: math.exp(-g)
+        * _cs.gammaincc(w.n_d, w.n_d * float(csi_threshold(g * w.p_d, w.sigma_w2)) / w.sigma_w2),
         0.0,
         _GAIN_CUTOFF,
     )

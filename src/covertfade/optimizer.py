@@ -10,17 +10,16 @@ Closed-form solver: invert the linearized constraint, which pins the symbol
 count at its lower bound.
 """
 
-import math
+import functools
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 from scipy import optimize
 
-from .detection import WillieParams, expected_zeta_star_csi
+from .detection import WillieParams, expected_zeta_star_csi, low_power_scale
 from .errors import DomainError, NumericError
 from .link import throughput
 from .params import SystemParams
-from .special import ln_gamma
 
 __all__ = [
     "DesignSolution",
@@ -59,6 +58,7 @@ def power_for_covertness_exact(n_d: int, params: SystemParams) -> CovertPower:
     """
     target = 1.0 - params.epsilon
 
+    @functools.cache  # brentq re-evaluates the bracket end the loop just did
     def gap(p_d):
         w = WillieParams(sigma_w2=params.sigma_w2, n_d=n_d, p_d=p_d)
         return expected_zeta_star_csi(w) - target
@@ -83,8 +83,7 @@ def power_for_covertness_exact(n_d: int, params: SystemParams) -> CovertPower:
 def power_for_covertness_suboptimal(n_d: int, params: SystemParams) -> CovertPower:
     """Closed-form power from the linearized constraint,
     epsilon * sigma_w2 * Gamma(N) / (N^N e^-N), capped at p_max."""
-    n = float(n_d)
-    p = params.epsilon * params.sigma_w2 * math.exp(ln_gamma(n) - n * math.log(n) + n)
+    p = params.epsilon * params.sigma_w2 * low_power_scale(n_d)
     if p > params.p_max:
         return CovertPower(value=params.p_max, capped=True)
     return CovertPower(value=p, capped=False)

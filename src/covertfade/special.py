@@ -1,15 +1,15 @@
 """Gamma-family special functions.
 
-Thin scalar wrappers over ``math.lgamma`` and ``scipy.special`` that reject
-arguments outside the mathematical domain with a DomainError (instead of
-scipy's silent NaN), take any real scalar (numpy's included) at double
-precision, and return Python floats.
+Thin scalar wrappers over ``math.lgamma`` and scipy's compiled ``cython_special``
+kernels that reject arguments outside the mathematical domain with a DomainError
+(instead of scipy's silent NaN), take any real scalar (numpy's included) at
+double precision, and return Python floats.
 """
 
 import math
 import numbers
 
-from scipy import special as _sp
+from scipy.special import cython_special as _cs
 
 from .errors import DomainError
 
@@ -40,16 +40,16 @@ def ln_gamma(a: float) -> float:
 def reg_lower_gamma(a: float, x: float) -> float:
     """Regularized lower incomplete gamma P(a, x) = gamma(a, x) / Gamma(a)."""
     _check_gamma_args(a, x)
-    return float(_sp.gammainc(float(a), float(x)))
+    return _cs.gammainc(float(a), float(x))
 
 
 def reg_upper_gamma(a: float, x: float) -> float:
     """Regularized upper incomplete gamma Q(a, x) = 1 - P(a, x)."""
     _check_gamma_args(a, x)
-    return float(_sp.gammaincc(float(a), float(x)))
+    return _cs.gammaincc(float(a), float(x))
 
 
 def digamma(x: float) -> float:
     """Digamma function psi(x) = d/dx ln Gamma(x), x > 0."""
     _check_positive("x", x)
-    return float(_sp.digamma(float(x)))
+    return _cs.psi(float(x))

@@ -71,6 +71,15 @@ class TestDetectSweep:
         assert code == 0
         assert out == (DATA / "detect_sweep_both.csv").read_text()
 
+    def test_golden_bytes_sharp_transitions(self, capsys):
+        # Large n_d and p_d up to 1, where the fading averages turn sharply.
+        code, out = run(
+            capsys, "detect-sweep", "--p-d-grid", "0,1e-4,1e-3,0.01,0.05,0.2,1",
+            "--n-d-list", "1,114,400", "--mode", "both",
+        )
+        assert code == 0
+        assert out == (DATA / "detect_sweep_sharp.csv").read_text()
+
 
 class TestOptimize:
     def test_every_row_uses_minimum_symbols(self, capsys):
@@ -111,6 +120,21 @@ class TestOptimize:
         )
         assert code == 0
         assert out == (DATA / "optimize_both.csv").read_text()
+
+    @pytest.mark.parametrize(
+        "extra, golden",
+        [
+            (["--method", "exact", "--force-nd", "100"], "optimize_force_nd100.csv"),
+            (["--method", "both", "--p-max", "1e-4"], "optimize_p_max.csv"),
+        ],
+        ids=["force-nd", "p-max"],
+    )
+    def test_golden_bytes_pinned_designs(self, capsys, extra, golden):
+        code, out = run(
+            capsys, "optimize", "--epsilon-grid", "0.01,0.05,0.2", *extra
+        )
+        assert code == 0
+        assert out == (DATA / golden).read_text()
 
 
 class TestSimulate:
@@ -229,6 +253,14 @@ class TestParameterHandling:
         code, err = run_err(capsys, *argv)
         assert code == 2
         assert field in err
+
+    @pytest.mark.parametrize("command", ["optimize", "detect-sweep"])
+    def test_seed_is_not_an_option(self, capsys, command):
+        # only simulate draws random numbers
+        grid = "--epsilon-grid" if command == "optimize" else "--p-d-grid"
+        code, err = run_err(capsys, command, grid, "0.05", "--seed", "1")
+        assert code == 2
+        assert "--seed" in err
 
     def test_degenerate_pilot_estimate_exits_2(self, capsys):
         # beta_b = sigma_b2 / (sigma_b2 + n_t p_t) rounds to 1.0 here

@@ -11,6 +11,7 @@ from conftest import (
     sample_exponential_gains,
     zeta_star_csi_ref,
 )
+from covertfade import detection
 from covertfade.detection import (
     WillieParams,
     expected_zeta_cdi,
@@ -24,7 +25,7 @@ from covertfade.detection import (
     zeta_star_cdi,
     zeta_star_csi,
 )
-from covertfade.errors import DegenerateHypothesesError, DomainError
+from covertfade.errors import DegenerateHypothesesError, DomainError, NumericError
 
 SW2 = 0.05
 
@@ -236,6 +237,22 @@ class TestExpectedZetaStarCsi:
         g = sample_exponential_gains(1_000_000, seed=107)
         oracle = float(np.mean(zeta_star_csi_ref(g * 0.005, SW2, 50)))
         assert expected_zeta_star_csi(w) == pytest.approx(oracle, abs=0.001)
+
+
+class TestQuadGuard:
+    # The integrands no longer check their arguments point by point, so the
+    # quadrature result is the guard against a NaN reaching the output.
+    def test_nan_integrand_raises(self):
+        with pytest.raises(NumericError):
+            detection._quad(lambda g: math.nan, 0.0, 1.0)
+
+    @pytest.mark.parametrize("value, abserr", [(math.nan, math.nan), (math.inf, 0.0)])
+    def test_non_finite_result_without_warning_raises(self, monkeypatch, value, abserr):
+        monkeypatch.setattr(
+            detection.integrate, "quad", lambda *a, **k: (value, abserr, {})
+        )
+        with pytest.raises(NumericError):
+            detection._quad(lambda g: 1.0, 0.0, 1.0)
 
 
 class TestInvariants:

@@ -54,6 +54,19 @@ class TestExactPower:
         crossing = grid[int(np.argmin(np.abs(values - 0.95)))]
         assert root == pytest.approx(crossing, abs=grid[1] - grid[0])
 
+    @pytest.mark.parametrize("p_max", [1.0, 1e-4])
+    def test_one_quadrature_per_distinct_power(self, monkeypatch, p_max):
+        calls = []
+
+        def counting(w):
+            calls.append(w.p_d)
+            return expected_zeta_star_csi(w)
+
+        monkeypatch.setattr(optimizer, "expected_zeta_star_csi", counting)
+        power_for_covertness_exact(50, problem(epsilon=0.05, p_max=p_max))
+        assert len(calls) > 2
+        assert len(calls) == len(set(calls))
+
     def test_power_cap(self):
         prob = problem(epsilon=0.9, p_max=1e-4)
         result = power_for_covertness_exact(50, prob)

@@ -4,6 +4,7 @@ import mpmath
 import numpy as np
 import pytest
 from scipy import integrate
+from scipy import special as sp
 
 from covertfade.errors import DomainError
 from covertfade.special import digamma, ln_gamma, reg_lower_gamma, reg_upper_gamma
@@ -126,6 +127,23 @@ class TestNumpyScalars:
             reg_upper_gamma(2.0, bad)
         with pytest.raises(DomainError):
             digamma(bad)
+
+
+class TestMatchesScipyUfuncs:
+    """The shim calls scipy's compiled scalar kernels; they must give exactly
+    the values of the vectorized ufuncs the rest of the code uses."""
+
+    SHAPES = [1.0, 50.0, 75.0, 114.0, 200.0, 400.0, 500.0]
+    FACTORS = np.geomspace(1e-3, 30.0, 41)
+
+    @pytest.mark.parametrize("a", SHAPES)
+    def test_bit_identical(self, a):
+        for x in self.FACTORS * a:
+            x = float(x)
+            assert reg_lower_gamma(a, x) == float(sp.gammainc(a, x))
+            assert reg_upper_gamma(a, x) == float(sp.gammaincc(a, x))
+            assert digamma(x) == float(sp.digamma(x))
+        assert digamma(a) == float(sp.digamma(a))
 
 
 class TestMpmathOracle:

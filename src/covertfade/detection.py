@@ -221,8 +221,8 @@ def expected_p_fa_csi(w: WillieParams) -> float:
     if w.p_d == 0:
         return p_fa(w.sigma_w2, w)
     return _quad(
-        lambda g: math.exp(-g)
-        * _cs.gammaincc(w.n_d, w.n_d * float(csi_threshold(g * w.p_d, w.sigma_w2)) / w.sigma_w2),
+        lambda g: math.exp(-g) * _cs.gammaincc(
+            w.n_d, w.n_d * float(csi_threshold(g * w.p_d, w.sigma_w2)) / w.sigma_w2),
         0.0,
         _GAIN_CUTOFF,
     )

@@ -32,10 +32,8 @@ from .optimizer import (
 )
 from .simulation import (
     McConfig,
-    SlotTrace,
     estimate_detection,
     estimate_pcc,
-    simulate_slot,
     simulate_slots,
 )
 

@@ -109,11 +109,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--seed", type=int, default=12345)
     p.add_argument("--trials", type=int, default=100_000)
-    p.add_argument(
-        "--policy",
-        choices=["csi_optimal", "cdi_exact", "cdi_approx", "fixed"],
-        default="csi_optimal",
-    )
+    p.add_argument("--policy", choices=simulation._POLICIES, default="csi_optimal")
     p.add_argument("--fixed-threshold", type=float, default=None)
     p.add_argument("--dump-traces", help="also write per-slot traces here")
     p.add_argument("--trace-slots", type=int, default=100)
@@ -166,6 +162,30 @@ def cmd_optimize(args) -> int:
     return 0
 
 
+def _trace_rows(params, threshold, seed, n_slots):
+    """Per-slot trace rows: ceil(n/2) H0 then floor(n/2) H1 slots drawn as two
+    batches on the trace stream, interleaved so that even slots are H0."""
+    rng = simulation._rng(seed, 9)
+    rows = {}
+    for hypothesis, n in (("H0", n_slots - n_slots // 2), ("H1", n_slots // 2)):
+        if n == 0:
+            continue
+        b = simulation.simulate_slots(params, hypothesis, n, rng)
+        detected = b["statistic"] > simulation._thresholds(params, threshold, b["h_w"])
+        outage = [""] * n
+        if hypothesis == "H1":
+            outage = simulation._outage(params, b["h_b_hat"], b["h_b_tilde"])
+            outage = outage.astype(int).tolist()
+        rows[hypothesis] = [
+            (hypothesis, h_b.real, h_b.imag, h_w.real, h_w.imag, stat,
+             "H1" if d else "H0", out)
+            for h_b, h_w, stat, d, out in zip(
+                b["h_b"].tolist(), b["h_w"].tolist(), b["statistic"].tolist(),
+                detected.tolist(), outage)
+        ]
+    return [(i,) + rows["H1" if i % 2 else "H0"][i // 2] for i in range(n_slots)]
+
+
 def cmd_simulate(args) -> int:
     if args.trace_slots < 0:
         raise DomainError(f"--trace-slots must be >= 0, got {args.trace_slots}")
@@ -197,13 +217,12 @@ def cmd_simulate(args) -> int:
     _emit(rows, ["metric", "empirical", "analytic", "stderr", "pass_3sigma"], args.out)
 
     if args.dump_traces:
-        rng = simulation._rng(args.seed, 9)
-        traces = [
-            simulation.simulate_slot(params, "H0" if i % 2 == 0 else "H1", rng, mc,
-                                     threshold)
-            for i in range(args.trace_slots)
-        ]
-        simulation.write_trace_csv(args.dump_traces, traces)
+        _emit(
+            _trace_rows(params, threshold, args.seed, args.trace_slots),
+            ["slot", "hypothesis", "h_b_re", "h_b_im", "h_w_re", "h_w_im",
+             "statistic", "decision", "outage"],
+            args.dump_traces,
+        )
     return 0
 
 

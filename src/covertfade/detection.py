@@ -89,12 +89,24 @@ def csi_threshold(s, sigma_w2):
     elementwise over arrays.
 
     Where s = 0 the hypotheses coincide and every threshold is equally good;
-    the noise floor sigma_w2 is returned there.
+    the noise floor sigma_w2 is returned there.  It is also returned where
+    sigma_w2 (s + sigma_w2) / s overflows: s is then far below the last bit of
+    sigma_w2, and the threshold sigma_w2 + s/2 + O(s^2) rounds to sigma_w2.
     """
     s = np.asarray(s, dtype=float)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        lam = sigma_w2 * (s + sigma_w2) / s * np.log1p(s / sigma_w2)
+    try:
+        with np.errstate(divide="ignore", invalid="ignore", over="raise"):
+            lam = _csi_lambda(s, sigma_w2)
+    except FloatingPointError:
+        with np.errstate(all="ignore"):
+            lam = _csi_lambda(s, sigma_w2)
+        lam = np.where(np.isfinite(lam) | (s >= np.finfo(float).eps * sigma_w2),
+                       lam, sigma_w2)
     return np.where(s > 0, lam, sigma_w2)
+
+
+def _csi_lambda(s, sigma_w2):
+    return sigma_w2 * (s + sigma_w2) / s * np.log1p(s / sigma_w2)
 
 
 def optimal_threshold_csi(w: WillieParams) -> float:

@@ -17,10 +17,12 @@ decision (``link.snr_bob`` on the realized estimate and error) depends only
 on the first stage, so ``estimate_pcc`` draws channels and nothing else.  A
 generator is consumed in the order h_b, h_w, pilot noise, then one Gamma
 variate per slot, so stopping after the first stage leaves every channel
-draw, and hence every outage decision, unchanged.  ``simulate_slot`` is the
-one-slot view with the threshold and outage decisions attached, and
-``analytic_detection`` gives the closed-form counterpart of each threshold
-policy.
+draw, and hence every outage decision, unchanged.  ``analytic_detection``
+gives the closed-form counterpart of each threshold policy.
+
+The per-slot traces of ``simulate --dump-traces`` come from the same batch
+path: one H0 batch then one H1 batch on the trace stream (stream 9), with the
+run's threshold and the outage rule of ``estimate_pcc`` applied per slot.
 
 Randomness comes from numpy's counter-based Philox generator keyed by the
 two words (seed, stream), with a 64-bit seed; batch estimators consume one
@@ -30,7 +32,6 @@ Complex Gaussian CN(0, s) is drawn as two independent real normals of
 variance s/2, real part first.
 """
 
-import csv
 import math
 import numbers
 from dataclasses import dataclass
@@ -43,35 +44,19 @@ from .errors import DomainError
 from .params import SystemParams, check_fields
 
 __all__ = [
-    "SlotTrace",
     "McConfig",
     "DetectionEstimate",
     "PccEstimate",
     "policy_threshold",
     "draw_channels",
     "radiometer_statistic",
-    "simulate_slot",
     "simulate_slots",
     "estimate_detection",
     "estimate_pcc",
     "analytic_detection",
-    "write_trace_csv",
 ]
 
 _POLICIES = ("csi_optimal", "cdi_exact", "cdi_approx", "fixed")
-
-
-@dataclass(frozen=True)
-class SlotTrace:
-    hypothesis: str  # "H0" | "H1"
-    h_b: complex
-    h_w: complex
-    h_b_hat: complex
-    h_b_tilde: complex
-    statistic: float
-    threshold: float
-    decision: str  # "H0" | "H1"
-    outage: Optional[bool]  # None on H0 slots
 
 
 @dataclass(frozen=True)
@@ -118,12 +103,10 @@ def _rng(seed, stream):
     return np.random.Generator(np.random.Philox(key=int(seed) + (stream << 64)))
 
 
-def policy_threshold(params: SystemParams, mc: Optional[McConfig]):
-    """Threshold of a gain-independent policy; None means per-slot CSI.
-
-    ``mc`` = None selects the CSI policy.
-    """
-    policy = mc.threshold_policy if mc is not None else "csi_optimal"
+def policy_threshold(params: SystemParams, mc: McConfig):
+    """Threshold of ``mc``'s policy if it does not depend on the gain; None
+    for the CSI policy, whose threshold is set per slot from h_w."""
+    policy = mc.threshold_policy
     if policy == "fixed":
         return mc.fixed_threshold
     if policy == "cdi_approx":
@@ -136,7 +119,7 @@ def policy_threshold(params: SystemParams, mc: Optional[McConfig]):
     return None
 
 
-def _resolve(params: SystemParams, mc: Optional[McConfig], threshold):
+def _resolve(params: SystemParams, mc: McConfig, threshold):
     """``threshold`` if the caller resolved the policy already, else resolve it."""
     return threshold if threshold is not None else policy_threshold(params, mc)
 
@@ -148,41 +131,11 @@ def _thresholds(params: SystemParams, lam, h_w):
     return detection.csi_threshold(np.abs(h_w) ** 2 * params.p_d, params.sigma_w2)
 
 
-def simulate_slot(params: SystemParams, hypothesis: str,
-                  rng: np.random.Generator, mc: Optional[McConfig] = None,
-                  threshold: Optional[float] = None) -> SlotTrace:
-    """Simulate one slot end to end and return its full trace.
-
-    A one-slot ``simulate_slots`` batch, so a freshly seeded generator
-    reproduces the trace exactly.  ``threshold`` is
-    ``policy_threshold(params, mc)`` when the caller has already resolved it
-    (a run of many slots resolves it once); None resolves it here.
-    """
-    batch = simulate_slots(params, hypothesis, 1, rng)
-    outage = None
-    if hypothesis == "H1":
-        outage = bool(_outage(params, batch["h_b_hat"], batch["h_b_tilde"])[0])
-    first = {key: value[0] for key, value in batch.items()}
-    statistic = float(first["statistic"])
-    lam = float(_thresholds(params, _resolve(params, mc, threshold), first["h_w"]))
-    return SlotTrace(
-        hypothesis=hypothesis,
-        h_b=complex(first["h_b"]),
-        h_w=complex(first["h_w"]),
-        h_b_hat=complex(first["h_b_hat"]),
-        h_b_tilde=complex(first["h_b_tilde"]),
-        statistic=statistic,
-        threshold=lam,
-        decision="H1" if statistic > lam else "H0",
-        outage=outage,
-    )
-
-
 def draw_channels(params: SystemParams, n_slots: int,
                   rng: np.random.Generator) -> dict:
     """Channel stage of a slot batch: fading gains h_b and h_w, then the
     pilot noise, and Bob's LMMSE estimate of h_b with its error; arrays keyed
-    like the trace fields."""
+    h_b, h_w, h_b_hat and h_b_tilde."""
     if n_slots < 1:
         raise DomainError("n_slots must be >= 1")
 
@@ -225,7 +178,7 @@ def _outage(params: SystemParams, h_hat, h_tilde):
 def simulate_slots(params: SystemParams, hypothesis: str, n_slots: int,
                    rng: np.random.Generator) -> dict:
     """Vectorized slot batch, the channel stage then the radiometer stage;
-    returns arrays keyed like the trace fields."""
+    the ``draw_channels`` arrays plus the radiometer ``statistic``."""
     if hypothesis not in ("H0", "H1"):
         raise DomainError("hypothesis must be 'H0' or 'H1'")
     out = draw_channels(params, n_slots, rng)
@@ -295,24 +248,3 @@ def analytic_detection(params: SystemParams, mc: McConfig,
         zeta = detection.expected_zeta_cdi(lam, w)
     return fa, zeta - fa, zeta
 
-
-def write_trace_csv(path, traces) -> None:
-    """Dump per-slot traces: one row per slot, complex fields split re/im."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(
-            [
-                "slot", "hypothesis", "h_b_re", "h_b_im", "h_w_re", "h_w_im",
-                "statistic", "decision", "outage",
-            ]
-        )
-        for i, t in enumerate(traces):
-            writer.writerow(
-                [
-                    i, t.hypothesis,
-                    f"{t.h_b.real:.12g}", f"{t.h_b.imag:.12g}",
-                    f"{t.h_w.real:.12g}", f"{t.h_w.imag:.12g}",
-                    f"{t.statistic:.12g}", t.decision,
-                    "" if t.outage is None else int(t.outage),
-                ]
-            )

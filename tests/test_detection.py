@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -90,6 +91,27 @@ class TestCsiThreshold:
             options={"xatol": 1e-12},
         )
         assert optimal_threshold_csi(w) == pytest.approx(res.x, abs=1e-8)
+
+    def test_subnormal_power_gives_noise_floor(self):
+        # sigma_w2 (s + sigma_w2) / s overflows here; the threshold's limit
+        # sigma_w2 + s/2 is sigma_w2 to double precision.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            lam = detection.csi_threshold([1e-312, 5e-324], SW2)
+        assert lam.tolist() == [SW2, SW2]
+
+    def test_finite_values_keep_their_bits(self):
+        # One overflowing entry sends the whole array down the masked path;
+        # every entry whose formula is finite keeps it bit for bit.
+        s = np.concatenate([[0.0, 5e-324, 1e-312], np.geomspace(1e-311, 1e3, 4001)])
+        with np.errstate(all="ignore"):
+            raw = SW2 * (s + SW2) / s * np.log1p(s / SW2)
+        lam = detection.csi_threshold(s, SW2)
+        finite = np.isfinite(raw)
+        assert np.array_equal(lam[finite], raw[finite])
+        assert (lam[~finite] == SW2).all()
+        fast = s > 1e-310  # no overflow: the unmasked path
+        assert np.array_equal(lam[fast], detection.csi_threshold(s[fast], SW2))
 
     def test_degenerate_rejected(self):
         with pytest.raises(DegenerateHypothesesError):

@@ -17,12 +17,12 @@ from covertfade.simulation import (
     draw_channels,
     estimate_detection,
     estimate_pcc,
+    policy_threshold,
     radiometer_statistic,
-    simulate_slot,
     simulate_slots,
-    write_trace_csv,
     _outage,
     _rng,
+    _thresholds,
 )
 
 
@@ -49,20 +49,23 @@ class TestSimulateSlot:
 
     def test_fixed_seed_reproduces_trace(self):
         p = params(p_d=0.02, n_d=50)
-        a = simulate_slot(p, "H1", _rng(99, 0))
-        b = simulate_slot(p, "H1", _rng(99, 0))
-        assert a == b
+        a = simulate_slots(p, "H1", 1, _rng(99, 0))
+        b = simulate_slots(p, "H1", 1, _rng(99, 0))
+        assert a.keys() == b.keys()
+        for key in a:
+            assert np.array_equal(a[key], b[key]), key
 
     def test_decomposition_is_exact(self):
         p = params(p_d=0.02)
-        t = simulate_slot(p, "H1", _rng(5, 0))
-        assert t.h_b == t.h_b_hat + t.h_b_tilde
-        assert t.statistic >= 0.0
-        assert t.decision == ("H1" if t.statistic > t.threshold else "H0")
+        t = simulate_slots(p, "H1", 1, _rng(5, 0))
+        assert t["h_b"][0] == t["h_b_hat"][0] + t["h_b_tilde"][0]
+        assert t["statistic"][0] >= 0.0
+        lam = _thresholds(p, None, t["h_w"])
+        assert np.isfinite(lam[0]) and lam[0] >= p.sigma_w2
 
     def test_bad_hypothesis(self):
         with pytest.raises(DomainError):
-            simulate_slot(params(), "H2", _rng(1, 0))
+            simulate_slots(params(), "H2", 1, _rng(1, 0))
 
 
 class TestStages:
@@ -243,16 +246,59 @@ class TestEstimationStatistics:
             assert abs(empirical - analytic) <= 3.5 * se
 
 
+def _dump_traces(tmp_path, name, *argv):
+    path = tmp_path / name
+    code = main(["simulate", "--trials", "100", "--out", str(tmp_path / "out.csv"),
+                 "--dump-traces", str(path), *argv])
+    assert code == 0
+    return path
+
+
 class TestTraceDump:
     def test_csv_round_trip(self, tmp_path):
-        p = params(p_d=0.02)
-        rng = _rng(55, 0)
-        traces = [
-            simulate_slot(p, "H0" if i % 2 == 0 else "H1", rng) for i in range(10)
-        ]
-        path = tmp_path / "traces.csv"
-        write_trace_csv(path, traces)
+        path = _dump_traces(tmp_path, "traces.csv", "--seed", "55", "--p-d", "0.02",
+                            "--trace-slots", "10")
         lines = path.read_bytes().split(b"\n")
-        assert lines[0].startswith(b"slot,hypothesis,h_b_re")
+        assert lines[0] == (b"slot,hypothesis,h_b_re,h_b_im,h_w_re,h_w_im,"
+                            b"statistic,decision,outage")
         assert len(lines) == 12  # header + 10 rows + trailing newline
         assert b"\r" not in path.read_bytes()
+
+    @pytest.mark.parametrize("policy", ["csi_optimal", "fixed"])
+    def test_rows_are_an_h0_then_h1_batch_on_the_trace_stream(self, tmp_path, policy):
+        argv = ["--seed", "71", "--p-d", "0.02", "--policy", policy,
+                "--fixed-threshold", "0.055", "--trace-slots", "7"]
+        path = _dump_traces(tmp_path, "a.csv", *argv)
+        assert _dump_traces(tmp_path, "b.csv", *argv).read_bytes() == path.read_bytes()
+        rows = path.read_text().splitlines()[1:]
+        assert [r.split(",")[1] for r in rows] == ["H0", "H1"] * 3 + ["H0"]
+
+        p = params(p_d=0.02)
+        lam = policy_threshold(p, McConfig(trials=100, seed=71, threshold_policy=policy,
+                                           fixed_threshold=0.055))
+        rng = _rng(71, 9)
+        batches = {h: simulate_slots(p, h, n, rng) for h, n in (("H0", 4), ("H1", 3))}
+        for i, row in enumerate(rows):
+            slot, hyp, *values, decision, outage = row.split(",")
+            b = batches[hyp]
+            j = i // 2
+            assert int(slot) == i
+            assert values == [f"{v:.12g}" for v in (
+                b["h_b"][j].real, b["h_b"][j].imag, b["h_w"][j].real,
+                b["h_w"][j].imag, b["statistic"][j])]
+            threshold = np.broadcast_to(_thresholds(p, lam, b["h_w"]), (b["h_w"].size,))[j]
+            assert decision == ("H1" if b["statistic"][j] > threshold else "H0")
+            if hyp == "H0":
+                assert outage == ""
+            else:
+                assert outage == str(int(_outage(p, b["h_b_hat"], b["h_b_tilde"])[j]))
+
+    def test_subnormal_power_runs_without_warnings(self, tmp_path, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            path = _dump_traces(tmp_path, "t.csv", "--seed", "1", "--p-d", "1e-310",
+                                "--trace-slots", "7")
+        assert capsys.readouterr().err == ""
+        for row in path.read_text().splitlines()[1:]:
+            statistic, decision = row.split(",")[6:8]
+            assert decision == ("H1" if float(statistic) > 0.05 else "H0")

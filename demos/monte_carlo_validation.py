@@ -10,9 +10,7 @@ from covertfade import link, simulation
 from covertfade.params import SystemParams
 
 params = SystemParams(p_d=0.02, n_d=50)
-mc = simulation.McConfig(trials=300_000, seed=777,
-                         threshold_policy="fixed",
-                         fixed_threshold=params.sigma_w2)
+mc = simulation.McConfig(trials=300_000, seed=777, threshold=params.sigma_w2)
 
 est = simulation.estimate_detection(params, mc)
 fa, md, zeta = simulation.analytic_detection(params, mc)

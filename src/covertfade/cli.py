@@ -11,7 +11,7 @@ from dataclasses import fields, replace
 
 import numpy as np
 
-from . import detection, link, optimizer, simulation
+from . import link, optimizer, simulation
 from .errors import DomainError, NumericError
 from .params import SystemParams, parse_params_file
 
@@ -56,7 +56,10 @@ def _float_list(text):
 
 
 def _int_list(text):
-    return [int(round(v)) for v in _float_list(text)]
+    values = _float_list(text)
+    if any(v != int(v) for v in values):
+        raise argparse.ArgumentTypeError(f"non-integer value in {text!r}")
+    return [int(v) for v in values]
 
 
 def _add_param_flags(parser):
@@ -109,7 +112,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--seed", type=int, default=12345)
     p.add_argument("--trials", type=int, default=100_000)
-    p.add_argument("--policy", choices=simulation._POLICIES, default="csi_optimal")
+    p.add_argument("--policy", choices=simulation.POLICIES, default="csi_optimal")
     p.add_argument("--fixed-threshold", type=float, default=None)
     p.add_argument("--dump-traces", help="also write per-slot traces here")
     p.add_argument("--trace-slots", type=int, default=100)
@@ -121,18 +124,13 @@ def cmd_detect_sweep(args) -> int:
     modes = ["csi", "cdi_exact"] if args.mode == "both" else [args.mode]
     rows = []
     for n_d in args.n_d_list:
+        row = replace(params, n_d=n_d)  # n_d is checked before the p_d grid
         for p_d in args.p_d_grid:
-            w = detection.WillieParams(sigma_w2=params.sigma_w2, n_d=n_d, p_d=p_d)
+            point = replace(row, p_d=p_d)
             for mode in modes:
-                if mode == "csi":
-                    zeta = detection.expected_zeta_star_csi(w)
-                elif mode == "cdi_exact":
-                    zeta = detection.zeta_star_cdi(w)
-                else:
-                    zeta = detection.expected_zeta_cdi(
-                        detection.threshold_cdi_approx(params.sigma_w2), w
-                    )
-                rows.append((p_d, n_d, mode, zeta))
+                lam = simulation.policy_threshold(
+                    point, "csi_optimal" if mode == "csi" else mode)
+                rows.append((p_d, n_d, mode, simulation.analytic_zeta(point, lam)))
     _emit(rows, ["p_d", "n_d", "mode", "zeta"], args.out)
     return 0
 
@@ -162,45 +160,17 @@ def cmd_optimize(args) -> int:
     return 0
 
 
-def _trace_rows(params, threshold, seed, n_slots):
-    """Per-slot trace rows: ceil(n/2) H0 then floor(n/2) H1 slots drawn as two
-    batches on the trace stream, interleaved so that even slots are H0."""
-    rng = simulation._rng(seed, 9)
-    rows = {}
-    for hypothesis, n in (("H0", n_slots - n_slots // 2), ("H1", n_slots // 2)):
-        if n == 0:
-            continue
-        b = simulation.simulate_slots(params, hypothesis, n, rng)
-        detected = b["statistic"] > simulation._thresholds(params, threshold, b["h_w"])
-        outage = [""] * n
-        if hypothesis == "H1":
-            outage = simulation._outage(params, b["h_b_hat"], b["h_b_tilde"])
-            outage = outage.astype(int).tolist()
-        rows[hypothesis] = [
-            (hypothesis, h_b.real, h_b.imag, h_w.real, h_w.imag, stat,
-             "H1" if d else "H0", out)
-            for h_b, h_w, stat, d, out in zip(
-                b["h_b"].tolist(), b["h_w"].tolist(), b["statistic"].tolist(),
-                detected.tolist(), outage)
-        ]
-    return [(i,) + rows["H1" if i % 2 else "H0"][i // 2] for i in range(n_slots)]
-
-
 def cmd_simulate(args) -> int:
     if args.trace_slots < 0:
         raise DomainError(f"--trace-slots must be >= 0, got {args.trace_slots}")
     params = _resolve_params(args)
-    mc = simulation.McConfig(
-        trials=args.trials,
-        seed=args.seed,
-        threshold_policy=args.policy,
-        fixed_threshold=args.fixed_threshold,
-    )
-    threshold = simulation.policy_threshold(params, mc)
-    est = simulation.estimate_detection(params, mc, threshold)
+    mc = simulation.McConfig(trials=args.trials, seed=args.seed)  # checked before the policy
+    mc = replace(mc, threshold=simulation.policy_threshold(
+        params, args.policy, args.fixed_threshold))
+    est = simulation.estimate_detection(params, mc)
     pcc = simulation.estimate_pcc(params, mc)
 
-    fa, md, zeta = simulation.analytic_detection(params, mc, threshold)
+    fa, md, zeta = simulation.analytic_detection(params, mc)
     pcc_analytic = link.covert_connection_prob(params)
 
     rows = []
@@ -217,12 +187,9 @@ def cmd_simulate(args) -> int:
     _emit(rows, ["metric", "empirical", "analytic", "stderr", "pass_3sigma"], args.out)
 
     if args.dump_traces:
-        _emit(
-            _trace_rows(params, threshold, args.seed, args.trace_slots),
-            ["slot", "hypothesis", "h_b_re", "h_b_im", "h_w_re", "h_w_im",
-             "statistic", "decision", "outage"],
-            args.dump_traces,
-        )
+        header = ["slot", "hypothesis", "h_b_re", "h_b_im", "h_w_re", "h_w_im",
+                  "statistic", "decision", "outage"]
+        _emit(simulation.trace_rows(params, mc, args.trace_slots), header, args.dump_traces)
     return 0
 
 

@@ -11,7 +11,7 @@ from dataclasses import dataclass, fields
 
 from .errors import DomainError
 
-__all__ = ["SystemParams", "parse_params_file", "check_fields"]
+__all__ = ["SystemParams", "parse_params_file", "check_fields", "check_value"]
 
 _RANGES = {
     "positive": (lambda v: v > 0, "a finite positive real"),
@@ -21,23 +21,30 @@ _RANGES = {
 }
 
 
+def check_value(name, value, group):
+    """``value`` if it is a finite real in ``group``'s range (a ``check_fields``
+    keyword), else a DomainError naming ``name``."""
+    in_range, what = _RANGES[group]
+    if not (isinstance(value, numbers.Real) and math.isfinite(value) and in_range(value)):
+        raise DomainError(f"{name} must be {what}, got {value!r}")
+    return value
+
+
 def check_fields(obj, **groups) -> None:
     """Validate the named fields of the frozen dataclass ``obj``.
 
     Each keyword (``positive``, ``nonnegative``, ``counts``, ``fractions``)
     lists field names whose values must be finite reals in that range; the
-    first offender raises a DomainError naming it.  ``counts`` fields are then
-    stored as ints.
+    first offender raises a DomainError naming it.  ``counts`` fields must
+    also be integral, and are then stored as ints.
     """
     for group, names in groups.items():
-        in_range, what = _RANGES[group]
         for name in names:
-            value = getattr(obj, name)
-            if not (isinstance(value, numbers.Real) and math.isfinite(value)
-                    and in_range(value)):
-                raise DomainError(f"{name} must be {what}, got {value!r}")
+            check_value(name, getattr(obj, name), group)
     for name in groups.get("counts", ()):
-        object.__setattr__(obj, name, int(getattr(obj, name)))
+        if (value := getattr(obj, name)) % 1:
+            raise DomainError(f"{name} must be an integer, got {value!r}")
+        object.__setattr__(obj, name, int(value))
 
 
 @dataclass(frozen=True)

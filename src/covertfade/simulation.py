@@ -18,10 +18,12 @@ on the first stage, so ``estimate_pcc`` draws channels and nothing else.  A
 generator is consumed in the order h_b, h_w, pilot noise, then one Gamma
 variate per slot, so stopping after the first stage leaves every channel
 draw, and hence every outage decision, unchanged.  ``analytic_detection``
-gives the closed-form counterpart of each threshold policy.
+and ``analytic_zeta`` give the closed forms at each threshold policy.
 
-The per-slot traces of ``simulate --dump-traces`` come from the same batch
-path: one H0 batch then one H1 batch on the trace stream (stream 9), with the
+A run's threshold is resolved once, by ``policy_threshold``, and carried in
+``McConfig.threshold`` (None: the per-slot CSI threshold set from h_w).  The
+rows of ``simulate --dump-traces`` come from ``trace_rows``: one H0 batch then
+one H1 batch on the trace stream (stream 9; the estimators use 0-2), with the
 run's threshold and the outage rule of ``estimate_pcc`` applied per slot.
 
 Randomness comes from numpy's counter-based Philox generator keyed by the
@@ -41,9 +43,10 @@ import numpy as np
 
 from . import detection, link
 from .errors import DomainError
-from .params import SystemParams, check_fields
+from .params import SystemParams, check_fields, check_value
 
 __all__ = [
+    "POLICIES",
     "McConfig",
     "DetectionEstimate",
     "PccEstimate",
@@ -54,29 +57,24 @@ __all__ = [
     "estimate_detection",
     "estimate_pcc",
     "analytic_detection",
+    "analytic_zeta",
+    "trace_rows",
 ]
 
-_POLICIES = ("csi_optimal", "cdi_exact", "cdi_approx", "fixed")
+POLICIES = ("csi_optimal", "cdi_exact", "cdi_approx", "fixed")
 
 
 @dataclass(frozen=True)
 class McConfig:
     trials: int
     seed: int
-    threshold_policy: str = "csi_optimal"
-    fixed_threshold: Optional[float] = None
+    threshold: Optional[float] = None
 
     def __post_init__(self):
-        check_fields(self, counts=("trials",))
+        check_fields(self, counts=("trials",),
+                     positive=() if self.threshold is None else ("threshold",))
         if not (isinstance(self.seed, numbers.Integral) and 0 <= self.seed < 2**64):
             raise DomainError(f"seed must be an integer in [0, 2**64), got {self.seed!r}")
-        if self.threshold_policy not in _POLICIES:
-            raise DomainError(
-                f"threshold_policy must be one of {_POLICIES}, "
-                f"got {self.threshold_policy!r}"
-            )
-        if self.threshold_policy == "fixed":
-            check_fields(self, positive=("fixed_threshold",))
 
 
 class DetectionEstimate(NamedTuple):
@@ -103,29 +101,27 @@ def _rng(seed, stream):
     return np.random.Generator(np.random.Philox(key=int(seed) + (stream << 64)))
 
 
-def policy_threshold(params: SystemParams, mc: McConfig):
-    """Threshold of ``mc``'s policy if it does not depend on the gain; None
-    for the CSI policy, whose threshold is set per slot from h_w."""
-    policy = mc.threshold_policy
-    if policy == "fixed":
-        return mc.fixed_threshold
+def _willie(params: SystemParams):
+    return detection.WillieParams(sigma_w2=params.sigma_w2, n_d=params.n_d, p_d=params.p_d)
+
+
+def policy_threshold(params: SystemParams, policy: str, fixed_threshold=None):
+    """Detector threshold of ``policy``, one of ``POLICIES``: None for
+    csi_optimal, whose threshold is set per slot from h_w; the CDI argmin or
+    its noise-floor approximation; or ``fixed_threshold``."""
+    if policy == "csi_optimal":
+        return None
+    if policy == "cdi_exact":
+        return detection.threshold_cdi_exact(_willie(params))
     if policy == "cdi_approx":
         return detection.threshold_cdi_approx(params.sigma_w2)
-    if policy == "cdi_exact":
-        w = detection.WillieParams(
-            sigma_w2=params.sigma_w2, n_d=params.n_d, p_d=params.p_d
-        )
-        return detection.threshold_cdi_exact(w)
-    return None
-
-
-def _resolve(params: SystemParams, mc: McConfig, threshold):
-    """``threshold`` if the caller resolved the policy already, else resolve it."""
-    return threshold if threshold is not None else policy_threshold(params, mc)
+    if policy == "fixed":
+        return check_value("fixed_threshold", fixed_threshold, "positive")
+    raise DomainError(f"policy must be one of {POLICIES}, got {policy!r}")
 
 
 def _thresholds(params: SystemParams, lam, h_w):
-    """The policy's scalar threshold, or per-slot CSI thresholds from h_w."""
+    """The run's scalar threshold, or per-slot CSI thresholds from h_w."""
     if lam is not None:
         return lam
     return detection.csi_threshold(np.abs(h_w) ** 2 * params.p_d, params.sigma_w2)
@@ -192,18 +188,13 @@ def _binomial_se(p_hat, n):
     return math.sqrt(max(p_hat * (1.0 - p_hat), 0.0) / n)
 
 
-def estimate_detection(params: SystemParams, mc: McConfig,
-                       threshold: Optional[float] = None) -> DetectionEstimate:
-    """Empirical false-alarm / missed-detection / total error rates with
-    binomial standard errors; half the trials run under each hypothesis.
-
-    ``threshold`` is ``policy_threshold(params, mc)`` when the caller has
-    already resolved it; None resolves it here.
-    """
+def estimate_detection(params: SystemParams, mc: McConfig) -> DetectionEstimate:
+    """Empirical false-alarm / missed-detection / total error rates at
+    ``mc.threshold`` with binomial standard errors; half the trials run under
+    each hypothesis."""
     n_h1 = mc.trials // 2
     n_h0 = mc.trials - n_h1
-
-    lam = _resolve(params, mc, threshold)
+    lam = mc.threshold
 
     batch0 = simulate_slots(params, "H0", n_h0, _rng(mc.seed, 0))
     p_fa_hat = float(np.mean(batch0["statistic"] > _thresholds(params, lam, batch0["h_w"])))
@@ -234,17 +225,37 @@ def estimate_pcc(params: SystemParams, mc: McConfig) -> PccEstimate:
     return PccEstimate(p_cc_hat, _binomial_se(p_cc_hat, mc.trials))
 
 
-def analytic_detection(params: SystemParams, mc: McConfig,
-                       threshold: Optional[float] = None):
-    """Closed-form (p_fa, p_md, zeta) under the threshold rule the simulator
-    applies for ``mc``'s policy; ``threshold`` as in ``estimate_detection``."""
-    w = detection.WillieParams(sigma_w2=params.sigma_w2, n_d=params.n_d, p_d=params.p_d)
-    lam = _resolve(params, mc, threshold)
-    if lam is None:
-        fa = detection.expected_p_fa_csi(w)
-        zeta = detection.expected_zeta_star_csi(w)
-    else:
-        fa = detection.p_fa(lam, w)
-        zeta = detection.expected_zeta_cdi(lam, w)
+def analytic_zeta(params: SystemParams, threshold) -> float:
+    """Closed-form fading-averaged total error at ``threshold``, read as
+    ``McConfig.threshold`` is."""
+    w = _willie(params)
+    return (detection.expected_zeta_star_csi(w) if threshold is None
+            else detection.expected_zeta_cdi(threshold, w))
+
+
+def analytic_detection(params: SystemParams, mc: McConfig):
+    """Closed-form (p_fa, p_md, zeta) at the simulator's ``mc.threshold``."""
+    w = _willie(params)
+    fa = detection.expected_p_fa_csi(w) if mc.threshold is None else detection.p_fa(mc.threshold, w)
+    zeta = analytic_zeta(params, mc.threshold)
     return fa, zeta - fa, zeta
 
+
+def trace_rows(params: SystemParams, mc: McConfig, n_slots: int) -> list:
+    """Rows (slot, hypothesis, h_b re/im, h_w re/im, statistic, decision,
+    outage) of ceil(n/2) H0 then floor(n/2) H1 slots drawn on the trace stream,
+    interleaved so that even slots are H0; outage is empty on H0 rows."""
+    rng = _rng(mc.seed, 9)
+    rows = {}
+    for hyp, n in (("H0", n_slots - n_slots // 2), ("H1", n_slots // 2)):
+        if n == 0:
+            continue
+        b = simulate_slots(params, hyp, n, rng)
+        decision = np.where(b["statistic"] > _thresholds(params, mc.threshold, b["h_w"]),
+                            "H1", "H0")
+        outage = [""] * n if hyp == "H0" else (
+            _outage(params, b["h_b_hat"], b["h_b_tilde"]).astype(int).tolist())
+        rows[hyp] = list(zip([hyp] * n, b["h_b"].real.tolist(), b["h_b"].imag.tolist(),
+                             b["h_w"].real.tolist(), b["h_w"].imag.tolist(),
+                             b["statistic"].tolist(), decision.tolist(), outage))
+    return [(i,) + rows["H1" if i % 2 else "H0"][i // 2] for i in range(n_slots)]

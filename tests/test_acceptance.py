@@ -137,8 +137,7 @@ def test_criterion_6_monte_carlo_agreement():
             n_d = int(rng.integers(50, 101))
             params = SystemParams(p_d=p_d, n_d=n_d)
             mc = simulation.McConfig(
-                trials=1_000_000, seed=int(rng.integers(1 << 31)),
-                threshold_policy="fixed", fixed_threshold=SW2,
+                trials=1_000_000, seed=int(rng.integers(1 << 31)), threshold=SW2,
             )
             est = simulation.estimate_detection(params, mc)
             w = willie(n_d, p_d)

@@ -80,6 +80,21 @@ class TestDetectSweep:
         assert code == 0
         assert out == (DATA / "detect_sweep_sharp.csv").read_text()
 
+    def test_golden_bytes_cdi_approx(self, capsys):
+        # The noise-floor threshold, resolved per point like the other modes.
+        code, out = run(
+            capsys, "detect-sweep", "--p-d-grid", "0,1e-3,1", "--n-d-list", "1,50",
+            "--mode", "cdi_approx",
+        )
+        assert code == 0
+        assert out == (DATA / "detect_sweep_cdi_approx.csv").read_text()
+
+    def test_integral_n_d_list_accepts_float_spelling(self, capsys):
+        _, out = run(capsys, "detect-sweep", "--p-d-grid", "0.01", "--n-d-list", "1e2,50.0",
+                     "--mode", "cdi_approx")
+        _, rows = parse_csv(out)
+        assert [r["n_d"] for r in rows] == ["100", "50"]
+
 
 class TestOptimize:
     def test_every_row_uses_minimum_symbols(self, capsys):
@@ -247,6 +262,8 @@ class TestParameterHandling:
             (["simulate", "--trials", "0"], "trials"),
             (["simulate", "--trials", "10", "--policy", "fixed",
               "--fixed-threshold", "nan"], "fixed_threshold"),
+            (["detect-sweep", "--p-d-grid", "0.01", "--n-d-list", "50.5"], "--n-d-list"),
+            (["simulate", "--trials", "10", "--policy", "fixed"], "fixed_threshold"),
         ],
     )
     def test_bad_input_exits_2_naming_field(self, argv, field, capsys):

@@ -100,8 +100,7 @@ class TestStages:
 
     def test_detection_memory_does_not_grow_with_n_d(self):
         p = params(p_d=0.02, n_d=10**6)
-        mc = McConfig(trials=2_000, seed=7, threshold_policy="fixed",
-                      fixed_threshold=p.sigma_w2)
+        mc = McConfig(trials=2_000, seed=7, threshold=p.sigma_w2)
         tracemalloc.start()
         try:
             estimate_detection(p, mc)
@@ -134,6 +133,15 @@ class TestStages:
         golden = Path(__file__).with_name("data") / "simulate_seed314.csv"
         assert out.read_bytes() == golden.read_bytes()
 
+    @pytest.mark.parametrize("policy", ["cdi_exact", "cdi_approx", "fixed"])
+    def test_golden_simulate_bytes_per_policy(self, tmp_path, policy):
+        out = tmp_path / "out.csv"
+        code = main(["simulate", "--trials", "20000", "--seed", "314", "--p-d", "0.02",
+                     "--policy", policy, "--fixed-threshold", "0.055", "--out", str(out)])
+        assert code == 0
+        golden = Path(__file__).with_name("data") / f"simulate_seed314_{policy}.csv"
+        assert out.read_bytes() == golden.read_bytes()
+
 
 class TestRng:
     def test_seed_near_2_64_does_not_warn(self):
@@ -156,12 +164,56 @@ class TestMcConfig:
     def test_seed_range_ends_accepted(self, seed):
         assert McConfig(trials=10, seed=seed).seed == seed
 
+    @pytest.mark.parametrize("threshold", [math.nan, math.inf, 0.0, -1.0])
+    def test_threshold_must_be_finite_and_positive(self, threshold):
+        with pytest.raises(DomainError, match="threshold"):
+            McConfig(trials=10, seed=1, threshold=threshold)
+
+    def test_none_threshold_accepted(self):
+        assert McConfig(trials=10, seed=1).threshold is None
+        assert McConfig(trials=10, seed=1, threshold=None).threshold is None
+
+
+class TestPolicyThreshold:
+    def test_unknown_policy_rejected(self):
+        with pytest.raises(DomainError, match="bogus"):
+            policy_threshold(params(), "bogus")
+
+    def test_policies(self):
+        p = params(p_d=0.02)
+        assert policy_threshold(p, "csi_optimal") is None
+        assert policy_threshold(p, "cdi_approx") == p.sigma_w2
+        assert policy_threshold(p, "fixed", 0.055) == 0.055
+        w = detection.WillieParams(sigma_w2=p.sigma_w2, n_d=p.n_d, p_d=p.p_d)
+        assert policy_threshold(p, "cdi_exact") == detection.threshold_cdi_exact(w)
+
+    @pytest.mark.parametrize("fixed", [None, math.nan, 0.0])
+    def test_fixed_needs_a_positive_threshold(self, fixed):
+        with pytest.raises(DomainError, match="fixed_threshold"):
+            policy_threshold(params(), "fixed", fixed)
+
+
+class TestCountFields:
+    @pytest.mark.parametrize("build, field", [
+        (lambda: SystemParams(n_d=2.5), "n_d"),
+        (lambda: SystemParams(n_t=1.9), "n_t"),
+        (lambda: detection.WillieParams(sigma_w2=0.05, n_d=50.7), "n_d"),
+        (lambda: McConfig(trials=10.9, seed=1), "trials"),
+    ], ids=["system-n_d", "system-n_t", "willie-n_d", "mc-trials"])
+    def test_non_integral_count_rejected(self, build, field):
+        with pytest.raises(DomainError, match=field):
+            build()
+
+    def test_integral_float_stored_as_int(self):
+        assert SystemParams(n_d=50.0).n_d == 50 and type(SystemParams(n_d=50.0).n_d) is int
+        assert McConfig(trials=np.float64(10.0), seed=1).trials == 10
+
 
 class TestEstimateDetection:
     def test_silent_alice_gives_total_error_one(self):
         p = params(p_d=0.0, n_d=50)
         est = estimate_detection(p, McConfig(trials=100_000, seed=21,
-                                             threshold_policy="cdi_approx"))
+                                             threshold=policy_threshold(p, "cdi_approx")))
         assert abs(est.zeta - 1.0) <= 3.0 * est.se_zeta
 
     def test_csi_policy_matches_averaged_closed_form(self):
@@ -174,8 +226,7 @@ class TestEstimateDetection:
         p = params(p_d=0.005, n_d=50)
         est = estimate_detection(
             p,
-            McConfig(trials=400_000, seed=23, threshold_policy="fixed",
-                     fixed_threshold=p.sigma_w2),
+            McConfig(trials=400_000, seed=23, threshold=p.sigma_w2),
         )
         w = detection.WillieParams(sigma_w2=p.sigma_w2, n_d=50, p_d=0.005)
         analytic = detection.expected_zeta_cdi(p.sigma_w2, w)
@@ -184,7 +235,7 @@ class TestEstimateDetection:
     def test_single_trial_reports_nan_stderr(self):
         p = params(p_d=0.02)
         est = estimate_detection(p, McConfig(trials=1, seed=24,
-                                             threshold_policy="cdi_approx"))
+                                             threshold=policy_threshold(p, "cdi_approx")))
         assert math.isnan(est.p_md) and math.isnan(est.se_zeta)
 
     def test_determinism(self):
@@ -274,8 +325,7 @@ class TestTraceDump:
         assert [r.split(",")[1] for r in rows] == ["H0", "H1"] * 3 + ["H0"]
 
         p = params(p_d=0.02)
-        lam = policy_threshold(p, McConfig(trials=100, seed=71, threshold_policy=policy,
-                                           fixed_threshold=0.055))
+        lam = policy_threshold(p, policy, 0.055)
         rng = _rng(71, 9)
         batches = {h: simulate_slots(p, h, n, rng) for h, n in (("H0", 4), ("H1", 3))}
         for i, row in enumerate(rows):

@@ -13,7 +13,7 @@ import numpy as np
 
 from . import link, optimizer, simulation
 from .errors import DomainError, NumericError
-from .params import SystemParams, parse_params_file
+from .params import SystemParams, check_integer, parse_params_file
 
 __all__ = ["main", "build_parser"]
 
@@ -56,10 +56,10 @@ def _float_list(text):
 
 
 def _int_list(text):
-    values = _float_list(text)
-    if any(v != int(v) for v in values):
-        raise argparse.ArgumentTypeError(f"non-integer value in {text!r}")
-    return [int(v) for v in values]
+    try:
+        return [check_integer("value", v) for v in _float_list(text)]
+    except DomainError:
+        raise argparse.ArgumentTypeError(f"non-integer value in {text!r}") from None
 
 
 def _add_param_flags(parser):

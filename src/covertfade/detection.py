@@ -232,9 +232,14 @@ def expected_p_fa_csi(w: WillieParams) -> float:
     averaged over the fading gain; the noise floor is the threshold at p_d = 0."""
     if w.p_d == 0:
         return p_fa(w.sigma_w2, w)
-    return _quad(
-        lambda g: math.exp(-g) * _cs.gammaincc(
-            w.n_d, w.n_d * float(csi_threshold(g * w.p_d, w.sigma_w2)) / w.sigma_w2),
-        0.0,
-        _GAIN_CUTOFF,
-    )
+    tiny = np.finfo(float).eps * w.sigma_w2
+
+    def integrand(g):
+        # csi_threshold on one float, with its noise-floor rule
+        s = g * w.p_d
+        lam = _csi_lambda(s, w.sigma_w2) if s > 0 else w.sigma_w2
+        if not math.isfinite(lam) and s < tiny:
+            lam = w.sigma_w2
+        return math.exp(-g) * _cs.gammaincc(w.n_d, w.n_d * lam / w.sigma_w2)
+
+    return _quad(integrand, 0.0, _GAIN_CUTOFF)

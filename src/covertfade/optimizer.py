@@ -3,11 +3,13 @@ power P_D and the block length N_D, for the budget ``epsilon``, the power cap
 ``p_max`` and the bounds ``n_d_min``..``n_d_max``.  The ``p_d`` and ``n_d``
 fields of the scenario are ignored; candidate designs are evaluated on copies.
 
-Exact solver: for each admissible number of data symbols, find the data power
-meeting the fading-averaged covertness constraint with equality (bisection on
-a strictly decreasing function) and pick the throughput-maximizing count.
-Closed-form solver: invert the linearized constraint, which pins the symbol
-count at its lower bound.
+Both solvers are one search over candidate symbol counts and differ only in
+the power rule.  Exact solver: every admissible count, each with the data
+power meeting the fading-averaged covertness constraint with equality
+(bisection on a strictly decreasing function).  Closed-form solver: the
+inverted linearized constraint, which pins the symbol count at its lower
+bound.  Either power is capped at ``p_max``, and a capped design is checked
+against the fading-averaged constraint.
 """
 
 import functools
@@ -19,7 +21,7 @@ from scipy import optimize
 from .detection import WillieParams, expected_zeta_star_csi, low_power_scale
 from .errors import DomainError, NumericError
 from .link import throughput
-from .params import SystemParams
+from .params import SystemParams, check_integer
 
 __all__ = [
     "DesignSolution",
@@ -40,13 +42,20 @@ class DesignSolution:
     n_d_star: int
     throughput: float
     power_capped: bool
-    n_d_boundary: str  # "min" | "interior" | "max"
     constraint_violated: bool = False
 
 
 class CovertPower(NamedTuple):
     value: float
     capped: bool
+
+
+def _capped(p_d: float, params: SystemParams) -> CovertPower:
+    return CovertPower(value=min(p_d, params.p_max), capped=p_d > params.p_max)
+
+
+def _avg_error(n_d: int, p_d: float, params: SystemParams) -> float:
+    return expected_zeta_star_csi(WillieParams(sigma_w2=params.sigma_w2, n_d=n_d, p_d=p_d))
 
 
 def power_for_covertness_exact(n_d: int, params: SystemParams) -> CovertPower:
@@ -60,8 +69,7 @@ def power_for_covertness_exact(n_d: int, params: SystemParams) -> CovertPower:
 
     @functools.cache  # brentq re-evaluates the bracket end the loop just did
     def gap(p_d):
-        w = WillieParams(sigma_w2=params.sigma_w2, n_d=n_d, p_d=p_d)
-        return expected_zeta_star_csi(w) - target
+        return _avg_error(n_d, p_d, params) - target
 
     hi = params.sigma_w2
     for _ in range(80):
@@ -74,59 +82,26 @@ def power_for_covertness_exact(n_d: int, params: SystemParams) -> CovertPower:
     else:
         raise NumericError(f"could not bracket the covertness root (n_d={n_d})")
 
-    root = optimize.brentq(gap, 0.0, hi, rtol=_CONSTRAINT_RTOL, maxiter=200)
-    if root > params.p_max:
-        return CovertPower(value=params.p_max, capped=True)
-    return CovertPower(value=root, capped=False)
+    return _capped(optimize.brentq(gap, 0.0, hi, rtol=_CONSTRAINT_RTOL, maxiter=200), params)
 
 
 def power_for_covertness_suboptimal(n_d: int, params: SystemParams) -> CovertPower:
     """Closed-form power from the linearized constraint,
     epsilon * sigma_w2 * Gamma(N) / (N^N e^-N), capped at p_max."""
-    p = params.epsilon * params.sigma_w2 * low_power_scale(n_d)
-    if p > params.p_max:
-        return CovertPower(value=params.p_max, capped=True)
-    return CovertPower(value=p, capped=False)
+    return _capped(params.epsilon * params.sigma_w2 * low_power_scale(n_d), params)
 
 
 def _throughput_at(n_d: int, p_d: float, params: SystemParams) -> float:
     return throughput(replace(params, p_d=p_d, n_d=n_d))
 
 
-def _constraint_violated(n_d: int, p_d: float, params: SystemParams) -> bool:
-    w = WillieParams(sigma_w2=params.sigma_w2, n_d=n_d, p_d=p_d)
-    return expected_zeta_star_csi(w) < 1.0 - params.epsilon - _CONSTRAINT_SLACK
-
-
-def _boundary_label(n_d: int, params: SystemParams) -> str:
-    if n_d <= params.n_d_min:
-        return "min"
-    if n_d >= params.n_d_max:
-        return "max"
-    return "interior"
-
-
-def solve_p1(params: SystemParams, force_nd: int = None) -> DesignSolution:
-    """Exhaustive search over the admissible symbol counts with the exact
-    constraint-equality power at each; ties break toward fewer symbols.
-
-    ``force_nd`` restricts the search to a single count (used for comparing
-    against deliberately suboptimal blocklengths).
-    """
-    if force_nd is not None:
-        force_nd = int(force_nd)
-        if not params.n_d_min <= force_nd <= params.n_d_max:
-            raise DomainError(
-                f"force_nd={force_nd} outside [{params.n_d_min}, {params.n_d_max}]"
-            )
-        candidates = [force_nd]
-    else:
-        candidates = range(params.n_d_min, params.n_d_max + 1)
-
+def _search(params: SystemParams, candidates, power_rule) -> DesignSolution:
+    """Throughput-maximizing count in ``candidates`` with its power from
+    ``power_rule(n_d, params)``; ties break toward fewer symbols."""
     best = None
     for n_d in candidates:
         try:
-            power = power_for_covertness_exact(n_d, params)
+            power = power_rule(n_d, params)
         except NumericError as exc:
             raise NumericError(f"n_d={n_d}: {exc}") from exc
         value = _throughput_at(n_d, power.value, params)
@@ -134,27 +109,28 @@ def solve_p1(params: SystemParams, force_nd: int = None) -> DesignSolution:
             best = (value, n_d, power)
 
     value, n_d, power = best
-    return DesignSolution(
-        p_d_star=power.value,
-        n_d_star=n_d,
-        throughput=value,
-        power_capped=power.capped,
-        n_d_boundary=_boundary_label(n_d, params),
-        constraint_violated=power.capped
-        and _constraint_violated(n_d, power.value, params),
-    )
+    violated = power.capped and (
+        _avg_error(n_d, power.value, params) < 1.0 - params.epsilon - _CONSTRAINT_SLACK)
+    return DesignSolution(power.value, n_d, value, power.capped, violated)
+
+
+def solve_p1(params: SystemParams, force_nd: int = None) -> DesignSolution:
+    """Exhaustive search over the admissible symbol counts with the exact
+    constraint-equality power at each.
+
+    ``force_nd`` restricts the search to a single count (used for comparing
+    against deliberately suboptimal blocklengths).
+    """
+    if force_nd is None:
+        candidates = range(params.n_d_min, params.n_d_max + 1)
+    else:
+        force_nd = check_integer("force_nd", force_nd)
+        if not params.n_d_min <= force_nd <= params.n_d_max:
+            raise DomainError(f"force_nd={force_nd} outside [{params.n_d_min}, {params.n_d_max}]")
+        candidates = [force_nd]
+    return _search(params, candidates, power_for_covertness_exact)
 
 
 def solve_p1_1(params: SystemParams) -> DesignSolution:
     """Closed-form design: minimum symbol count with the linearized power."""
-    n_d = params.n_d_min
-    power = power_for_covertness_suboptimal(n_d, params)
-    return DesignSolution(
-        p_d_star=power.value,
-        n_d_star=n_d,
-        throughput=_throughput_at(n_d, power.value, params),
-        power_capped=power.capped,
-        n_d_boundary="min",
-        constraint_violated=power.capped
-        and _constraint_violated(n_d, power.value, params),
-    )
+    return _search(params, [params.n_d_min], power_for_covertness_suboptimal)

@@ -11,7 +11,7 @@ from dataclasses import dataclass, fields
 
 from .errors import DomainError
 
-__all__ = ["SystemParams", "parse_params_file", "check_fields", "check_value"]
+__all__ = ["SystemParams", "parse_params_file", "check_fields", "check_value", "check_integer"]
 
 _RANGES = {
     "positive": (lambda v: v > 0, "a finite positive real"),
@@ -30,6 +30,14 @@ def check_value(name, value, group):
     return value
 
 
+def check_integer(name, value) -> int:
+    """``value`` as an int if it is an integral real, else a DomainError
+    naming ``name``; NaN and +-inf are not integral."""
+    if not isinstance(value, numbers.Real) or value % 1:
+        raise DomainError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 def check_fields(obj, **groups) -> None:
     """Validate the named fields of the frozen dataclass ``obj``.
 
@@ -42,9 +50,7 @@ def check_fields(obj, **groups) -> None:
         for name in names:
             check_value(name, getattr(obj, name), group)
     for name in groups.get("counts", ()):
-        if (value := getattr(obj, name)) % 1:
-            raise DomainError(f"{name} must be an integer, got {value!r}")
-        object.__setattr__(obj, name, int(value))
+        object.__setattr__(obj, name, check_integer(name, getattr(obj, name)))
 
 
 @dataclass(frozen=True)

@@ -261,6 +261,21 @@ class TestExpectedZetaStarCsi:
         assert expected_zeta_star_csi(w) == pytest.approx(oracle, abs=0.001)
 
 
+class TestExpectedPFaCsi:
+    @pytest.mark.parametrize("n_d", [1, 75, 400])
+    @pytest.mark.parametrize("p_d", [1e-310, 0.02, 1.0])
+    def test_scalar_threshold_matches_array_route(self, p_d, n_d):
+        # the integrand's float threshold must equal csi_threshold bit for bit
+        w = willie(n_d=n_d, p_d=p_d)
+        array_route = detection._quad(
+            lambda g: math.exp(-g) * detection._cs.gammaincc(
+                n_d, n_d * float(detection.csi_threshold(g * p_d, SW2)) / SW2),
+            0.0,
+            detection._GAIN_CUTOFF,
+        )
+        assert detection.expected_p_fa_csi(w) == array_route
+
+
 class TestQuadGuard:
     # The integrands no longer check their arguments point by point, so the
     # quadrature result is the guard against a NaN reaching the output.

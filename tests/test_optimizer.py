@@ -92,7 +92,6 @@ class TestSolveP1:
     def test_reference_setup_picks_minimum_symbols(self):
         sol = solve_p1(problem(epsilon=0.05))
         assert sol.n_d_star == 50
-        assert sol.n_d_boundary == "min"
         assert not sol.power_capped and not sol.constraint_violated
 
     def test_tie_break_toward_fewer_symbols(self, monkeypatch):
@@ -111,9 +110,48 @@ class TestSolveP1:
     def test_force_nd(self):
         prob = problem(epsilon=0.05)
         sol = solve_p1(prob, force_nd=100)
-        assert sol.n_d_star == 100 and sol.n_d_boundary == "max"
+        assert sol.n_d_star == 100
         with pytest.raises(DomainError):
             solve_p1(prob, force_nd=10)
+        for bad in (60.7, math.nan):
+            with pytest.raises(DomainError, match="force_nd"):
+                solve_p1(prob, force_nd=bad)
+
+
+class TestSharedSearch:
+    @pytest.mark.parametrize("solve", [solve_p1, solve_p1_1])
+    def test_capped_design_checked_against_constraint(self, monkeypatch, solve):
+        prob = problem(epsilon=0.05, p_max=1e-4)
+        avg_error = optimizer._avg_error
+        below = 1.0 - prob.epsilon - 2 * optimizer._CONSTRAINT_SLACK
+        monkeypatch.setattr(
+            optimizer, "_avg_error",
+            lambda n_d, p_d, params: below if p_d == params.p_max
+            else avg_error(n_d, p_d, params),
+        )
+        sol = solve(prob)
+        assert sol.power_capped and sol.constraint_violated
+        monkeypatch.undo()
+        sol = solve(prob)
+        assert sol.power_capped and not sol.constraint_violated
+
+    @pytest.mark.parametrize(
+        "solve, rule, calls",
+        [(solve_p1, "power_for_covertness_exact", 3),
+         (solve_p1_1, "power_for_covertness_suboptimal", 1)],
+    )
+    def test_power_rule_looked_up_at_call_time(self, monkeypatch, solve, rule, calls):
+        # tracers wrap the module attribute, so the solvers must call through it
+        seen = []
+        original = getattr(optimizer, rule)
+
+        def counting(n_d, params):
+            seen.append(n_d)
+            return original(n_d, params)
+
+        monkeypatch.setattr(optimizer, rule, counting)
+        solve(problem(epsilon=0.05, n_d_min=50, n_d_max=52))
+        assert len(seen) == calls
 
 
 class TestSolveP11:

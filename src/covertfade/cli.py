@@ -106,7 +106,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--method", choices=["exact", "suboptimal", "both"], default="both"
     )
     p.add_argument("--force-nd", type=int, default=None,
-                   help="pin the exact search to one symbol count")
+                   help="pin the search to one symbol count")
 
     p = sub.add_parser("simulate", help="Monte Carlo vs closed-form check")
     common(p)
@@ -145,7 +145,7 @@ def cmd_optimize(args) -> int:
             if method == "exact":
                 sol = optimizer.solve_p1(prob, force_nd=args.force_nd)
             else:
-                sol = optimizer.solve_p1_1(prob)
+                sol = optimizer.solve_p1_1(prob, force_nd=args.force_nd)
             diagnostics = "constraint_violated" if sol.constraint_violated else "ok"
             rows.append(
                 (eps, method, sol.p_d_star, sol.n_d_star, sol.throughput,

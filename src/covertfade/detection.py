@@ -6,16 +6,24 @@ knowledge, the distribution-knowledge-only threshold found by numeric argmin,
 expectations over the Rayleigh fading gain, and the low-power linear
 approximation of the minimum total error.
 
-Fading averages check their domain once, at entry; their integrands call
-scipy's compiled gamma kernels directly, and ``_quad`` rejects a non-finite
-value or error estimate.
+Fading averages run in the SNR x = g p_d / sigma_w2, with density
+e^(-x/a)/a for the mean SNR a = p_d / sigma_w2, on one composite 16-node
+Gauss-Legendre rule: a panel on [0, lo], then log-spaced panels up to 40a,
+where lo is a tenth of the smaller of a and the knee 1/sqrt(n_d) of the
+error curve.  The CSI averages share one node set for every a in [1e-8,
+1e8], on which the two gamma terms of zeta*_n are tabulated once per n_d in
+a bounded cache, so each average is a weighted dot product; other a get a
+rule of their own.  The fixed-threshold average adds panel edges around its
+missed-detection step.  Below a mean SNR of 1e-300 the averages are their
+zero-power limits; a non-finite table entry or average raises NumericError.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate, optimize
+from scipy import optimize, special
 from scipy.special import cython_special as _cs
 
 from .errors import DegenerateHypothesesError, DomainError, NumericError
@@ -39,11 +47,17 @@ __all__ = [
     "expected_p_fa_csi",
 ]
 
-# Exponential tail of the fading gain beyond this point is < 1e-13 and the
-# integrands are bounded by 2, so truncating the expectation here keeps the
-# quadrature error within the 1e-8 budget.
-_GAIN_CUTOFF = 30.0
-_QUAD_OPTS = dict(epsabs=1e-10, epsrel=1e-10, limit=200)
+_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
+_PANELS_PER_DECADE = 3
+# Log panels of the cached CSI node set: they cover the rule of every mean
+# SNR a in [1e-8, 1e8] (for n_d <= 1e16).
+_TABLE_SPAN = (1e-9, 4e9)
+_TABLE_CACHE = 128  # n_d values; the default design range needs 51
+# Below this mean SNR the first-order term of every average is < 1e-140.
+_SNR_FLOOR = 1e-300
+_X_MAX = 1e300  # cap on the top panel edge
+# Cap on the threshold bracket: the bounded minimizer multiplies two widths.
+_LAM_MAX = 1e150
 
 
 @dataclass(frozen=True)
@@ -118,15 +132,16 @@ def optimal_threshold_csi(w: WillieParams) -> float:
     return float(csi_threshold(w.h_w2 * w.p_d, w.sigma_w2))
 
 
-def _zeta_star_csi_raw(gain_power: float, sigma_w2: float, n_d: int) -> float:
-    # Minimum total error for received signal power gain_power = |h_w|^2 P_D.
-    if gain_power == 0.0:
-        return 1.0
-    snr = gain_power / sigma_w2
-    log_term = math.log1p(snr)
-    arg_fa = n_d * (1.0 + 1.0 / snr) * log_term
-    arg_md = n_d * (1.0 / snr) * log_term
-    return 1.0 - _cs.gammainc(n_d, arg_fa) + _cs.gammainc(n_d, arg_md)
+def _csi_terms(x, n_d):
+    """False-alarm and missed-detection probabilities at the error-minimizing
+    threshold, at SNRs x > 0 (arrays); their sum is zeta*_n(x)."""
+    log_term = np.log1p(x)
+    md_arg = n_d * (log_term / x)
+    fa = special.gammaincc(n_d, md_arg + n_d * log_term)
+    md = special.gammainc(n_d, md_arg)
+    if not (np.isfinite(fa).all() and np.isfinite(md).all()):
+        raise NumericError(f"non-finite error probability at n_d={n_d}")
+    return fa, md
 
 
 def zeta_star_csi(w: WillieParams) -> float:
@@ -136,7 +151,10 @@ def zeta_star_csi(w: WillieParams) -> float:
     """
     if w.h_w2 is None:
         raise DomainError("zeta_star_csi requires h_w2")
-    return _zeta_star_csi_raw(w.h_w2 * w.p_d, w.sigma_w2, w.n_d)
+    if w.h_w2 * w.p_d == 0:
+        return 1.0
+    fa, md = _csi_terms(np.array([w.h_w2 * w.p_d / w.sigma_w2]), w.n_d)
+    return float(fa[0] + md[0])
 
 
 def low_power_scale(n_d: int) -> float:
@@ -163,41 +181,94 @@ def threshold_cdi_approx(sigma_w2: float) -> float:
     return sigma_w2
 
 
-def _quad(func, lo, hi):
-    value, abserr, info, *rest = integrate.quad(func, lo, hi, full_output=1, **_QUAD_OPTS)
-    if rest:
-        raise NumericError(f"quadrature failed on ({lo}, {hi}): {rest[0]}")
-    if not (math.isfinite(value) and abserr <= 1e-8):
-        raise NumericError(f"quadrature value {value:g}, error {abserr:g} on ({lo}, {hi})")
+def _rule(lo, hi, edges=()):
+    """Nodes and weights of the composite 16-node Gauss-Legendre rule on
+    [0, lo] and log-spaced panels from lo to hi, split again at ``edges``."""
+    panels = max(1, math.ceil(_PANELS_PER_DECADE * (math.log10(hi) - math.log10(lo))))
+    cuts = np.unique(np.concatenate(([0.0], np.geomspace(lo, hi, panels + 1), edges)))
+    half = np.diff(cuts)[:, None] / 2.0
+    mid = (cuts[:-1] + cuts[1:])[:, None] / 2.0
+    return (mid + half * _GL_NODES).ravel(), (half * _GL_WEIGHTS).ravel()
+
+
+def _span(a, n_d):
+    """Ends of the log panels for mean SNR a: a tenth of the smaller of a and
+    the knee 1/sqrt(n_d), and 40a, beyond which the weight is < 5e-18."""
+    return 0.1 * min(a, n_d ** -0.5), min(40.0 * a, _X_MAX)
+
+
+@functools.cache
+def _table_rule():
+    return _rule(*_TABLE_SPAN)
+
+
+@functools.lru_cache(maxsize=_TABLE_CACHE)
+def _csi_table(n_d):
+    """The two terms of zeta*_n on the cached node set, read-only."""
+    terms = _csi_terms(_table_rule()[0], n_d)
+    for t in terms:
+        t.flags.writeable = False
+    return terms
+
+
+def _average(weights, values, a):
+    """Sum of weights * values / a: the fading average once ``weights`` carry
+    the rule's weights times e^(-x/a); non-finite raises NumericError."""
+    value = float(weights @ values) / a
+    if not math.isfinite(value):
+        raise NumericError(f"non-finite fading average {value!r} at mean SNR {a!r}")
     return value
+
+
+def _csi_averages(w: WillieParams):
+    """Fading averages of the false-alarm and missed-detection terms of
+    zeta*_n at mean SNR a = p_d / sigma_w2 >= _SNR_FLOOR."""
+    a = w.p_d / w.sigma_w2
+    lo, hi = _span(a, w.n_d)
+    if _TABLE_SPAN[0] <= lo and hi <= _TABLE_SPAN[1]:
+        x, weights = _table_rule()
+        fa, md = _csi_table(w.n_d)
+    else:
+        x, weights = _rule(lo, hi)
+        fa, md = _csi_terms(x, w.n_d)
+    k = weights * np.exp(-x / a)
+    return _average(k, fa, a), _average(k, md, a)
 
 
 def expected_zeta_cdi(lam: float, w: WillieParams) -> float:
     """Total detection error at fixed threshold, averaged over the fading gain."""
     _check_threshold(lam)
-    if w.p_d == 0:
+    a = w.p_d / w.sigma_w2
+    if a < _SNR_FLOOR:
         return 1.0
-    fa = p_fa(lam, w)
-    md = _quad(
-        lambda g: math.exp(-g)
-        * _cs.gammainc(w.n_d, w.n_d * lam / (g * w.p_d + w.sigma_w2)),
-        0.0,
-        _GAIN_CUTOFF,
-    )
-    return fa + md
+    lo, hi = _span(a, w.n_d)
+    # The missed-detection probability steps down at x = lam / sigma_w2 - 1,
+    # over about 1/sqrt(n_d) in ln(1 + x).
+    step = (math.log(lam) - math.log(w.sigma_w2)
+            + np.array([-8.0, -2.0, 0.0, 2.0, 8.0]) / math.sqrt(w.n_d))
+    step = step[(math.log1p(lo) < step) & (step < math.log1p(hi))]
+    x, weights = _rule(lo, hi, np.expm1(step))
+    arg = w.n_d * float(lam) / w.sigma_w2  # inf where it overflows: no numpy warning
+    md = special.gammainc(w.n_d, arg / (1.0 + x))
+    return _cs.gammaincc(w.n_d, arg) + _average(weights * np.exp(-x / a), md, a)
 
 
 def threshold_cdi_exact(w: WillieParams) -> float:
     """Threshold minimizing the fading-averaged total error (numeric argmin).
 
     At p_d = 0 the hypotheses coincide and every threshold is equally good;
-    the noise floor sigma_w2 is returned there, its low-power limit.
+    the noise floor sigma_w2, its low-power limit, is returned there and
+    wherever the averaged error is its zero-power limit (below the SNR floor).
+    The bracket stops widening at 1e150; a minimum on that edge is returned.
     """
-    if w.p_d == 0:
-        return w.sigma_w2
-    lo = 0.1 * w.sigma_w2
     snr = w.p_d / w.sigma_w2
-    hi = w.sigma_w2 * (1.0 + snr) * (1.0 + math.log1p(snr))
+    if snr < _SNR_FLOOR:
+        return w.sigma_w2
+    # Below the noise floor the averaged error only falls: a Gamma density at
+    # lam < sigma_w2 shrinks as its scale grows past sigma_w2, so there the
+    # missed-detection rate rises more slowly than the false-alarm rate drops.
+    lo = w.sigma_w2
+    hi = min(w.sigma_w2 * (1.0 + snr) * (1.0 + math.log1p(snr)), _LAM_MAX)
     objective = lambda lam: expected_zeta_cdi(lam, w)
     for _ in range(40):
         res = optimize.minimize_scalar(
@@ -205,9 +276,9 @@ def threshold_cdi_exact(w: WillieParams) -> float:
         )
         if not res.success:
             raise NumericError(f"threshold minimization failed: {res.message}")
-        if res.x < hi - 0.01 * (hi - lo):
+        if res.x < hi - 0.01 * (hi - lo) or hi == _LAM_MAX:
             return float(res.x)
-        hi *= 2.0  # minimum sat on the bracket edge; widen and retry
+        hi = min(2.0 * hi, _LAM_MAX)  # minimum sat on the bracket edge; widen and retry
     raise NumericError("could not bracket an interior minimum for the threshold")
 
 
@@ -218,28 +289,16 @@ def zeta_star_cdi(w: WillieParams) -> float:
 
 def expected_zeta_star_csi(w: WillieParams) -> float:
     """Fading-gain average of the perfect-knowledge minimum error."""
-    if w.p_d == 0:
+    if w.p_d / w.sigma_w2 < _SNR_FLOOR:
         return 1.0
-    return _quad(
-        lambda g: math.exp(-g) * _zeta_star_csi_raw(g * w.p_d, w.sigma_w2, w.n_d),
-        0.0,
-        _GAIN_CUTOFF,
-    )
+    fa, md = _csi_averages(w)
+    return fa + md
 
 
 def expected_p_fa_csi(w: WillieParams) -> float:
     """False-alarm probability at the gain-dependent optimal threshold,
-    averaged over the fading gain; the noise floor is the threshold at p_d = 0."""
-    if w.p_d == 0:
+    averaged over the fading gain; the noise floor is the threshold at zero
+    power."""
+    if w.p_d / w.sigma_w2 < _SNR_FLOOR:
         return p_fa(w.sigma_w2, w)
-    tiny = np.finfo(float).eps * w.sigma_w2
-
-    def integrand(g):
-        # csi_threshold on one float, with its noise-floor rule
-        s = g * w.p_d
-        lam = _csi_lambda(s, w.sigma_w2) if s > 0 else w.sigma_w2
-        if not math.isfinite(lam) and s < tiny:
-            lam = w.sigma_w2
-        return math.exp(-g) * _cs.gammaincc(w.n_d, w.n_d * lam / w.sigma_w2)
-
-    return _quad(integrand, 0.0, _GAIN_CUTOFF)
+    return _csi_averages(w)[0]

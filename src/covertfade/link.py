@@ -7,7 +7,7 @@ import math
 import numpy as np
 
 from .errors import DomainError
-from .params import SystemParams
+from .params import SystemParams, overflow_check
 from .special import ln_gamma, digamma
 
 __all__ = [
@@ -50,7 +50,8 @@ def snr_bob(h_hat2, h_tilde2, params: SystemParams):
     elementwise over arrays of squared magnitudes."""
     if np.any(h_hat2 < 0) or np.any(h_tilde2 < 0):
         raise DomainError("squared magnitudes must be nonnegative")
-    return h_hat2 * params.p_d / (h_tilde2 * params.p_d + params.sigma_b2)
+    with overflow_check(f"p_d={params.p_d!r} overflows Bob's received power"):
+        return h_hat2 * params.p_d / (h_tilde2 * params.p_d + params.sigma_b2)
 
 
 def throughput(params: SystemParams) -> float:

@@ -8,8 +8,9 @@ the power rule.  Exact solver: every admissible count, each with the data
 power meeting the fading-averaged covertness constraint with equality
 (bisection on a strictly decreasing function).  Closed-form solver: the
 inverted linearized constraint, which pins the symbol count at its lower
-bound.  Either power is capped at ``p_max``, and a capped design is checked
-against the fading-averaged constraint.
+bound.  Either solver can be pinned to one admissible count (``force_nd``).
+Either power is capped at ``p_max``, and a capped design is checked against
+the fading-averaged constraint.
 """
 
 import functools
@@ -114,6 +115,13 @@ def _search(params: SystemParams, candidates, power_rule) -> DesignSolution:
     return DesignSolution(power.value, n_d, value, power.capped, violated)
 
 
+def _forced(params: SystemParams, force_nd) -> list:
+    force_nd = check_integer("force_nd", force_nd)
+    if not params.n_d_min <= force_nd <= params.n_d_max:
+        raise DomainError(f"force_nd={force_nd} outside [{params.n_d_min}, {params.n_d_max}]")
+    return [force_nd]
+
+
 def solve_p1(params: SystemParams, force_nd: int = None) -> DesignSolution:
     """Exhaustive search over the admissible symbol counts with the exact
     constraint-equality power at each.
@@ -121,16 +129,13 @@ def solve_p1(params: SystemParams, force_nd: int = None) -> DesignSolution:
     ``force_nd`` restricts the search to a single count (used for comparing
     against deliberately suboptimal blocklengths).
     """
-    if force_nd is None:
-        candidates = range(params.n_d_min, params.n_d_max + 1)
-    else:
-        force_nd = check_integer("force_nd", force_nd)
-        if not params.n_d_min <= force_nd <= params.n_d_max:
-            raise DomainError(f"force_nd={force_nd} outside [{params.n_d_min}, {params.n_d_max}]")
-        candidates = [force_nd]
+    candidates = (range(params.n_d_min, params.n_d_max + 1) if force_nd is None
+                  else _forced(params, force_nd))
     return _search(params, candidates, power_for_covertness_exact)
 
 
-def solve_p1_1(params: SystemParams) -> DesignSolution:
-    """Closed-form design: minimum symbol count with the linearized power."""
-    return _search(params, [params.n_d_min], power_for_covertness_suboptimal)
+def solve_p1_1(params: SystemParams, force_nd: int = None) -> DesignSolution:
+    """Closed-form design: minimum symbol count with the linearized power, or
+    the admissible count ``force_nd`` with the linearized power there."""
+    candidates = [params.n_d_min] if force_nd is None else _forced(params, force_nd)
+    return _search(params, candidates, power_for_covertness_suboptimal)

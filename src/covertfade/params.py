@@ -5,13 +5,17 @@ Callers that vary a field (the optimizer ``p_d`` and ``n_d``, the CLI
 ``epsilon``) do so on copies made with ``dataclasses.replace``, which
 validates again."""
 
+import contextlib
 import math
 import numbers
 from dataclasses import dataclass, fields
 
+import numpy as np
+
 from .errors import DomainError
 
-__all__ = ["SystemParams", "parse_params_file", "check_fields", "check_value", "check_integer"]
+__all__ = ["SystemParams", "parse_params_file", "check_fields", "check_value", "check_integer",
+           "overflow_check"]
 
 _RANGES = {
     "positive": (lambda v: v > 0, "a finite positive real"),
@@ -36,6 +40,18 @@ def check_integer(name, value) -> int:
     if not isinstance(value, numbers.Real) or value % 1:
         raise DomainError(f"{name} must be an integer, got {value!r}")
     return int(value)
+
+
+@contextlib.contextmanager
+def overflow_check(what):
+    """Run the block's numpy arithmetic with overflow raising a DomainError
+    that starts with ``what`` (naming the input too large), in place of a
+    RuntimeWarning and an inf."""
+    try:
+        with np.errstate(over="raise"):
+            yield
+    except FloatingPointError as exc:
+        raise DomainError(f"{what}: {exc}") from None
 
 
 def check_fields(obj, **groups) -> None:

@@ -43,7 +43,7 @@ import numpy as np
 
 from . import detection, link
 from .errors import DomainError
-from .params import SystemParams, check_fields, check_value
+from .params import SystemParams, check_fields, check_value, overflow_check
 
 __all__ = [
     "POLICIES",
@@ -101,6 +101,10 @@ def _rng(seed, stream):
     return np.random.Generator(np.random.Philox(key=int(seed) + (stream << 64)))
 
 
+def _power_overflow(params: SystemParams):
+    return f"p_d={params.p_d!r} with sigma_w2={params.sigma_w2!r} overflows Willie's received power"
+
+
 def _willie(params: SystemParams):
     return detection.WillieParams(sigma_w2=params.sigma_w2, n_d=params.n_d, p_d=params.p_d)
 
@@ -124,7 +128,9 @@ def _thresholds(params: SystemParams, lam, h_w):
     """The run's scalar threshold, or per-slot CSI thresholds from h_w."""
     if lam is not None:
         return lam
-    return detection.csi_threshold(np.abs(h_w) ** 2 * params.p_d, params.sigma_w2)
+    with overflow_check(_power_overflow(params)):
+        s = np.abs(h_w) ** 2 * params.p_d
+    return detection.csi_threshold(s, params.sigma_w2)
 
 
 def draw_channels(params: SystemParams, n_slots: int,
@@ -159,10 +165,11 @@ def radiometer_statistic(params: SystemParams, transmit: bool, h_w,
     grow with n_d.
     """
     h_w = np.asarray(h_w)
-    v = params.sigma_w2
-    if transmit and params.p_d > 0:
-        v = np.abs(h_w) ** 2 * params.p_d + params.sigma_w2
-    return v * rng.standard_gamma(params.n_d, h_w.shape[0]) / params.n_d
+    with overflow_check(_power_overflow(params)):
+        v = params.sigma_w2
+        if transmit and params.p_d > 0:
+            v = np.abs(h_w) ** 2 * params.p_d + params.sigma_w2
+        return v * rng.standard_gamma(params.n_d, h_w.shape[0]) / params.n_d
 
 
 def _outage(params: SystemParams, h_hat, h_tilde):

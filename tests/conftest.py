@@ -2,13 +2,18 @@
 
 All reference computations here deliberately avoid the library's own
 special-function and quadrature code paths: they use scipy.special /
-numpy sampling so each check compares two independent routes.
+numpy sampling so each check compares two independent routes.  ``oracle``
+is the benchmark's split-quad reference (``bench/oracle.py``), which is
+built on scipy alone.
 """
 
+import importlib.util
 import math
+from pathlib import Path
 
 import numpy as np
 from numpy.polynomial.laguerre import laggauss
+from scipy import integrate
 from scipy.special import gammainc as sp_gammainc
 from scipy.special import gammaincc as sp_gammaincc
 
@@ -74,6 +79,40 @@ def expected_zeta_cdi_grid(lams, p_d, sigma_w2, n_d, nodes=96):
     ) @ w
     fa = sp_gammaincc(n_d, n_d * lams / sigma_w2)
     return fa + md
+
+
+def _load_bench_oracle():
+    path = Path(__file__).resolve().parent.parent / "bench" / "oracle.py"
+    spec = importlib.util.spec_from_file_location("bench_oracle", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+oracle = _load_bench_oracle()
+
+
+def gain_average_quad(f, knee, tail=60.0):
+    """E[f(g)] for g ~ Exp(1) by adaptive quadrature, split at dyadic
+    multiples of ``knee`` (the gain where f turns)."""
+    edges = [0.0] + [knee * 2.0**k for k in range(-12, 64) if knee * 2.0**k < tail] + [tail]
+    return sum(
+        integrate.quad(lambda g: math.exp(-g) * f(g), lo, hi,
+                       epsabs=1e-15, epsrel=1e-13, limit=500)[0]
+        for lo, hi in zip(edges, edges[1:])
+    )
+
+
+def snr_integral_quad(f, a=math.inf):
+    """Integral of f(x) e^(-x/a) over x > 0 by adaptive quadrature in
+    u = ln x, which spreads the knee and the decay over many panels."""
+    top = math.log(60.0 * a) if math.isfinite(a) else 60.0
+    edges = np.arange(-60.0, top, 2.0).tolist() + [top]
+    return sum(
+        integrate.quad(lambda u: f(math.exp(u)) * math.exp(u - math.exp(u) / a), lo, hi,
+                       epsabs=1e-14, epsrel=1e-12, limit=500)[0]
+        for lo, hi in zip(edges, edges[1:])
+    )
 
 
 def sample_exponential_gains(n, seed):

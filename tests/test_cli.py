@@ -1,9 +1,12 @@
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from covertfade.cli import main
+from covertfade.optimizer import power_for_covertness_suboptimal
+from covertfade.params import SystemParams
 
 DATA = Path(__file__).with_name("data")
 
@@ -89,6 +92,20 @@ class TestDetectSweep:
         assert code == 0
         assert out == (DATA / "detect_sweep_cdi_approx.csv").read_text()
 
+    def test_overflowing_mean_snr_prints_the_limit(self, capsys):
+        # p_d / sigma_w2 overflows at 1e308: every average is its limit, 0.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out = run(
+                capsys, "detect-sweep", "--p-d-grid", "10,100,1e308",
+                "--n-d-list", "1,50,5000", "--mode", "both",
+            )
+        assert code == 0
+        _, rows = parse_csv(out)
+        assert len(rows) == 18
+        assert all(float(r["zeta"]) == 0.0 for r in rows if r["p_d"] == "1e+308")
+        assert all(0.0 < float(r["zeta"]) < 0.1 for r in rows if r["p_d"] != "1e+308")
+
     def test_integral_n_d_list_accepts_float_spelling(self, capsys):
         _, out = run(capsys, "detect-sweep", "--p-d-grid", "0.01", "--n-d-list", "1e2,50.0",
                      "--mode", "cdi_approx")
@@ -124,6 +141,19 @@ class TestOptimize:
         )
         _, rows = parse_csv(out)
         assert rows[0]["n_d_star"] == "100"
+
+    def test_force_nd_under_suboptimal(self, capsys):
+        code, err = run_err(capsys, "optimize", "--epsilon-grid", "0.05",
+                            "--method", "suboptimal", "--force-nd", "10")
+        assert code == 2
+        assert "force_nd" in err
+        _, out = run(capsys, "optimize", "--epsilon-grid", "0.05", "--method", "both",
+                     "--force-nd", "70")
+        _, rows = parse_csv(out)
+        assert [r["n_d_star"] for r in rows] == ["70", "70"]
+        sub = next(float(r["p_d_star"]) for r in rows if r["method"] == "suboptimal")
+        assert sub == pytest.approx(power_for_covertness_suboptimal(
+            70, SystemParams(epsilon=0.05)).value, rel=1e-11)
 
     def test_bad_epsilon_exits_2(self, capsys):
         assert run(capsys, "optimize", "--epsilon-grid", "1.5")[0] == 2
@@ -242,6 +272,16 @@ class TestSimulate:
                      "--trace-slots", "0", "--out", str(tmp_path / "out.csv")])
         assert code == 0
         assert path.read_text().count("\n") == 1
+
+
+    @pytest.mark.parametrize("policy", ["csi_optimal", "cdi_exact"])
+    def test_overflowing_power_exits_2_naming_p_d(self, policy, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a numpy RuntimeWarning would raise
+            code, err = run_err(capsys, "simulate", "--trials", "1000", "--seed", "1",
+                                "--p-d", "1e308", "--policy", policy)
+        assert code == 2
+        assert "p_d=1e+308" in err and "Warning" not in err
 
 
 class TestParameterHandling:

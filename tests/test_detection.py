@@ -1,15 +1,23 @@
 import math
+import os
+import subprocess
+import sys
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from scipy.optimize import minimize_scalar
+from scipy.special import gammaincc as sp_gammaincc
 
 from conftest import (
     expected_zeta_cdi_grid,
+    gain_average_quad,
+    oracle,
     radiometer_statistics,
     radiometer_statistics_signal,
     sample_exponential_gains,
+    snr_integral_quad,
     zeta_star_csi_ref,
 )
 from covertfade import detection
@@ -265,31 +273,143 @@ class TestExpectedPFaCsi:
     @pytest.mark.parametrize("n_d", [1, 75, 400])
     @pytest.mark.parametrize("p_d", [1e-310, 0.02, 1.0])
     def test_scalar_threshold_matches_array_route(self, p_d, n_d):
-        # the integrand's float threshold must equal csi_threshold bit for bit
+        # The tabulated false-alarm term takes its gamma argument from the
+        # closed form of the threshold; its average must be the false alarm
+        # at csi_threshold, the simulator's per-slot threshold (noise-floor
+        # rule included), averaged over the gain by an independent quad.
         w = willie(n_d=n_d, p_d=p_d)
-        array_route = detection._quad(
-            lambda g: math.exp(-g) * detection._cs.gammaincc(
-                n_d, n_d * float(detection.csi_threshold(g * p_d, SW2)) / SW2),
-            0.0,
-            detection._GAIN_CUTOFF,
-        )
-        assert detection.expected_p_fa_csi(w) == array_route
+        array_route = gain_average_quad(
+            lambda g: p_fa(float(detection.csi_threshold(g * p_d, SW2)), w), SW2 / p_d)
+        assert detection.expected_p_fa_csi(w) == pytest.approx(array_route, rel=1e-12)
 
 
-class TestQuadGuard:
-    # The integrands no longer check their arguments point by point, so the
-    # quadrature result is the guard against a NaN reaching the output.
-    def test_nan_integrand_raises(self):
+ORACLE_N_D = [1, 2, 50, 400, 5000]
+ORACLE_P_D = np.geomspace(1e-4, 1e3, 15).tolist()
+
+
+class TestAgainstSplitQuadOracle:
+    # bench/oracle.py: adaptive quad over the gain, split at dyadic multiples
+    # of the knee sigma_w2 / p_d.
+    @pytest.mark.parametrize("n_d", ORACLE_N_D)
+    def test_csi_averages(self, n_d):
+        for p_d in ORACLE_P_D:
+            w = willie(n_d=n_d, p_d=p_d)
+            assert expected_zeta_star_csi(w) == pytest.approx(
+                oracle.zeta_star_csi_avg(n_d, p_d, SW2), rel=1e-12, abs=0)
+            assert detection.expected_p_fa_csi(w) == pytest.approx(
+                oracle.p_fa_csi_avg(n_d, p_d, SW2), rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("n_d", ORACLE_N_D)
+    def test_fixed_threshold_average_near_the_argmin(self, n_d):
+        for p_d in ORACLE_P_D[::2]:
+            w = willie(n_d=n_d, p_d=p_d)
+            lam = threshold_cdi_exact(w)
+            for t in (lam, 0.9 * lam, 1.1 * lam):
+                assert expected_zeta_cdi(t, w) == pytest.approx(
+                    oracle.zeta_fixed_avg(n_d, p_d, SW2, t), rel=0, abs=1e-12)
+
+
+class TestRuleGuard:
+    def test_non_finite_table_entry_raises(self, monkeypatch):
+        nan_md = lambda n, x: np.full_like(x, np.nan)
+        monkeypatch.setattr(detection, "special",
+                            SimpleNamespace(gammainc=nan_md, gammaincc=sp_gammaincc))
+        detection._csi_table.cache_clear()
+        try:
+            for p_d in (0.02, 1e-12, 1e10):  # the cached table and rules of their own
+                with pytest.raises(NumericError):
+                    expected_zeta_star_csi(willie(p_d=p_d))
+            with pytest.raises(NumericError):
+                expected_zeta_cdi(SW2, willie(p_d=0.02))
+        finally:
+            detection._csi_table.cache_clear()
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_result_raises(self, value):
         with pytest.raises(NumericError):
-            detection._quad(lambda g: math.nan, 0.0, 1.0)
+            detection._average(np.ones(3), np.array([0.5, value, 0.5]), 1.0)
 
-    @pytest.mark.parametrize("value, abserr", [(math.nan, math.nan), (math.inf, 0.0)])
-    def test_non_finite_result_without_warning_raises(self, monkeypatch, value, abserr):
-        monkeypatch.setattr(
-            detection.integrate, "quad", lambda *a, **k: (value, abserr, {})
-        )
-        with pytest.raises(NumericError):
-            detection._quad(lambda g: 1.0, 0.0, 1.0)
+    def test_no_table_at_import_and_a_bounded_cache(self):
+        code = ("import covertfade.cli; from covertfade import detection as d; "
+                "print(d._table_rule.cache_info().currsize, d._csi_table.cache_info().currsize,"
+                " d._csi_table.cache_info().maxsize)")
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             check=True, env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+        assert out.stdout.split() == ["0", "0", "128"]
+
+    @pytest.mark.parametrize("n_d", [1, 50, 5000])
+    def test_false_alarm_and_missed_detection_sum_to_zeta(self, n_d):
+        for p_d in (1e-12, 1e-4, 0.02, 1.0, 1e3, 1e10):  # in and out of the table window
+            w = willie(n_d=n_d, p_d=p_d)
+            fa, md = detection._csi_averages(w)
+            assert fa == detection.expected_p_fa_csi(w)
+            assert abs(fa + md - expected_zeta_star_csi(w)) <= 1e-15
+
+
+class TestAcrossDomain:
+    """Gates over inputs the CLI accepts, where the error leaves 1 below
+    any fixed gain panel (large n_d, p_d) or the CDI average has a sharp step."""
+
+    @pytest.mark.parametrize("n_d, p_d, policy", [(50, 10.0, "csi_optimal"),
+                                                  (400, 1.0, "cdi_exact")])
+    def test_monte_carlo_agrees_within_three_sigma(self, n_d, p_d, policy, capsys):
+        from covertfade.cli import main
+
+        code = main(["simulate", "--trials", "200000", "--seed", "7", "--n-d", str(n_d),
+                     "--p-d", str(p_d), "--policy", policy])
+        rows = [line.split(",") for line in capsys.readouterr().out.split()[1:]]
+        assert code == 0
+        assert [(r[0], r[4]) for r in rows] == [
+            ("p_fa", "true"), ("p_md", "true"), ("zeta", "true"), ("p_cc", "true")]
+
+    def test_cdi_error_not_below_csi_error(self):
+        # A CSI adversary is optimal in every slot, so the CDI error cannot be lower.
+        powers = sorted(set(np.geomspace(1e-4, 1e2, 13).tolist() + [1.0, 10.0]))
+        for n_d in (1, 2, 10, 50, 114, 400, 5000):
+            for p_d in powers:
+                w = willie(n_d=n_d, p_d=p_d)
+                assert zeta_star_cdi(w) >= expected_zeta_star_csi(w), (n_d, p_d)
+
+    def test_average_error_decreases_in_power_and_samples(self):
+        counts = [1, 2, 5, 10, 50, 100, 400, 1000, 5000]
+        powers = np.geomspace(1e-6, 1e6, 25).tolist()
+        table = np.array([[expected_zeta_star_csi(willie(n_d=n, p_d=p)) for p in powers]
+                          for n in counts])
+        assert (np.diff(table, axis=0) < 0).all()
+        assert (np.diff(table, axis=1) < 0).all()
+
+    def test_large_snr_limit_for_two_or_more_samples(self):
+        # E a -> C_n = integral of zeta*_n(x) over the SNR x, finite for n >= 2.
+        c_50 = snr_integral_quad(lambda x: float(zeta_star_csi_ref(x * SW2, SW2, 50)))
+        assert c_50 == pytest.approx(0.273586, abs=5e-7)
+        gaps = []
+        for a in (1e4, 1e6, 1e8):
+            gap = abs(expected_zeta_star_csi(willie(p_d=a * SW2)) * a / c_50 - 1.0)
+            assert gap <= 1.0 / a
+            gaps.append(gap)
+        assert gaps[0] > gaps[1] > gaps[2]
+
+    def test_single_sample_keeps_growing(self):
+        # zeta*_1(x) ~ 2 ln x / x, so E a grows without a finite limit.
+        growth = []
+        for a in (1e2, 1e4, 1e6, 1e8):
+            ref = snr_integral_quad(lambda x: float(zeta_star_csi_ref(x * SW2, SW2, 1)), a)
+            value = expected_zeta_star_csi(willie(n_d=1, p_d=a * SW2)) * a
+            assert value == pytest.approx(ref, rel=1e-10)
+            growth.append(value)
+        assert growth == pytest.approx([12.269, 45.646, 100.59, 176.77], rel=1e-4)
+
+    @pytest.mark.parametrize("p_d", [5e-324, 1e-310, 1e300, 1e308])
+    def test_extreme_powers_give_the_limits(self, p_d):
+        w = willie(p_d=p_d)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            zeta, fa, cdi = (expected_zeta_star_csi(w), detection.expected_p_fa_csi(w),
+                             zeta_star_cdi(w))
+        if p_d < 1:
+            assert (zeta, fa, cdi) == (1.0, p_fa(SW2, w), 1.0)
+        else:
+            assert 0.0 <= fa <= zeta <= cdi <= 1e-150
 
 
 class TestInvariants:

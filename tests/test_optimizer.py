@@ -167,6 +167,15 @@ class TestSolveP11:
         slope = math.exp(n * math.log(n) - n - math.lgamma(n)) / SW2
         assert 1.0 - slope * sol.p_d_star == pytest.approx(0.95, abs=1e-12)
 
+    def test_force_nd(self):
+        # the same count rule as solve_p1, with the linearized power at that count
+        prob = problem(epsilon=0.05)
+        sol = solve_p1_1(prob, force_nd=100)
+        assert (sol.n_d_star, sol.p_d_star) == (100, power_for_covertness_suboptimal(100, prob).value)
+        for bad in (10, 101, 60.7, math.nan):
+            with pytest.raises(DomainError, match="force_nd"):
+                solve_p1_1(prob, force_nd=bad)
+
     def test_moderate_throughput_loss(self):
         prob = problem(epsilon=0.05)
         exact = solve_p1(prob)

@@ -6,14 +6,15 @@ fields of the scenario are ignored; candidate designs are evaluated on copies.
 Both solvers are one search over candidate symbol counts and differ only in
 the power rule.  Exact solver: every admissible count, each with the data
 power meeting the fading-averaged covertness constraint with equality
-(bisection on a strictly decreasing function).  Closed-form solver: the
-inverted linearized constraint, which pins the symbol count at its lower
-bound.  Either solver can be pinned to one admissible count (``force_nd``).
-Either power is capped at ``p_max``, and a capped design is checked against
-the fading-averaged constraint.
+(Brent's method in ln P_D between the closed-form power and p_max).
+Closed-form solver: the inverted linearized constraint, which pins the
+symbol count at its lower bound.  Either solver can be pinned to one
+admissible count (``force_nd``).  Either power is capped at ``p_max``, and a
+capped design is checked against the fading-averaged constraint.
 """
 
 import functools
+import math
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
@@ -63,27 +64,26 @@ def power_for_covertness_exact(n_d: int, params: SystemParams) -> CovertPower:
     """Data power putting the averaged detection error exactly at 1 - epsilon,
     capped at p_max when the uncapped root exceeds it.
 
-    The averaged error is 1 at zero power and strictly decreasing, so the
-    capped case can only make the constraint slack, never violate it.
+    The averaged error is 1 at zero power and strictly decreasing, and it
+    lies above its linearization, so the root is bracketed by the closed-form
+    power and p_max.  The search runs in ln P_D, to relative tolerance
+    _CONSTRAINT_RTOL.  The capped case can only make the constraint slack,
+    never violate it.
     """
     target = 1.0 - params.epsilon
 
-    @functools.cache  # brentq re-evaluates the bracket end the loop just did
-    def gap(p_d):
-        return _avg_error(n_d, p_d, params) - target
+    @functools.cache  # brentq re-evaluates both bracket ends
+    def gap(u):
+        return _avg_error(n_d, math.exp(u), params) - target
 
-    hi = params.sigma_w2
-    for _ in range(80):
-        if gap(hi) < 0.0:
-            break
-        if hi >= params.p_max:
-            # root lies beyond p_max: cap, constraint still satisfied
-            return CovertPower(value=params.p_max, capped=True)
-        hi = min(2.0 * hi, params.p_max)
-    else:
-        raise NumericError(f"could not bracket the covertness root (n_d={n_d})")
-
-    return _capped(optimize.brentq(gap, 0.0, hi, rtol=_CONSTRAINT_RTOL, maxiter=200), params)
+    lo = math.log(power_for_covertness_suboptimal(n_d, params).value)
+    hi = math.log(params.p_max)
+    if gap(hi) >= 0.0:
+        # root lies beyond p_max: cap, constraint still satisfied
+        return CovertPower(value=params.p_max, capped=True)
+    if gap(lo) < 0.0:
+        raise NumericError(f"the closed-form power overshoots the covertness root (n_d={n_d})")
+    return _capped(math.exp(optimize.brentq(gap, lo, hi, xtol=_CONSTRAINT_RTOL)), params)
 
 
 def power_for_covertness_suboptimal(n_d: int, params: SystemParams) -> CovertPower:

@@ -106,6 +106,18 @@ class TestDetectSweep:
         assert all(float(r["zeta"]) == 0.0 for r in rows if r["p_d"] == "1e+308")
         assert all(0.0 < float(r["zeta"]) < 0.1 for r in rows if r["p_d"] != "1e+308")
 
+    def test_large_noise_variance_runs_the_argmin(self, capsys):
+        # Same mean SNR as sigma_w2 = p_d = 0.05, hence the same error.
+        zetas = []
+        for level in ("1e200", "0.05"):
+            code, out = run(
+                capsys, "detect-sweep", "--sigma-w2", level, "--p-d-grid", level,
+                "--n-d-list", "1", "--mode", "cdi_exact",
+            )
+            assert code == 0
+            zetas.append(float(parse_csv(out)[1][0]["zeta"]))
+        assert zetas[0] == pytest.approx(zetas[1], rel=1e-11)
+
     def test_integral_n_d_list_accepts_float_spelling(self, capsys):
         _, out = run(capsys, "detect-sweep", "--p-d-grid", "0.01", "--n-d-list", "1e2,50.0",
                      "--mode", "cdi_approx")

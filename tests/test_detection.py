@@ -242,6 +242,23 @@ class TestZetaStarCdi:
         values = expected_zeta_cdi_grid(grid, p_d=0.01, sigma_w2=SW2, n_d=100)
         assert zeta_star_cdi(w) == pytest.approx(float(np.min(values)), abs=1e-5)
 
+    @pytest.mark.parametrize("n_d", [1, 50])
+    @pytest.mark.parametrize("p_d", [1e4, 1e6, 1e10])
+    def test_at_or_below_a_log_scan_at_high_snr(self, n_d, p_d):
+        # The scan covers the argmin's bracket lam / sigma_w2 in
+        # [1, (1 + a)(1 + ln(1 + a))], log-spaced.
+        w = willie(n_d=n_d, p_d=p_d)
+        a = p_d / SW2
+        top = math.log1p(a) + math.log1p(math.log1p(a))
+        scan = min(expected_zeta_cdi(SW2 * math.exp(u), w) for u in np.linspace(0.0, top, 2001))
+        assert zeta_star_cdi(w) <= (1.0 + 1e-9) * scan
+
+    def test_scale_invariant_in_sigma_w2(self):
+        # The error depends on lam / sigma_w2 and p_d / sigma_w2 only, out to
+        # noise levels where the bracket in lam itself would overflow.
+        values = [zeta_star_cdi(willie(p_d=s, sigma_w2=s)) for s in (0.05, 1.0, 1e200, 1e-300)]
+        assert values == pytest.approx([values[0]] * 4, rel=1e-12, abs=0)
+
     def test_large_error_regime_matches_csi(self):
         for n_d, p_d in [(50, 0.001), (100, 0.0008)]:
             cdi = zeta_star_cdi(willie(n_d=n_d, p_d=p_d))

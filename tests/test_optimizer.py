@@ -2,9 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
 from covertfade.detection import WillieParams, expected_zeta_star_csi
-from covertfade.errors import DomainError
+from covertfade.errors import DomainError, NumericError
 from covertfade import optimizer
 from covertfade.optimizer import (
     power_for_covertness_exact,
@@ -63,9 +64,36 @@ class TestExactPower:
             return expected_zeta_star_csi(w)
 
         monkeypatch.setattr(optimizer, "expected_zeta_star_csi", counting)
-        power_for_covertness_exact(50, problem(epsilon=0.05, p_max=p_max))
-        assert len(calls) > 2
+        power = power_for_covertness_exact(50, problem(epsilon=0.05, p_max=p_max))
+        if p_max == 1e-4:  # one average at p_max decides the cap
+            assert power.capped and len(calls) == 1
+        else:
+            assert len(calls) > 2
         assert len(calls) == len(set(calls))
+
+    def test_root_is_tight(self):
+        prob = problem(epsilon=0.001, n_d_min=1000, n_d_max=1000)
+        gap = lambda p: expected_zeta_star_csi(
+            WillieParams(sigma_w2=SW2, n_d=1000, p_d=p)) - 0.999
+        reference = brentq(gap, 1e-6, 1.0, xtol=1e-300, rtol=1e-15)
+        assert power_for_covertness_exact(1000, prob).value == pytest.approx(
+            reference, rel=1e-8, abs=0)
+
+    def test_closed_form_power_brackets_the_root(self):
+        # The averaged error lies above its linearization, so the closed-form
+        # power never overshoots: the exact root's lower bracket end holds.
+        for p_max in (1e-4, 1.0, 100.0):
+            for eps in (0.001, 0.01, 0.05, 0.2, 0.5, 0.99):
+                for n_d in (1, 2, 10, 50, 400, 5000):
+                    prob = problem(epsilon=eps, p_max=p_max)
+                    p_lin = power_for_covertness_suboptimal(n_d, prob).value
+                    assert optimizer._avg_error(n_d, p_lin, prob) >= 1.0 - eps
+                    assert power_for_covertness_exact(n_d, prob).value >= p_lin
+
+    def test_closed_form_power_past_the_root_raises(self, monkeypatch):
+        monkeypatch.setattr(optimizer, "_avg_error", lambda n_d, p_d, params: 0.0)
+        with pytest.raises(NumericError, match="closed-form power"):
+            power_for_covertness_exact(50, problem(epsilon=0.05))
 
     def test_power_cap(self):
         prob = problem(epsilon=0.9, p_max=1e-4)

@@ -81,7 +81,7 @@ class WillieParams:
 def p_fa(lam: float, w: WillieParams) -> float:
     """False-alarm probability of the radiometer at threshold ``lam``."""
     check_value("threshold", lam, "positive")
-    return reg_upper_gamma(w.n_d, w.n_d * lam / w.sigma_w2)
+    return reg_upper_gamma(w.n_d, w.n_d * (lam / w.sigma_w2))
 
 
 def p_md(lam: float, w: WillieParams) -> float:
@@ -89,7 +89,7 @@ def p_md(lam: float, w: WillieParams) -> float:
     check_value("threshold", lam, "positive")
     if w.h_w2 is None:
         raise DomainError("p_md requires h_w2")
-    return reg_lower_gamma(w.n_d, w.n_d * lam / (w.h_w2 * w.p_d + w.sigma_w2))
+    return reg_lower_gamma(w.n_d, w.n_d * (lam / (w.h_w2 * w.p_d + w.sigma_w2)))
 
 
 def csi_threshold(s, sigma_w2):
@@ -231,7 +231,7 @@ def expected_zeta_cdi(lam: float, w: WillieParams) -> float:
             + np.array([-8.0, -2.0, 0.0, 2.0, 8.0]) / math.sqrt(w.n_d))
     step = step[(math.log1p(lo) < step) & (step < math.log1p(hi))]
     x, weights = _rule(lo, hi, np.expm1(step))
-    arg = w.n_d * float(lam) / w.sigma_w2  # inf where it overflows: no numpy warning
+    arg = w.n_d * (float(lam) / w.sigma_w2)  # inf where it overflows: no numpy warning
     md = special.gammainc(w.n_d, arg / (1.0 + x))
     return _cs.gammaincc(w.n_d, arg) + _average(weights * np.exp(-x / a), md, a)
 

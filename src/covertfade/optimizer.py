@@ -3,10 +3,11 @@ power P_D and the block length N_D, for the budget ``epsilon``, the power cap
 ``p_max`` and the bounds ``n_d_min``..``n_d_max``.  The ``p_d`` and ``n_d``
 fields of the scenario are ignored; candidate designs are evaluated on copies.
 
-Both solvers are one search over candidate symbol counts and differ only in
-the power rule.  Exact solver: every admissible count, each with the data
-power meeting the fading-averaged covertness constraint with equality
-(Brent's method in ln P_D between the closed-form power and p_max).
+Both solvers are one search over candidate symbol counts in increasing order
+and differ only in the power rule.  Exact solver: the admissible counts, each
+with the data power meeting the fading-averaged covertness constraint with
+equality (Brent's method in ln P_D between the closed-form power and p_max),
+until a throughput bound proves that no larger count can do better.
 Closed-form solver: the inverted linearized constraint, which pins the
 symbol count at its lower bound.  Either solver can be pinned to one
 admissible count (``force_nd``).  Either power is capped at ``p_max``, and a
@@ -97,9 +98,17 @@ def _throughput_at(n_d: int, p_d: float, params: SystemParams) -> float:
 
 
 def _search(params: SystemParams, candidates, power_rule) -> DesignSolution:
-    """Throughput-maximizing count in ``candidates`` with its power from
-    ``power_rule(n_d, params)``; ties break toward fewer symbols."""
+    """Throughput-maximizing count in ``candidates`` (increasing) with its
+    power from ``power_rule(n_d, params)``; ties break toward fewer symbols.
+
+    Both power rules are nonincreasing in n_d: with CSI the radiometer is the
+    likelihood-ratio test, so its averaged error cannot rise with n_d, and the
+    closed-form power falls with n_d.  Every later count therefore delivers
+    at most the last count's throughput at the current power, and the search
+    stops once that bound cannot beat the best design so far.
+    """
     best = None
+    n_top = candidates[-1]
     for n_d in candidates:
         try:
             power = power_rule(n_d, params)
@@ -108,6 +117,8 @@ def _search(params: SystemParams, candidates, power_rule) -> DesignSolution:
         value = _throughput_at(n_d, power.value, params)
         if best is None or value > best[0]:
             best = (value, n_d, power)
+        if _throughput_at(n_top, power.value, params) <= best[0]:
+            break
 
     value, n_d, power = best
     violated = power.capped and (
@@ -123,8 +134,9 @@ def _forced(params: SystemParams, force_nd) -> list:
 
 
 def solve_p1(params: SystemParams, force_nd: int = None) -> DesignSolution:
-    """Exhaustive search over the admissible symbol counts with the exact
-    constraint-equality power at each.
+    """Search over the admissible symbol counts with the exact
+    constraint-equality power at each, stopped at the throughput bound of
+    ``_search``; the result is the same as evaluating every count.
 
     ``force_nd`` restricts the search to a single count (used for comparing
     against deliberately suboptimal blocklengths).

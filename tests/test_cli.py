@@ -193,6 +193,16 @@ class TestOptimize:
         assert code == 0
         assert out == (DATA / golden).read_text()
 
+    def test_golden_bytes_wide_symbol_range(self, capsys):
+        # Captured by evaluating every count; at epsilon 0.2 the exact optimum
+        # is the interior n_d 28, so the bounded search must not stop short.
+        code, out = run(
+            capsys, "optimize", "--epsilon-grid", "0.05,0.2", "--n-d-min", "1",
+            "--n-d-max", "400", "--method", "both",
+        )
+        assert code == 0
+        assert out == (DATA / "optimize_wide_nd.csv").read_text()
+
 
 class TestSimulate:
     def test_small_run_passes_three_sigma(self, capsys):

@@ -256,8 +256,10 @@ class TestZetaStarCdi:
     def test_scale_invariant_in_sigma_w2(self):
         # The error depends on lam / sigma_w2 and p_d / sigma_w2 only, out to
         # noise levels where the bracket in lam itself would overflow.
-        values = [zeta_star_cdi(willie(p_d=s, sigma_w2=s)) for s in (0.05, 1.0, 1e200, 1e-300)]
-        assert values == pytest.approx([values[0]] * 4, rel=1e-12, abs=0)
+        # At 1e308 the gamma argument n_d * (lam / sigma_w2) must not overflow.
+        values = [zeta_star_cdi(willie(p_d=s, sigma_w2=s))
+                  for s in (0.05, 1.0, 1e200, 1e-300, 1e308)]
+        assert values == pytest.approx([values[0]] * 5, rel=1e-12, abs=0)
 
     def test_large_error_regime_matches_csi(self):
         for n_d, p_d in [(50, 0.001), (100, 0.0008)]:

@@ -18,13 +18,13 @@ from covertfade.params import SystemParams
 SW2 = 0.05
 
 
-def problem(epsilon=0.05, p_max=1.0, n_d_min=50, n_d_max=100, sigma_w2=SW2):
+def problem(epsilon=0.05, p_max=1.0, n_d_min=50, n_d_max=100, sigma_w2=SW2, p_t=None):
     return SystemParams(
         epsilon=epsilon,
         p_max=p_max,
         n_d_min=n_d_min,
         n_d_max=n_d_max,
-        sigma_b2=0.01, rate=1.0, n_t=1, p_t=p_max,
+        sigma_b2=0.01, rate=1.0, n_t=1, p_t=p_max if p_t is None else p_t,
         sigma_w2=sigma_w2,
     )
 
@@ -147,20 +147,30 @@ class TestSolveP1:
 
 
 class TestSharedSearch:
-    @pytest.mark.parametrize("solve", [solve_p1, solve_p1_1])
-    def test_capped_design_checked_against_constraint(self, monkeypatch, solve):
-        prob = problem(epsilon=0.05, p_max=1e-4)
-        avg_error = optimizer._avg_error
-        below = 1.0 - prob.epsilon - 2 * optimizer._CONSTRAINT_SLACK
+    @pytest.mark.parametrize(
+        "solve, rule",
+        [(solve_p1, "power_for_covertness_exact"),
+         (solve_p1_1, "power_for_covertness_suboptimal")],
+        ids=["solve_p1", "solve_p1_1"],
+    )
+    def test_capped_design_checked_against_constraint(self, monkeypatch, solve, rule):
+        # The power rule returns a capped power by construction, so the check
+        # in _search is reached at any p_max, including those where
+        # exp(ln p_max) == p_max.
         monkeypatch.setattr(
-            optimizer, "_avg_error",
-            lambda n_d, p_d, params: below if p_d == params.p_max
-            else avg_error(n_d, p_d, params),
-        )
-        sol = solve(prob)
-        assert sol.power_capped and sol.constraint_violated
+            optimizer, rule, lambda n_d, params: optimizer.CovertPower(params.p_max, True))
+        assert math.exp(math.log(0.5)) == 0.5
+        for p_max in (1e-4, 0.5):
+            prob = problem(epsilon=0.05, p_max=p_max)
+            for error, violated in ((0.95 - 2 * optimizer._CONSTRAINT_SLACK, True),
+                                    (0.95, False)):
+                monkeypatch.setattr(optimizer, "_avg_error",
+                                    lambda n_d, p_d, params, error=error: error)
+                sol = solve(prob)
+                assert (sol.p_d_star, sol.power_capped) == (p_max, True)
+                assert sol.constraint_violated == violated
         monkeypatch.undo()
-        sol = solve(prob)
+        sol = solve(problem(epsilon=0.05, p_max=1e-4))
         assert sol.power_capped and not sol.constraint_violated
 
     @pytest.mark.parametrize(
@@ -169,7 +179,9 @@ class TestSharedSearch:
          (solve_p1_1, "power_for_covertness_suboptimal", 1)],
     )
     def test_power_rule_looked_up_at_call_time(self, monkeypatch, solve, rule, calls):
-        # tracers wrap the module attribute, so the solvers must call through it
+        # tracers wrap the module attribute, so the solvers must call through it;
+        # every power is capped and every throughput positive, so the
+        # throughput bound cannot stop early
         seen = []
         original = getattr(optimizer, rule)
 
@@ -178,8 +190,74 @@ class TestSharedSearch:
             return original(n_d, params)
 
         monkeypatch.setattr(optimizer, rule, counting)
-        solve(problem(epsilon=0.05, n_d_min=50, n_d_max=52))
+        solve(problem(epsilon=0.05, p_max=1e-4, n_d_min=50, n_d_max=52, p_t=1.0))
         assert len(seen) == calls
+
+
+def enumerate_designs(params, power_rule=power_for_covertness_exact):
+    """Reference design: every admissible count, ties toward fewer symbols."""
+    best = None
+    for n_d in range(params.n_d_min, params.n_d_max + 1):
+        power = power_rule(n_d, params)
+        value = optimizer._throughput_at(n_d, power.value, params)
+        if best is None or value > best[0]:
+            best = (value, n_d, power)
+    value, n_d, power = best
+    violated = power.capped and (optimizer._avg_error(n_d, power.value, params)
+                                 < 1.0 - params.epsilon - optimizer._CONSTRAINT_SLACK)
+    return (n_d, power.value, value, power.capped, violated)
+
+
+def design(sol):
+    return (sol.n_d_star, sol.p_d_star, sol.throughput, sol.power_capped,
+            sol.constraint_violated)
+
+
+class TestThroughputBound:
+    @pytest.mark.parametrize(
+        "p_max, p_t, n_d_max, grid",
+        [(1.0, None, 100, np.linspace(0.01, 0.2, 20)),
+         (1e-4, None, 100, np.linspace(0.01, 0.2, 20)),
+         (1e-4, 1.0, 100, np.linspace(0.01, 0.2, 20)),
+         (1.0, None, 400, (0.01, 0.05, 0.2))],
+        ids=["criteria-4-5", "all-capped", "all-capped-pilot-1", "n_d-1-400"],
+    )
+    def test_bounded_search_equals_full_enumeration(self, p_max, p_t, n_d_max, grid):
+        # p_t = p_max = 1e-4 is the CLI's capped case (zero throughput
+        # everywhere); p_t = 1 gives positive capped throughputs
+        n_d_min = 50 if n_d_max == 100 else 1
+        for eps in grid:
+            prob = problem(epsilon=float(eps), p_max=p_max, p_t=p_t,
+                           n_d_min=n_d_min, n_d_max=n_d_max)
+            expected = enumerate_designs(prob)
+            assert design(solve_p1(prob)) == expected
+            assert expected[3] == (p_max == 1e-4)
+
+    def test_closed_form_power_rule_under_the_bound(self):
+        # the closed-form power also falls with n_d, so the bound holds for it
+        prob = problem(epsilon=0.2, n_d_min=1, n_d_max=400)
+        rule = power_for_covertness_suboptimal
+        assert design(optimizer._search(prob, range(1, 401), rule)) == enumerate_designs(prob, rule)
+
+    @pytest.mark.parametrize("eps", [0.01, 0.05, 0.2])
+    def test_exact_power_nonincreasing_in_n_d(self, eps):
+        prob = problem(epsilon=eps, n_d_min=1, n_d_max=400)
+        powers = [power_for_covertness_exact(n_d, prob).value for n_d in range(1, 401)]
+        assert all(b <= a for a, b in zip(powers, powers[1:]))
+
+    def test_search_stops_before_the_last_count(self, monkeypatch):
+        seen = []
+        original = optimizer.power_for_covertness_exact
+
+        def counting(n_d, params):
+            seen.append(n_d)
+            return original(n_d, params)
+
+        monkeypatch.setattr(optimizer, "power_for_covertness_exact", counting)
+        sol = solve_p1(problem(epsilon=0.05))
+        assert sol.n_d_star == 50
+        assert seen == list(range(50, 50 + len(seen)))
+        assert 1 <= len(seen) < 51
 
 
 class TestSolveP11:

@@ -1,23 +1,25 @@
 """Command-line front end: detection-error sweeps, covert design optimization,
 and Monte Carlo validation runs, all emitted as CSV (stdout or --out).
 
+Scenario flags are typed by ``params._FIELD_TYPES``.  Every count (the int
+fields, ``--trials``, ``--force-nd``) is read by ``params.count``, so ``50.0``
+runs as 50 and ``50.5`` exits 2; ``--seed`` and ``--trace-slots`` take ints.
+
 Exit codes: 0 success, 2 usage error, 3 numeric failure.
 """
 
 import argparse
 import math
 import sys
-from dataclasses import fields, replace
+from dataclasses import replace
 
 import numpy as np
 
 from . import link, optimizer, simulation
 from .errors import DomainError, NumericError
-from .params import SystemParams, check_integer, parse_params_file
+from .params import _FIELD_TYPES, SystemParams, check_integer, count, parse_params_file
 
 __all__ = ["main", "build_parser"]
-
-_PARAM_FLAGS = [(f.name, f.type) for f in fields(SystemParams)]
 
 
 def _fmt(value) -> str:
@@ -64,7 +66,7 @@ def _int_list(text):
 
 def _add_param_flags(parser):
     group = parser.add_argument_group("scenario parameters")
-    for name, kind in _PARAM_FLAGS:
+    for name, kind in _FIELD_TYPES.items():
         group.add_argument(f"--{name.replace('_', '-')}", type=kind, default=None)
 
 
@@ -72,7 +74,7 @@ def _resolve_params(args) -> SystemParams:
     overrides = {}
     if args.params:
         overrides.update(parse_params_file(args.params))
-    for name, _ in _PARAM_FLAGS:
+    for name in _FIELD_TYPES:
         value = getattr(args, name, None)
         if value is not None:
             overrides[name] = value
@@ -105,13 +107,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--method", choices=["exact", "suboptimal", "both"], default="both"
     )
-    p.add_argument("--force-nd", type=int, default=None,
+    p.add_argument("--force-nd", type=count, default=None,
                    help="pin the search to one symbol count")
 
     p = sub.add_parser("simulate", help="Monte Carlo vs closed-form check")
     common(p)
     p.add_argument("--seed", type=int, default=12345)
-    p.add_argument("--trials", type=int, default=100_000)
+    p.add_argument("--trials", type=count, default=100_000)
     p.add_argument("--policy", choices=simulation.POLICIES, default="csi_optimal")
     p.add_argument("--fixed-threshold", type=float, default=None)
     p.add_argument("--dump-traces", help="also write per-slot traces here")

@@ -79,17 +79,21 @@ class WillieParams:
 
 
 def p_fa(lam: float, w: WillieParams) -> float:
-    """False-alarm probability of the radiometer at threshold ``lam``."""
+    """False-alarm probability of the radiometer at threshold ``lam``; its
+    limit 0 where the gamma argument overflows."""
     check_value("threshold", lam, "positive")
-    return reg_upper_gamma(w.n_d, w.n_d * (lam / w.sigma_w2))
+    x = w.n_d * (lam / w.sigma_w2)
+    return reg_upper_gamma(w.n_d, x) if x < math.inf else 0.0
 
 
 def p_md(lam: float, w: WillieParams) -> float:
-    """Missed-detection probability at threshold ``lam``; needs h_w2 and p_d."""
+    """Missed-detection probability at threshold ``lam``; needs h_w2 and p_d.
+    Its limit 1 where the gamma argument overflows."""
     check_value("threshold", lam, "positive")
     if w.h_w2 is None:
         raise DomainError("p_md requires h_w2")
-    return reg_lower_gamma(w.n_d, w.n_d * (lam / (w.h_w2 * w.p_d + w.sigma_w2)))
+    x = w.n_d * (lam / (w.h_w2 * w.p_d + w.sigma_w2))
+    return reg_lower_gamma(w.n_d, x) if x < math.inf else 1.0
 
 
 def csi_threshold(s, sigma_w2):

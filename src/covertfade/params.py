@@ -1,9 +1,9 @@
 """The one scenario model: ``SystemParams`` holds every scenario constant and
-validates it when built.  The link, optimizer and simulation layers read it,
-and the CLI flags and parameter-file types are derived from its fields.
-Callers that vary a field (the optimizer ``p_d`` and ``n_d``, the CLI
-``epsilon``) do so on copies made with ``dataclasses.replace``, which
-validates again."""
+validates it when built.  The link, optimizer and simulation layers read it;
+``_FIELD_TYPES`` parses its fields' text for the CLI flags and the parameter
+file, ``float`` for reals and ``count`` for counts.  Callers that vary a field
+(the optimizer ``p_d`` and ``n_d``, the CLI ``epsilon``) do so on copies made
+with ``dataclasses.replace``, which validates again."""
 
 import contextlib
 import math
@@ -14,8 +14,8 @@ import numpy as np
 
 from .errors import DomainError
 
-__all__ = ["SystemParams", "parse_params_file", "check_fields", "check_value", "check_integer",
-           "overflow_check"]
+__all__ = ["SystemParams", "parse_params_file", "count", "check_fields", "check_value",
+           "check_integer", "overflow_check"]
 
 _RANGES = {
     "positive": (lambda v: v > 0, "a finite positive real"),
@@ -29,9 +29,22 @@ def check_value(name, value, group):
     """``value`` if it is a finite real in ``group``'s range (a ``check_fields``
     keyword), else a DomainError naming ``name``."""
     in_range, what = _RANGES[group]
-    if not (isinstance(value, numbers.Real) and math.isfinite(value) and in_range(value)):
+    try:
+        valid = isinstance(value, numbers.Real) and math.isfinite(value) and in_range(value)
+    except OverflowError:  # an int beyond the largest double
+        valid = False
+    if not valid:
         raise DomainError(f"{name} must be {what}, got {value!r}")
     return value
+
+
+def count(text):
+    """A count's text: an integer literal exactly, other real text as a float
+    whose integrality and range the count's own check then judges."""
+    try:
+        return int(text)
+    except ValueError:
+        return float(text)
 
 
 def check_integer(name, value) -> int:
@@ -104,7 +117,7 @@ class SystemParams:
             raise DomainError("need n_d_min <= n_d_max")
 
 
-_FIELD_TYPES = {f.name: f.type for f in fields(SystemParams)}
+_FIELD_TYPES = {f.name: count if f.type is int else f.type for f in fields(SystemParams)}
 
 
 def parse_params_file(path) -> dict:

@@ -1,3 +1,6 @@
+import os
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -9,6 +12,7 @@ from covertfade.optimizer import power_for_covertness_suboptimal
 from covertfade.params import SystemParams
 
 DATA = Path(__file__).with_name("data")
+BEYOND_DOUBLE = "1" * 401  # an integer literal past the largest double
 
 
 def run(capsys, *argv):
@@ -193,6 +197,16 @@ class TestOptimize:
         assert code == 0
         assert out == (DATA / golden).read_text()
 
+    def test_golden_bytes_capped_with_pilot(self, capsys):
+        # p_t = 1 keeps the estimate good, so the designs capped at ε 0.2
+        # carry positive throughput (exact n_d 100, closed-form n_d 50).
+        code, out = run(
+            capsys, "optimize", "--epsilon-grid", "0.01,0.2", "--method", "both",
+            "--p-max", "2e-3", "--p-t", "1",
+        )
+        assert code == 0
+        assert out == (DATA / "optimize_p_max_pilot.csv").read_text()
+
     def test_golden_bytes_wide_symbol_range(self, capsys):
         # Captured by evaluating every count; at epsilon 0.2 the exact optimum
         # is the interior n_d 28, so the bounded search must not stop short.
@@ -295,6 +309,12 @@ class TestSimulate:
         assert code == 0
         assert path.read_text().count("\n") == 1
 
+    def test_overflowing_fixed_threshold_prints_the_limit(self, capsys):
+        # n_d * lam / sigma_w2 overflows at 1e306: p_fa 0, p_md 1 as at 1e300
+        outs = [run(capsys, "simulate", "--trials", "1000", "--seed", "1", "--policy",
+                    "fixed", "--fixed-threshold", lam) for lam in ("1e300", "1e306")]
+        assert outs[0][0] == 0
+        assert outs[1] == outs[0]
 
     @pytest.mark.parametrize("policy", ["csi_optimal", "cdi_exact"])
     def test_overflowing_power_exits_2_naming_p_d(self, policy, capsys):
@@ -326,12 +346,42 @@ class TestParameterHandling:
               "--fixed-threshold", "nan"], "fixed_threshold"),
             (["detect-sweep", "--p-d-grid", "0.01", "--n-d-list", "50.5"], "--n-d-list"),
             (["simulate", "--trials", "10", "--policy", "fixed"], "fixed_threshold"),
+            (["simulate", "--trials", "10", "--n-d", "50.5"], "n_d"),
+            (["optimize", "--epsilon-grid", "0.05", "--force-nd", "60.5"], "force_nd"),
+            (["simulate", "--trials", "10", "--n-d", BEYOND_DOUBLE], "n_d"),
+            (["optimize", "--epsilon-grid", "0.05", "--n-d-max", BEYOND_DOUBLE], "n_d_max"),
+            (["simulate", "--trials", BEYOND_DOUBLE], "trials"),
         ],
     )
     def test_bad_input_exits_2_naming_field(self, argv, field, capsys):
         code, err = run_err(capsys, *argv)
         assert code == 2
         assert field in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("real, integer", [
+        (["simulate", "--n-d", "50.0", "--trials", "1e4"],
+         ["simulate", "--n-d", "50", "--trials", "10000"]),
+        (["optimize", "--epsilon-grid", "0.05", "--n-d-min", "50.0", "--n-d-max", "1e2",
+          "--force-nd", "60.0"],
+         ["optimize", "--epsilon-grid", "0.05", "--n-d-min", "50", "--n-d-max", "100",
+          "--force-nd", "60"]),
+    ], ids=["simulate", "optimize"])
+    def test_integral_real_counts_print_integer_bytes(self, real, integer, capsys):
+        code, out = run(capsys, *integer)
+        assert code == 0
+        assert run(capsys, *real) == (0, out)
+
+    @pytest.mark.parametrize("n_d", ["50", "60"])
+    def test_integral_real_count_in_file(self, n_d, tmp_path, capsys):
+        outs = []
+        for text in (f"n_d = {n_d}.0\n", f"n_d = {n_d}\n"):
+            cfg = tmp_path / "params.txt"
+            cfg.write_text(text)
+            outs.append(run(capsys, "simulate", "--trials", "1000", "--seed", "1",
+                            "--params", str(cfg)))
+        assert outs[0][0] == 0
+        assert outs[0] == outs[1]
 
     @pytest.mark.parametrize("command", ["optimize", "detect-sweep"])
     def test_seed_is_not_an_option(self, capsys, command):
@@ -399,3 +449,12 @@ class TestParameterHandling:
         assert b"\r" not in data and data.endswith(b"\n")
         header = data.split(b"\n", 1)[0].decode()
         assert header == "epsilon,method,p_d_star,n_d_star,throughput,power_capped,diagnostics"
+
+
+def test_package_import_loads_no_layer_module():
+    # the layer modules are the API; the package itself holds only __version__
+    code = ("import sys, covertfade; "
+            "print(sorted(m for m in sys.modules if m.startswith('covertfade.')))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+    assert out.stdout.strip() == "[]"

@@ -73,6 +73,12 @@ class TestErrorProbabilities:
         empirical = float(np.mean(stats <= lam))
         assert p_md(lam, w) == pytest.approx(empirical, abs=0.002)
 
+    def test_overflowing_gamma_argument_gives_the_limit(self):
+        # n_d * lam / sigma_w2 is inf here; special rejects x = inf itself
+        w = willie(p_d=0.01, h_w2=1.0)
+        assert p_fa(1e306, w) == 0.0 and p_md(1e306, w) == 1.0
+        assert p_fa(1e300, w) == 0.0 and p_md(1e300, w) == 1.0
+
     def test_threshold_domain(self):
         with pytest.raises(DomainError):
             p_fa(0.0, willie())

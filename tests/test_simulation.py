@@ -199,7 +199,12 @@ class TestCountFields:
         (lambda: SystemParams(n_t=1.9), "n_t"),
         (lambda: detection.WillieParams(sigma_w2=0.05, n_d=50.7), "n_d"),
         (lambda: McConfig(trials=10.9, seed=1), "trials"),
-    ], ids=["system-n_d", "system-n_t", "willie-n_d", "mc-trials"])
+        # integers beyond the largest double
+        (lambda: SystemParams(n_d=10**400), "n_d"),
+        (lambda: detection.WillieParams(sigma_w2=0.05, n_d=10**400), "n_d"),
+        (lambda: McConfig(trials=10**400, seed=1), "trials"),
+    ], ids=["system-n_d", "system-n_t", "willie-n_d", "mc-trials",
+            "system-n_d-beyond-double", "willie-n_d-beyond-double", "mc-trials-beyond-double"])
     def test_non_integral_count_rejected(self, build, field):
         with pytest.raises(DomainError, match=field):
             build()

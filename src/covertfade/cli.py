@@ -2,8 +2,9 @@
 and Monte Carlo validation runs, all emitted as CSV (stdout or --out).
 
 Scenario flags are typed by ``params._FIELD_TYPES``.  Every count (the int
-fields, ``--trials``, ``--force-nd``) is read by ``params.count``, so ``50.0``
-runs as 50 and ``50.5`` exits 2; ``--seed`` and ``--trace-slots`` take ints.
+fields, ``--trials``, ``--force-nd``, ``--n-d-list``) is read by
+``params.count`` and judged by ``params.check_value``, so ``50.0`` runs as 50
+and ``50.5`` exits 2; ``--seed`` and ``--trace-slots`` take ints.
 
 Exit codes: 0 success, 2 usage error, 3 numeric failure.
 """
@@ -17,7 +18,7 @@ import numpy as np
 
 from . import link, optimizer, simulation
 from .errors import DomainError, NumericError
-from .params import _FIELD_TYPES, SystemParams, check_integer, count, parse_params_file
+from .params import _FIELD_TYPES, SystemParams, check_value, count, parse_params_file
 
 __all__ = ["main", "build_parser"]
 
@@ -45,23 +46,24 @@ def _emit(rows, header, out_path) -> None:
         sys.stdout.write(text)
 
 
-def _float_list(text):
+def _parse_list(text, read):
     try:
-        values = [float(tok) for tok in text.split(",") if tok.strip()]
+        values = [read(tok) for tok in text.split(",") if tok.strip()]
+    except DomainError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"bad numeric list {text!r}") from exc
     if not values:
         raise argparse.ArgumentTypeError("empty list")
-    if not all(math.isfinite(v) for v in values):
-        raise argparse.ArgumentTypeError(f"non-finite value in {text!r}")
     return values
 
 
+def _float_list(text):
+    return _parse_list(text, lambda tok: check_value("value", float(tok), "finite"))
+
+
 def _int_list(text):
-    try:
-        return [check_integer("value", v) for v in _float_list(text)]
-    except DomainError:
-        raise argparse.ArgumentTypeError(f"non-integer value in {text!r}") from None
+    return _parse_list(text, lambda tok: check_value("value", count(tok), "counts"))
 
 
 def _add_param_flags(parser):
@@ -163,8 +165,7 @@ def cmd_optimize(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    if args.trace_slots < 0:
-        raise DomainError(f"--trace-slots must be >= 0, got {args.trace_slots}")
+    check_value("--trace-slots", args.trace_slots, "nonnegative")
     params = _resolve_params(args)
     mc = simulation.McConfig(trials=args.trials, seed=args.seed)  # checked before the policy
     mc = replace(mc, threshold=simulation.policy_threshold(

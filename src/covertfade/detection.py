@@ -26,7 +26,7 @@ import numpy as np
 from scipy import optimize, special
 from scipy.special import cython_special as _cs
 
-from .errors import DegenerateHypothesesError, DomainError, NumericError
+from .errors import DegenerateHypothesesError, NumericError
 from .params import check_fields, check_value
 from .special import ln_gamma, reg_lower_gamma, reg_upper_gamma
 
@@ -90,8 +90,7 @@ def p_md(lam: float, w: WillieParams) -> float:
     """Missed-detection probability at threshold ``lam``; needs h_w2 and p_d.
     Its limit 1 where the gamma argument overflows."""
     check_value("threshold", lam, "positive")
-    if w.h_w2 is None:
-        raise DomainError("p_md requires h_w2")
+    check_value("h_w2", w.h_w2, "nonnegative")
     x = w.n_d * (lam / (w.h_w2 * w.p_d + w.sigma_w2))
     return reg_lower_gamma(w.n_d, x) if x < math.inf else 1.0
 
@@ -138,8 +137,7 @@ def zeta_star_csi(w: WillieParams) -> float:
 
     The zero-power limit (either p_d = 0 or h_w2 = 0) returns 1.
     """
-    if w.h_w2 is None:
-        raise DomainError("zeta_star_csi requires h_w2")
+    check_value("h_w2", w.h_w2, "nonnegative")
     if w.h_w2 * w.p_d == 0:
         return 1.0
     fa, md = _csi_terms(np.array([w.h_w2 * w.p_d / w.sigma_w2]), w.n_d)
@@ -157,8 +155,7 @@ def zeta_linear_csi(w: WillieParams) -> float:
     Not clamped: values below 0 indicate the approximation has left its
     validity region and are returned as-is.
     """
-    if w.h_w2 is None:
-        raise DomainError("zeta_linear_csi requires h_w2")
+    check_value("h_w2", w.h_w2, "nonnegative")
     slope = 1.0 / (low_power_scale(w.n_d) * w.sigma_w2)
     return 1.0 - w.h_w2 * slope * w.p_d
 

@@ -7,7 +7,7 @@ import math
 import numpy as np
 
 from .errors import DomainError
-from .params import SystemParams, overflow_check
+from .params import SystemParams, check_value, overflow_check
 from .special import ln_gamma, digamma
 
 __all__ = [
@@ -22,10 +22,8 @@ __all__ = [
 def estimation_error_var(params: SystemParams) -> float:
     """LMMSE error variance beta_b from the pilot budget n_t * p_t; the
     estimate's variance is 1 - beta_b."""
-    beta_b = params.sigma_b2 / (params.sigma_b2 + params.n_t * params.p_t)
-    if not 0 < beta_b < 1:
-        raise DomainError(f"beta_b must be a real in (0, 1), got {beta_b!r}")
-    return beta_b
+    return check_value("beta_b", params.sigma_b2 / (params.sigma_b2 + params.n_t * params.p_t),
+                       "fractions")
 
 
 def _rate_factor(rate: float) -> float:

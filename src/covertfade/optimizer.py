@@ -24,7 +24,7 @@ from scipy import optimize
 from .detection import WillieParams, expected_zeta_star_csi, low_power_scale
 from .errors import DomainError, NumericError
 from .link import throughput
-from .params import SystemParams, check_integer
+from .params import SystemParams, check_value
 
 __all__ = [
     "DesignSolution",
@@ -127,7 +127,7 @@ def _search(params: SystemParams, candidates, power_rule) -> DesignSolution:
 
 
 def _forced(params: SystemParams, force_nd) -> list:
-    force_nd = check_integer("force_nd", force_nd)
+    force_nd = check_value("force_nd", force_nd, "counts")
     if not params.n_d_min <= force_nd <= params.n_d_max:
         raise DomainError(f"force_nd={force_nd} outside [{params.n_d_min}, {params.n_d_max}]")
     return [force_nd]

@@ -3,7 +3,8 @@ validates it when built.  The link, optimizer and simulation layers read it;
 ``_FIELD_TYPES`` parses its fields' text for the CLI flags and the parameter
 file, ``float`` for reals and ``count`` for counts.  Callers that vary a field
 (the optimizer ``p_d`` and ``n_d``, the CLI ``epsilon``) do so on copies made
-with ``dataclasses.replace``, which validates again."""
+with ``dataclasses.replace``, which validates again.  ``check_value`` judges
+every scalar input of every layer against a ``_RANGES`` group."""
 
 import contextlib
 import math
@@ -15,27 +16,30 @@ import numpy as np
 from .errors import DomainError
 
 __all__ = ["SystemParams", "parse_params_file", "count", "check_fields", "check_value",
-           "check_integer", "overflow_check"]
+           "overflow_check"]
 
 _RANGES = {
+    "finite": (lambda v: True, "a finite real"),
     "positive": (lambda v: v > 0, "a finite positive real"),
     "nonnegative": (lambda v: v >= 0, "a finite nonnegative real"),
-    "counts": (lambda v: v >= 1, "a finite number >= 1"),
+    "counts": (lambda v: v >= 1 and v % 1 == 0, "an integer >= 1"),
     "fractions": (lambda v: 0 < v < 1, "a real in (0, 1)"),
+    "seeds": (lambda v: isinstance(v, numbers.Integral) and 0 <= v < 2**64,
+              "an integer in [0, 2**64)"),
 }
 
 
 def check_value(name, value, group):
     """``value`` if it is a finite real in ``group``'s range (a ``check_fields``
-    keyword), else a DomainError naming ``name``."""
+    keyword), a count as an int; else a DomainError naming ``name``."""
     in_range, what = _RANGES[group]
     try:
-        valid = isinstance(value, numbers.Real) and math.isfinite(value) and in_range(value)
-    except OverflowError:  # an int beyond the largest double
-        valid = False
-    if not valid:
-        raise DomainError(f"{name} must be {what}, got {value!r}")
-    return value
+        if isinstance(value, numbers.Real) and math.isfinite(value) and in_range(value):
+            return int(value) if group == "counts" else value
+        got = repr(value)
+    except OverflowError:  # an int beyond the largest double; repr may refuse it
+        got = "an integer beyond the largest double"
+    raise DomainError(f"{name} must be {what}, got {got}")
 
 
 def count(text):
@@ -45,14 +49,6 @@ def count(text):
         return int(text)
     except ValueError:
         return float(text)
-
-
-def check_integer(name, value) -> int:
-    """``value`` as an int if it is an integral real, else a DomainError
-    naming ``name``; NaN and +-inf are not integral."""
-    if not isinstance(value, numbers.Real) or value % 1:
-        raise DomainError(f"{name} must be an integer, got {value!r}")
-    return int(value)
 
 
 @contextlib.contextmanager
@@ -70,16 +66,17 @@ def overflow_check(what):
 def check_fields(obj, **groups) -> None:
     """Validate the named fields of the frozen dataclass ``obj``.
 
-    Each keyword (``positive``, ``nonnegative``, ``counts``, ``fractions``)
-    lists field names whose values must be finite reals in that range; the
-    first offender raises a DomainError naming it.  ``counts`` fields must
-    also be integral, and are then stored as ints.
+    Each keyword (a ``_RANGES`` group: ``positive``, ``nonnegative``,
+    ``counts``, ``fractions``, ``seeds``) lists field names whose values
+    ``check_value`` judges in that range; the first offender raises a
+    DomainError naming it.  ``counts`` fields are integral reals >= 1, and
+    are stored as ints.
     """
     for group, names in groups.items():
         for name in names:
-            check_value(name, getattr(obj, name), group)
-    for name in groups.get("counts", ()):
-        object.__setattr__(obj, name, check_integer(name, getattr(obj, name)))
+            value = check_value(name, getattr(obj, name), group)
+            if group == "counts":
+                object.__setattr__(obj, name, value)
 
 
 @dataclass(frozen=True)

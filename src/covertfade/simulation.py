@@ -1,21 +1,23 @@
 """Monte Carlo slot simulator.
 
 Serves as the independent oracle for the closed forms: fading and pilot noise
-are drawn at the sample level, the channel estimate is formed from simulated
-pilot observations (so the LMMSE formula itself is exercised), the
-adversary's radiometer decides from its realized average power, and outage
-is declared from the realized estimate/error decomposition.
+are drawn per slot, the channel estimate is formed from simulated pilot
+observations (so the LMMSE formula itself is exercised), the adversary's
+radiometer decides from its realized average power, and outage is declared
+from the realized estimate/error decomposition.
 
 A slot runs in two stages.  ``draw_channels`` draws the fading gains h_b and
-h_w and the pilot noise, and forms Bob's LMMSE estimate and its error;
-``radiometer_statistic`` then draws Willie's average received power over n_d
-samples.  At a fixed h_w that average is exactly a scaled Gamma(n_d, 1)
-variate (the energy-detector law), so it is drawn from that law, one variate
-per slot, rather than sample by sample; the symbol-level route is kept in the
-tests as its oracle.  ``simulate_slots`` composes the two stages.  The outage
+h_w and the mean of the n_t pilot observations, and forms Bob's LMMSE
+estimate and its error; ``radiometer_statistic`` then draws Willie's average
+received power over n_d samples.  Each stage draws a sufficient statistic,
+one variate per slot, rather than sample by sample: the estimate reads the
+pilots only through their mean, sqrt(p_t) h_b + CN(0, sigma_b2 / n_t), and
+at a fixed h_w the radiometer average is exactly a scaled Gamma(n_d, 1)
+variate (the energy-detector law).  The symbol-level routes are kept in the
+tests as their oracles.  ``simulate_slots`` composes the two stages.  The outage
 decision (``link.snr_bob`` on the realized estimate and error) depends only
 on the first stage, so ``estimate_pcc`` draws channels and nothing else.  A
-generator is consumed in the order h_b, h_w, pilot noise, then one Gamma
+generator is consumed in the order h_b, h_w, pilot-mean noise, then one Gamma
 variate per slot, so stopping after the first stage leaves every channel
 draw, and hence every outage decision, unchanged.  ``analytic_detection``
 and ``analytic_zeta`` give the closed forms at each threshold policy.
@@ -35,7 +37,6 @@ variance s/2, real part first.
 """
 
 import math
-import numbers
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
@@ -72,9 +73,8 @@ class McConfig:
 
     def __post_init__(self):
         check_fields(self, counts=("trials",),
-                     positive=() if self.threshold is None else ("threshold",))
-        if not (isinstance(self.seed, numbers.Integral) and 0 <= self.seed < 2**64):
-            raise DomainError(f"seed must be an integer in [0, 2**64), got {self.seed!r}")
+                     positive=() if self.threshold is None else ("threshold",),
+                     seeds=("seed",))
 
 
 class DetectionEstimate(NamedTuple):
@@ -136,20 +136,14 @@ def _thresholds(params: SystemParams, lam, h_w):
 def draw_channels(params: SystemParams, n_slots: int,
                   rng: np.random.Generator) -> dict:
     """Channel stage of a slot batch: fading gains h_b and h_w, then the
-    pilot noise, and Bob's LMMSE estimate of h_b with its error; arrays keyed
-    h_b, h_w, h_b_hat and h_b_tilde."""
-    if n_slots < 1:
-        raise DomainError("n_slots must be >= 1")
-
+    pilots' mean, and Bob's LMMSE estimate of h_b with its error; arrays keyed
+    h_b, h_w, h_b_hat and h_b_tilde.  Nothing grows with n_t."""
+    n_slots = check_value("n_slots", n_slots, "counts")
     h_b = _cn(rng, n_slots, 1.0)
     h_w = _cn(rng, n_slots, 1.0)
-
-    n_b = _cn(rng, (n_slots, params.n_t), params.sigma_b2)
-    y_t = math.sqrt(params.p_t) * h_b[:, None] + n_b
-    h_hat = (
-        math.sqrt(params.p_t) / (params.sigma_b2 + params.n_t * params.p_t)
-        * y_t.sum(axis=1)
-    )
+    amp = math.sqrt(params.p_t)
+    y_mean = amp * h_b + _cn(rng, n_slots, params.sigma_b2 / params.n_t)
+    h_hat = params.n_t * amp / (params.sigma_b2 + params.n_t * params.p_t) * y_mean
     return {"h_b": h_b, "h_w": h_w, "h_b_hat": h_hat, "h_b_tilde": h_b - h_hat}
 
 

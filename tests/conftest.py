@@ -57,6 +57,17 @@ def radiometer_statistics_signal(n_d, p_d, h_w, sigma_w2, trials, seed,
     return out
 
 
+def pilot_estimates(h_b, n_t, p_t, sigma_b2, rng):
+    """Bob's LMMSE estimate of each gain in ``h_b`` from n_t pilot
+    observations sqrt(p_t) h_b + CN(0, sigma_b2), drawn one by one and summed
+    rather than through their mean."""
+    scale = math.sqrt(sigma_b2 / 2.0)
+    shape = (len(h_b), n_t)
+    y = math.sqrt(p_t) * h_b[:, None] + (rng.normal(0.0, scale, shape)
+                                         + 1j * rng.normal(0.0, scale, shape))
+    return math.sqrt(p_t) / (sigma_b2 + n_t * p_t) * y.sum(axis=1)
+
+
 def zeta_star_csi_ref(gain_power, sigma_w2, n_d):
     """scipy-based minimum total error at received power |h|^2 P (vectorized)."""
     gain_power = np.asarray(gain_power, dtype=float)

@@ -128,6 +128,12 @@ class TestDetectSweep:
         _, rows = parse_csv(out)
         assert [r["n_d"] for r in rows] == ["100", "50"]
 
+    def test_n_d_list_literal_beyond_two_to_the_53_is_exact(self, capsys):
+        code, out = run(capsys, "detect-sweep", "--p-d-grid", "0.01",
+                        "--n-d-list", "9007199254740993", "--mode", "cdi_approx")
+        assert code == 0
+        assert [r["n_d"] for r in parse_csv(out)[1]] == ["9007199254740993"]
+
 
 class TestOptimize:
     def test_every_row_uses_minimum_symbols(self, capsys):
@@ -351,6 +357,9 @@ class TestParameterHandling:
             (["simulate", "--trials", "10", "--n-d", BEYOND_DOUBLE], "n_d"),
             (["optimize", "--epsilon-grid", "0.05", "--n-d-max", BEYOND_DOUBLE], "n_d_max"),
             (["simulate", "--trials", BEYOND_DOUBLE], "trials"),
+            (["detect-sweep", "--p-d-grid", "0.01", "--n-d-list", "0"], "--n-d-list"),
+            (["detect-sweep", "--p-d-grid", "0.01", "--n-d-list", BEYOND_DOUBLE], "--n-d-list"),
+            (["optimize", "--epsilon-grid", "0.05", "--force-nd", "0"], "force_nd"),
         ],
     )
     def test_bad_input_exits_2_naming_field(self, argv, field, capsys):

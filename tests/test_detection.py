@@ -85,6 +85,12 @@ class TestErrorProbabilities:
         with pytest.raises(DomainError):
             p_md(-1.0, willie(p_d=0.01, h_w2=1.0))
 
+    @pytest.mark.parametrize("form", [lambda w: p_md(SW2, w), zeta_star_csi, zeta_linear_csi],
+                             ids=["p_md", "zeta_star_csi", "zeta_linear_csi"])
+    def test_csi_forms_need_h_w2(self, form):
+        with pytest.raises(DomainError, match="h_w2"):
+            form(willie(p_d=0.01))
+
 
 class TestCsiThreshold:
     def test_unit_snr_closed_form(self):

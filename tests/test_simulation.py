@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy import stats as stats_mod
 
-from conftest import radiometer_statistics_signal
+from conftest import pilot_estimates, radiometer_statistics_signal
 from covertfade import detection, link
 from covertfade.cli import main
 from covertfade.errors import DomainError
@@ -98,6 +98,33 @@ class TestStages:
         assert np.var(stats) == pytest.approx(np.var(ref), rel=0.03)
         assert stats_mod.ks_2samp(stats, ref).pvalue > 1e-3
 
+    def test_pilot_mean_matches_symbol_level_oracle(self):
+        # The simulator draws the mean of the n_t pilots; the oracle draws
+        # each pilot observation.  Compares E|x|^2 and E|x|^4 of both parts.
+        p = params(n_t=4, p_t=0.005)
+        n = 200_000
+        sim = draw_channels(p, n, _rng(71, 2))
+        rng = np.random.default_rng(72)
+        h_b = rng.normal(0.0, math.sqrt(0.5), n) + 1j * rng.normal(0.0, math.sqrt(0.5), n)
+        h_hat = pilot_estimates(h_b, p.n_t, p.p_t, p.sigma_b2, rng)
+        for key, ref in (("h_b_hat", h_hat), ("h_b_tilde", h_b - h_hat)):
+            for power in (2, 4):
+                a, b = np.abs(sim[key]) ** power, np.abs(ref) ** power
+                se = math.sqrt((np.var(a) + np.var(b)) / n)
+                assert abs(np.mean(a) - np.mean(b)) <= 4.0 * se, (key, power)
+        assert np.mean(np.abs(sim["h_b_tilde"]) ** 2) == pytest.approx(
+            link.estimation_error_var(p), rel=0.02)
+
+    def test_channel_memory_does_not_grow_with_n_t(self):
+        p = params(p_d=0.02, n_t=10**9)
+        tracemalloc.start()
+        try:
+            estimate_pcc(p, McConfig(trials=2_000, seed=7))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5 * 2**20
+
     def test_detection_memory_does_not_grow_with_n_d(self):
         p = params(p_d=0.02, n_d=10**6)
         mc = McConfig(trials=2_000, seed=7, threshold=p.sigma_w2)
@@ -155,7 +182,8 @@ class TestRng:
 
 
 class TestMcConfig:
-    @pytest.mark.parametrize("seed", [-1, 2**64, 2**70, 1.5])
+    @pytest.mark.parametrize("seed", [-1, 2**64, 2**70, 1.5,
+                                      pytest.param(10**5000, id="beyond-str")])
     def test_seed_outside_64_bits_rejected(self, seed):
         with pytest.raises(DomainError):
             McConfig(trials=10, seed=seed)
@@ -203,8 +231,13 @@ class TestCountFields:
         (lambda: SystemParams(n_d=10**400), "n_d"),
         (lambda: detection.WillieParams(sigma_w2=0.05, n_d=10**400), "n_d"),
         (lambda: McConfig(trials=10**400, seed=1), "trials"),
+        # integers beyond Python's 4,300-digit string limit
+        (lambda: SystemParams(n_d=10**5000), "n_d"),
+        (lambda: detection.WillieParams(sigma_w2=0.05, n_d=10**5000), "n_d"),
+        (lambda: McConfig(trials=10**5000, seed=1), "trials"),
     ], ids=["system-n_d", "system-n_t", "willie-n_d", "mc-trials",
-            "system-n_d-beyond-double", "willie-n_d-beyond-double", "mc-trials-beyond-double"])
+            "system-n_d-beyond-double", "willie-n_d-beyond-double", "mc-trials-beyond-double",
+            "system-n_d-beyond-str", "willie-n_d-beyond-str", "mc-trials-beyond-str"])
     def test_non_integral_count_rejected(self, build, field):
         with pytest.raises(DomainError, match=field):
             build()

@@ -3,8 +3,8 @@ channel estimation: detection analysis, design optimization, and Monte Carlo
 validation.
 
 The library API is the layer modules, each indexed by its ``__all__``:
-``params`` (the scenario model and its checks), ``special``, ``detection``,
-``link``, ``optimizer``, ``simulation`` and ``errors``; ``cli`` is the
-command-line front end.  Importing the package loads none of them."""
+``params`` (the scenario model and its checks), ``special``, ``solver``,
+``detection``, ``link``, ``optimizer``, ``simulation`` and ``errors``; ``cli``
+is the command-line front end.  Importing the package loads none of them."""
 
 __version__ = "0.1.0"

@@ -2,9 +2,9 @@
 
 Closed-form false-alarm / missed-detection probabilities of the average-power
 test, the optimal threshold and minimum total error under perfect channel
-knowledge, the distribution-knowledge-only threshold found by numeric argmin,
-expectations over the Rayleigh fading gain, and the low-power linear
-approximation of the minimum total error.
+knowledge, the distribution-knowledge-only threshold at the sign change of
+its averaged error's slope, expectations over the Rayleigh fading gain, and
+the low-power linear approximation of the minimum total error.
 
 Fading averages run in the SNR x = g p_d / sigma_w2, with density
 e^(-x/a)/a for the mean SNR a = p_d / sigma_w2, on one composite 16-node
@@ -23,11 +23,12 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize, special
+from scipy import special
 from scipy.special import cython_special as _cs
 
 from .errors import DegenerateHypothesesError, NumericError
 from .params import check_fields, check_value
+from .solver import newton_bracket
 from .special import ln_gamma, reg_lower_gamma, reg_upper_gamma
 
 __all__ = [
@@ -44,6 +45,7 @@ __all__ = [
     "threshold_cdi_exact",
     "zeta_star_cdi",
     "expected_zeta_star_csi",
+    "expected_zeta_star_csi_and_slope",
     "expected_p_fa_csi",
 ]
 
@@ -204,9 +206,10 @@ def _average(weights, values, a):
     return value
 
 
-def _csi_averages(w: WillieParams):
+def _csi_averages(w: WillieParams, slope=False):
     """Fading averages of the false-alarm and missed-detection terms of
-    zeta*_n at mean SNR a = p_d / sigma_w2 >= _SNR_FLOOR."""
+    zeta*_n at mean SNR a = p_d / sigma_w2 >= _SNR_FLOOR; with ``slope``, their
+    sum and its derivative in ln a (the weights times x/a - 1)."""
     a = w.p_d / w.sigma_w2
     lo, hi = _span(a, w.n_d)
     if _TABLE_SPAN[0] <= lo and hi <= _TABLE_SPAN[1]:
@@ -216,15 +219,13 @@ def _csi_averages(w: WillieParams):
         x, weights = _rule(lo, hi)
         fa, md = _csi_terms(x, w.n_d)
     k = weights * np.exp(-x / a)
-    return _average(k, fa, a), _average(k, md, a)
+    averages = _average(k, fa, a), _average(k, md, a)
+    return (sum(averages), _average(k * (x / a - 1.0), fa + md, a)) if slope else averages
 
 
-def expected_zeta_cdi(lam: float, w: WillieParams) -> float:
-    """Total detection error at fixed threshold, averaged over the fading gain."""
-    check_value("threshold", lam, "positive")
+def _cdi_rule(lam, w: WillieParams):
+    """Nodes x of the fixed-threshold average at ``lam``, weights times e^(-x/a), a."""
     a = w.p_d / w.sigma_w2
-    if a < _SNR_FLOOR:
-        return 1.0
     lo, hi = _span(a, w.n_d)
     # The missed-detection probability steps down at x = lam / sigma_w2 - 1,
     # over about 1/sqrt(n_d) in ln(1 + x).
@@ -232,19 +233,47 @@ def expected_zeta_cdi(lam: float, w: WillieParams) -> float:
             + np.array([-8.0, -2.0, 0.0, 2.0, 8.0]) / math.sqrt(w.n_d))
     step = step[(math.log1p(lo) < step) & (step < math.log1p(hi))]
     x, weights = _rule(lo, hi, np.expm1(step))
+    return x, weights * np.exp(-x / a), a
+
+
+def expected_zeta_cdi(lam: float, w: WillieParams) -> float:
+    """Total detection error at fixed threshold, averaged over the fading gain."""
+    check_value("threshold", lam, "positive")
+    if w.p_d / w.sigma_w2 < _SNR_FLOOR:
+        return 1.0
+    x, k, a = _cdi_rule(lam, w)
     arg = w.n_d * (float(lam) / w.sigma_w2)  # inf where it overflows: no numpy warning
     md = special.gammainc(w.n_d, arg / (1.0 + x))
-    return _cs.gammaincc(w.n_d, arg) + _average(weights * np.exp(-x / a), md, a)
+    return _cs.gammaincc(w.n_d, arg) + _average(k, md, a)
+
+
+def _cdi_slope(u, w: WillieParams):
+    """A function with the sign of d/du expected_zeta_cdi at lam = sigma_w2 e^u,
+    and its u-derivative.  That slope is E_x[h(y / (1 + x))] - h(y) at
+    y = n_d lam / sigma_w2, with h(y) = y f(y) for f the Gamma(n_d, 1) density
+    and d/du h = (n_d - y) h.  Up to a common factor h = e^(n_d (t - e^t + 1))
+    at t = ln(y / n_d); the log of the ratio of the two terms, returned here,
+    is near linear about the root, and -inf where E_x underflows."""
+    x, k, a = _cdi_rule(math.exp(min(math.log(w.sigma_w2) + u, _LN_MAX)), w)
+    t = np.minimum(u - np.log1p(x), 50.0)  # clipped where h underflows anyway
+    h = np.exp(w.n_d * np.maximum(t - np.expm1(t), -1e3 / w.n_d))
+    mean = _average(k, h, a)
+    if mean == 0.0:
+        return -math.inf, 0.0
+    e = math.expm1(min(u, 700.0))
+    return (math.log(mean) + w.n_d * (e - u),
+            _average(k, -w.n_d * (np.expm1(t) * h), a) / mean + w.n_d * e)
 
 
 def threshold_cdi_exact(w: WillieParams) -> float:
-    """Threshold minimizing the fading-averaged total error (numeric argmin).
+    """Threshold minimizing the fading-averaged total error, where its slope
+    changes sign (``solver.newton_bracket``).
 
     At p_d = 0 the hypotheses coincide and every threshold is equally good;
     the noise floor sigma_w2, its low-power limit, is returned there and
     wherever the averaged error is its zero-power limit (below the SNR floor).
     The search runs in u = ln(lam / sigma_w2) on a bracket fixed in advance,
-    to 1e-8 relative in lam; lam stays below the largest double.
+    to 1e-8 relative in lam (below the largest double), from u = 0.
     """
     if w.p_d / w.sigma_w2 < _SNR_FLOOR:
         return w.sigma_w2
@@ -257,12 +286,9 @@ def threshold_cdi_exact(w: WillieParams) -> float:
     ln_s = math.log(w.sigma_w2)
     ln_1pa = math.log(w.sigma_w2 + w.p_d) - ln_s
     hi = min(ln_1pa + math.log1p(ln_1pa), _LN_MAX - ln_s)
-    lam = lambda u: math.exp(min(ln_s + u, _LN_MAX))
-    res = optimize.minimize_scalar(lambda u: expected_zeta_cdi(lam(u), w), bounds=(0.0, hi),
-                                   method="bounded", options={"xatol": 1e-8})
-    if not res.success:
-        raise NumericError(f"threshold minimization failed: {res.message}")
-    return lam(res.x)
+    slope = lambda u: _cdi_slope(u, w)
+    u = newton_bracket(slope, 0.0, hi, 0.0, *slope(0.0), 1e-8)
+    return math.exp(min(ln_s + u, _LN_MAX))
 
 
 def zeta_star_cdi(w: WillieParams) -> float:
@@ -272,10 +298,12 @@ def zeta_star_cdi(w: WillieParams) -> float:
 
 def expected_zeta_star_csi(w: WillieParams) -> float:
     """Fading-gain average of the perfect-knowledge minimum error."""
-    if w.p_d / w.sigma_w2 < _SNR_FLOOR:
-        return 1.0
-    fa, md = _csi_averages(w)
-    return fa + md
+    return 1.0 if w.p_d / w.sigma_w2 < _SNR_FLOOR else sum(_csi_averages(w))
+
+
+def expected_zeta_star_csi_and_slope(w: WillieParams):
+    """expected_zeta_star_csi and its derivative in ln p_d."""
+    return (1.0, 0.0) if w.p_d / w.sigma_w2 < _SNR_FLOOR else _csi_averages(w, slope=True)
 
 
 def expected_p_fa_csi(w: WillieParams) -> float:

@@ -6,7 +6,7 @@ fields of the scenario are ignored; candidate designs are evaluated on copies.
 Both solvers are one search over candidate symbol counts in increasing order
 and differ only in the power rule.  Exact solver: the admissible counts, each
 with the data power meeting the fading-averaged covertness constraint with
-equality (Brent's method in ln P_D between the closed-form power and p_max),
+equality (safeguarded Newton in ln P_D from the closed-form power toward p_max),
 until a throughput bound proves that no larger count can do better.
 Closed-form solver: the inverted linearized constraint, which pins the
 symbol count at its lower bound.  Either solver can be pinned to one
@@ -14,17 +14,16 @@ admissible count (``force_nd``).  Either power is capped at ``p_max``, and a
 capped design is checked against the fading-averaged constraint.
 """
 
-import functools
 import math
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
-from scipy import optimize
-
-from .detection import WillieParams, expected_zeta_star_csi, low_power_scale
+from .detection import (WillieParams, expected_zeta_star_csi, expected_zeta_star_csi_and_slope,
+                        low_power_scale)
 from .errors import DomainError, NumericError
 from .link import throughput
 from .params import SystemParams, check_value
+from .solver import newton_bracket
 
 __all__ = [
     "DesignSolution",
@@ -67,24 +66,27 @@ def power_for_covertness_exact(n_d: int, params: SystemParams) -> CovertPower:
 
     The averaged error is 1 at zero power and strictly decreasing, and it
     lies above its linearization, so the root is bracketed by the closed-form
-    power and p_max.  The search runs in ln P_D, to relative tolerance
-    _CONSTRAINT_RTOL.  The capped case can only make the constraint slack,
-    never violate it.
+    power and p_max.  One average at p_max decides the cap; otherwise
+    ``solver.newton_bracket`` runs in ln P_D from the closed-form power, on
+    the error and its slope, to relative tolerance _CONSTRAINT_RTOL.  The
+    capped case can only make the constraint slack, never violate it.
     """
     target = 1.0 - params.epsilon
 
-    @functools.cache  # brentq re-evaluates both bracket ends
-    def gap(u):
-        return _avg_error(n_d, math.exp(u), params) - target
+    def gap(u):  # rises through the root in u = ln P_D, with its slope
+        value, slope = expected_zeta_star_csi_and_slope(
+            WillieParams(sigma_w2=params.sigma_w2, n_d=n_d, p_d=math.exp(u)))
+        return target - value, -slope
 
     lo = math.log(power_for_covertness_suboptimal(n_d, params).value)
     hi = math.log(params.p_max)
-    if gap(hi) >= 0.0:
+    if gap(hi)[0] <= 0.0:
         # root lies beyond p_max: cap, constraint still satisfied
         return CovertPower(value=params.p_max, capped=True)
-    if gap(lo) < 0.0:
+    start = gap(lo)
+    if start[0] > 0.0:
         raise NumericError(f"the closed-form power overshoots the covertness root (n_d={n_d})")
-    return _capped(math.exp(optimize.brentq(gap, lo, hi, xtol=_CONSTRAINT_RTOL)), params)
+    return _capped(math.exp(newton_bracket(gap, lo, hi, lo, *start, _CONSTRAINT_RTOL)), params)
 
 
 def power_for_covertness_suboptimal(n_d: int, params: SystemParams) -> CovertPower:

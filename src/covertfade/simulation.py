@@ -192,7 +192,8 @@ def _binomial_se(p_hat, n):
 def estimate_detection(params: SystemParams, mc: McConfig) -> DetectionEstimate:
     """Empirical false-alarm / missed-detection / total error rates at
     ``mc.threshold`` with binomial standard errors; half the trials run under
-    each hypothesis."""
+    each hypothesis.  The pilot budget is checked before any draw."""
+    link.estimation_error_var(params)
     n_h1 = mc.trials // 2
     n_h0 = mc.trials - n_h1
     lam = mc.threshold
@@ -218,8 +219,9 @@ def estimate_pcc(params: SystemParams, mc: McConfig) -> PccEstimate:
     realized post-estimation SNR supports the fixed rate.
 
     Runs the channel stage alone; its draws are the ones a full H1 batch on
-    the same stream would make.
+    the same stream would make.  The pilot budget is checked before any draw.
     """
+    link.estimation_error_var(params)
     channels = draw_channels(params, mc.trials, _rng(mc.seed, 2))
     outage = _outage(params, channels["h_b_hat"], channels["h_b_tilde"])
     p_cc_hat = float(np.mean(~outage))

@@ -467,3 +467,12 @@ def test_package_import_loads_no_layer_module():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
     assert out.stdout.strip() == "[]"
+
+
+def test_cli_start_loads_no_scipy_optimize():
+    # both numeric searches run on covertfade.solver; scipy.optimize serves the tests only
+    code = ("import sys, covertfade.cli; covertfade.cli.build_parser(); "
+            "print('scipy.optimize' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+    assert out.stdout.strip() == "False"

@@ -219,6 +219,30 @@ class TestCdiThreshold:
         assert threshold_cdi_exact(w) == pytest.approx(lam_oracle, abs=1e-4)
 
 
+    @pytest.mark.parametrize("n_d", [1, 10, 50, 400, 5000])
+    def test_exact_matches_a_bounded_scalar_minimizer(self, n_d):
+        for p_d in (1e-4, 1e-2, 1.0, 10.0, 1e4, 1e10):
+            w = willie(n_d=n_d, p_d=p_d)
+            lam, ref = threshold_cdi_exact(w), argmin_by_minimize_scalar(w)
+            assert lam == pytest.approx(ref, rel=1e-6, abs=0), p_d
+            assert expected_zeta_cdi(lam, w) == pytest.approx(expected_zeta_cdi(ref, w),
+                                                              rel=1e-12, abs=0), p_d
+
+
+def argmin_by_minimize_scalar(w):
+    """The CDI argmin by scipy's bounded scalar minimizer on the averaged
+    error itself, over the bracket of threshold_cdi_exact in u = ln(lam /
+    sigma_w2), to 1e-8 in u."""
+    ln_s = math.log(w.sigma_w2)
+    ln_1pa = math.log(w.sigma_w2 + w.p_d) - ln_s
+    hi = min(ln_1pa + math.log1p(ln_1pa), detection._LN_MAX - ln_s)
+    lam = lambda u: math.exp(min(ln_s + u, detection._LN_MAX))
+    res = minimize_scalar(lambda u: expected_zeta_cdi(lam(u), w), bounds=(0.0, hi),
+                          method="bounded", options={"xatol": 1e-8})
+    assert res.success
+    return lam(res.x)
+
+
 class TestExpectedZetaCdi:
     def test_no_power_is_one(self):
         for lam in (0.01, SW2, 0.2):
@@ -298,6 +322,21 @@ class TestExpectedZetaStarCsi:
         g = sample_exponential_gains(1_000_000, seed=107)
         oracle = float(np.mean(zeta_star_csi_ref(g * 0.005, SW2, 50)))
         assert expected_zeta_star_csi(w) == pytest.approx(oracle, abs=0.001)
+
+
+    @pytest.mark.parametrize("n_d", [1, 50, 5000])
+    def test_slope_in_ln_power_matches_a_central_difference(self, n_d):
+        step = 1e-5
+        for p_d in (1e-12, 1e-4, 0.02, 1.0, 1e3, 1e10):  # in and out of the table window
+            w = willie(n_d=n_d, p_d=p_d)
+            value, slope = detection.expected_zeta_star_csi_and_slope(w)
+            assert value == expected_zeta_star_csi(w)
+            up, down = (expected_zeta_star_csi(willie(n_d=n_d, p_d=p_d * math.exp(s)))
+                        for s in (step, -step))
+            assert slope == pytest.approx((up - down) / (2 * step), rel=1e-6, abs=1e-10), p_d
+
+    def test_slope_below_the_snr_floor_is_zero(self):
+        assert detection.expected_zeta_star_csi_and_slope(willie(p_d=1e-320)) == (1.0, 0.0)
 
 
 class TestExpectedPFaCsi:

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
-from covertfade.detection import WillieParams, expected_zeta_star_csi
+from covertfade.detection import (WillieParams, expected_zeta_star_csi,
+                                  expected_zeta_star_csi_and_slope)
 from covertfade.errors import DomainError, NumericError
 from covertfade import optimizer
 from covertfade.optimizer import (
@@ -61,9 +62,9 @@ class TestExactPower:
 
         def counting(w):
             calls.append(w.p_d)
-            return expected_zeta_star_csi(w)
+            return expected_zeta_star_csi_and_slope(w)
 
-        monkeypatch.setattr(optimizer, "expected_zeta_star_csi", counting)
+        monkeypatch.setattr(optimizer, "expected_zeta_star_csi_and_slope", counting)
         power = power_for_covertness_exact(50, problem(epsilon=0.05, p_max=p_max))
         if p_max == 1e-4:  # one average at p_max decides the cap
             assert power.capped and len(calls) == 1
@@ -91,7 +92,7 @@ class TestExactPower:
                     assert power_for_covertness_exact(n_d, prob).value >= p_lin
 
     def test_closed_form_power_past_the_root_raises(self, monkeypatch):
-        monkeypatch.setattr(optimizer, "_avg_error", lambda n_d, p_d, params: 0.0)
+        monkeypatch.setattr(optimizer, "expected_zeta_star_csi_and_slope", lambda w: (0.0, 0.0))
         with pytest.raises(NumericError, match="closed-form power"):
             power_for_covertness_exact(50, problem(epsilon=0.05))
 

@@ -8,7 +8,7 @@ import pytest
 from scipy import stats as stats_mod
 
 from conftest import pilot_estimates, radiometer_statistics_signal
-from covertfade import detection, link
+from covertfade import detection, link, simulation
 from covertfade.cli import main
 from covertfade.errors import DomainError
 from covertfade.params import SystemParams
@@ -298,6 +298,18 @@ class TestEstimatePcc:
         est = estimate_pcc(p, McConfig(trials=1_000_000, seed=33))
         analytic = link.covert_connection_prob(p)
         assert abs(est.p_cc - analytic) <= 3.0 * est.se
+
+
+class TestPilotBudgetFirst:
+    @pytest.mark.parametrize("estimate", [estimate_detection, estimate_pcc])
+    def test_unusable_budget_raises_before_any_draw(self, monkeypatch, estimate):
+        # n_t * p_t overflows, so beta_b = 0; no batch may be drawn first.
+        def no_draw(*args):
+            raise AssertionError("a batch was drawn before the pilot budget was checked")
+
+        monkeypatch.setattr(simulation, "draw_channels", no_draw)
+        with pytest.raises(DomainError, match="beta_b"):
+            estimate(params(n_t=1e308, p_t=1e10), McConfig(trials=100_000, seed=1))
 
 
 class TestEstimationStatistics:

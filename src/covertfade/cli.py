@@ -6,7 +6,7 @@ fields, ``--trials``, ``--force-nd``, ``--n-d-list``) is read by
 ``params.count`` and judged by ``params.check_value``, so ``50.0`` runs as 50
 and ``50.5`` exits 2; ``--seed`` and ``--trace-slots`` take ints.
 
-Exit codes: 0 success, 2 usage error, 3 numeric failure.
+Exit codes: 0 success, 2 usage error or unusable file, 3 numeric failure.
 """
 
 import argparse
@@ -40,8 +40,11 @@ def _emit(rows, header, out_path) -> None:
     lines.extend(",".join(_fmt(v) for v in row) for row in rows)
     text = "\n".join(lines) + "\n"
     if out_path:
-        with open(out_path, "w", newline="", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(out_path, "w", newline="", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise DomainError(f"{out_path}: {exc.strerror or exc}") from None
     else:
         sys.stdout.write(text)
 

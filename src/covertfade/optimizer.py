@@ -3,15 +3,14 @@ power P_D and the block length N_D, for the budget ``epsilon``, the power cap
 ``p_max`` and the bounds ``n_d_min``..``n_d_max``.  The ``p_d`` and ``n_d``
 fields of the scenario are ignored; candidate designs are evaluated on copies.
 
-Both solvers are one search over candidate symbol counts in increasing order
-and differ only in the power rule.  Exact solver: the admissible counts, each
-with the data power meeting the fading-averaged covertness constraint with
-equality (safeguarded Newton in ln P_D from the closed-form power toward p_max),
-until a throughput bound proves that no larger count can do better.
-Closed-form solver: the inverted linearized constraint, which pins the
-symbol count at its lower bound.  Either solver can be pinned to one
-admissible count (``force_nd``).  Either power is capped at ``p_max``, and a
-capped design is checked against the fading-averaged constraint.
+Both solvers are one search over the admissible symbol counts in increasing
+order, stopped once a throughput bound proves that no larger count can do
+better, and differ only in the power rule.  Exact solver: the data power
+meeting the fading-averaged covertness constraint with equality (safeguarded
+Newton in ln P_D from the closed-form power toward p_max).  Closed-form
+solver: the inverted linearized constraint.  Either solver can be pinned to
+one admissible count (``force_nd``).  Either power is capped at ``p_max``, and
+a capped design is checked against the fading-averaged constraint.
 """
 
 import math
@@ -106,8 +105,10 @@ def _search(params: SystemParams, candidates, power_rule) -> DesignSolution:
     Both power rules are nonincreasing in n_d: with CSI the radiometer is the
     likelihood-ratio test, so its averaged error cannot rise with n_d, and the
     closed-form power falls with n_d.  Every later count therefore delivers
-    at most the last count's throughput at the current power, and the search
-    stops once that bound cannot beat the best design so far.
+    at most the last count's throughput at the current power, which is this
+    count's throughput times n_top / n_d (at a fixed power the throughput is
+    linear in n_d), and the search stops once that bound cannot beat the best
+    design so far.
     """
     best = None
     n_top = candidates[-1]
@@ -119,7 +120,7 @@ def _search(params: SystemParams, candidates, power_rule) -> DesignSolution:
         value = _throughput_at(n_d, power.value, params)
         if best is None or value > best[0]:
             best = (value, n_d, power)
-        if _throughput_at(n_top, power.value, params) <= best[0]:
+        if value * (n_top / n_d) <= best[0]:
             break
 
     value, n_d, power = best
@@ -128,28 +129,26 @@ def _search(params: SystemParams, candidates, power_rule) -> DesignSolution:
     return DesignSolution(power.value, n_d, value, power.capped, violated)
 
 
-def _forced(params: SystemParams, force_nd) -> list:
+def _candidates(params: SystemParams, force_nd) -> range:
+    """The admissible symbol counts in increasing order, or only ``force_nd``
+    (to compare against a deliberately suboptimal blocklength)."""
+    if force_nd is None:
+        return range(params.n_d_min, params.n_d_max + 1)
     force_nd = check_value("force_nd", force_nd, "counts")
     if not params.n_d_min <= force_nd <= params.n_d_max:
         raise DomainError(f"force_nd={force_nd} outside [{params.n_d_min}, {params.n_d_max}]")
-    return [force_nd]
+    return range(force_nd, force_nd + 1)
 
 
 def solve_p1(params: SystemParams, force_nd: int = None) -> DesignSolution:
-    """Search over the admissible symbol counts with the exact
-    constraint-equality power at each, stopped at the throughput bound of
-    ``_search``; the result is the same as evaluating every count.
-
-    ``force_nd`` restricts the search to a single count (used for comparing
-    against deliberately suboptimal blocklengths).
-    """
-    candidates = (range(params.n_d_min, params.n_d_max + 1) if force_nd is None
-                  else _forced(params, force_nd))
-    return _search(params, candidates, power_for_covertness_exact)
+    """Exact design: ``_search`` over ``_candidates`` with the
+    constraint-equality power at each count."""
+    return _search(params, _candidates(params, force_nd), power_for_covertness_exact)
 
 
 def solve_p1_1(params: SystemParams, force_nd: int = None) -> DesignSolution:
-    """Closed-form design: minimum symbol count with the linearized power, or
-    the admissible count ``force_nd`` with the linearized power there."""
-    candidates = [params.n_d_min] if force_nd is None else _forced(params, force_nd)
-    return _search(params, candidates, power_for_covertness_suboptimal)
+    """Closed-form design: the same search with the linearized power.  Under
+    it the throughput is unimodal in n_d, so the design is ``n_d_min`` exactly
+    where the throughput already falls there (the paper's minimum-count
+    result)."""
+    return _search(params, _candidates(params, force_nd), power_for_covertness_suboptimal)

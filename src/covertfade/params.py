@@ -119,19 +119,23 @@ _FIELD_TYPES = {f.name: count if f.type is int else f.type for f in fields(Syste
 
 def parse_params_file(path) -> dict:
     """Read a ``key = value`` parameter file; '#' starts a comment."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise DomainError(f"{path}: {getattr(exc, 'strerror', None) or exc}") from None
     overrides = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise DomainError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
-            key, value = (part.strip() for part in line.split("=", 1))
-            if key not in _FIELD_TYPES:
-                raise DomainError(f"{path}:{lineno}: unknown parameter {key!r}")
-            try:
-                overrides[key] = _FIELD_TYPES[key](value)
-            except ValueError:
-                raise DomainError(f"{path}:{lineno}: bad value for {key}: {value!r}") from None
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise DomainError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
+        key, value = (part.strip() for part in line.split("=", 1))
+        if key not in _FIELD_TYPES:
+            raise DomainError(f"{path}:{lineno}: unknown parameter {key!r}")
+        try:
+            overrides[key] = _FIELD_TYPES[key](value)
+        except ValueError:
+            raise DomainError(f"{path}:{lineno}: bad value for {key}: {value!r}") from None
     return overrides

@@ -14,8 +14,10 @@ from pathlib import Path
 import numpy as np
 from numpy.polynomial.laguerre import laggauss
 from scipy import integrate
+from scipy.special import digamma as sp_digamma
 from scipy.special import gammainc as sp_gammainc
 from scipy.special import gammaincc as sp_gammaincc
+from scipy.special import gammaln as sp_gammaln
 
 
 def radiometer_statistics(n_d, variance, trials, seed, chunk=100_000):
@@ -128,3 +130,27 @@ def snr_integral_quad(f, a=math.inf):
 
 def sample_exponential_gains(n, seed):
     return np.random.default_rng(seed).exponential(1.0, n)
+
+
+def sign_threshold(n):
+    """L(N) = N + ln Gamma(N) - (N+1) ln N - ln(ln N - psi(N)), elementwise;
+    ln N - psi(N) > 0 for every N >= 1."""
+    n = np.asarray(n, dtype=float)
+    return n + sp_gammaln(n) - (n + 1.0) * np.log(n) - np.log(np.log(n) - sp_digamma(n))
+
+
+def throughput_derivative_sign(n_d, params):
+    """Sign of d/dN of N * R * P_cc when the data power rides the linearized
+    covertness constraint (N continuous), from the paper's condition.
+
+    The derivative equals a strictly positive prefactor times
+    ``e^N Gamma(N) - A N^(N+1) (ln N - psi(N))`` with
+    ``A = sigma_b2 (2^R - 1) / (sigma_w2 (1 - beta_b) epsilon)``, so its sign
+    is that of L(N) - ln A (``sign_threshold``), compared in log space since
+    N^N overflows long before N = 200.
+    """
+    pilot = params.n_t * params.p_t
+    one_minus_beta = pilot / (params.sigma_b2 + pilot)
+    a = params.sigma_b2 * math.expm1(params.rate * math.log(2.0)) / (
+        params.sigma_w2 * one_minus_beta * params.epsilon)
+    return float(np.sign(sign_threshold(n_d) - math.log(a)))

@@ -205,7 +205,8 @@ class TestOptimize:
 
     def test_golden_bytes_capped_with_pilot(self, capsys):
         # p_t = 1 keeps the estimate good, so the designs capped at ε 0.2
-        # carry positive throughput (exact n_d 100, closed-form n_d 50).
+        # carry positive throughput (both at n_d 100, where the shared power
+        # delivers the most).
         code, out = run(
             capsys, "optimize", "--epsilon-grid", "0.01,0.2", "--method", "both",
             "--p-max", "2e-3", "--p-t", "1",
@@ -215,7 +216,8 @@ class TestOptimize:
 
     def test_golden_bytes_wide_symbol_range(self, capsys):
         # Captured by evaluating every count; at epsilon 0.2 the exact optimum
-        # is the interior n_d 28, so the bounded search must not stop short.
+        # is the interior n_d 28 and the closed-form one n_d 24, so the bounded
+        # search must not stop short.
         code, out = run(
             capsys, "optimize", "--epsilon-grid", "0.05,0.2", "--n-d-min", "1",
             "--n-d-max", "400", "--method", "both",
@@ -449,6 +451,24 @@ class TestParameterHandling:
         code, _ = run(capsys, "optimize", "--epsilon-grid", "0.05",
                       "--params", str(cfg))
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "command, flag, target",
+        [(["optimize", "--epsilon-grid", "0.05"], "--params", "missing.txt"),
+         (["optimize", "--epsilon-grid", "0.05"], "--params", "undecodable.txt"),
+         (["optimize", "--epsilon-grid", "0.05"], "--params", "."),
+         (["optimize", "--epsilon-grid", "0.05"], "--out", "missing/x.csv"),
+         (["simulate", "--trials", "100", "--seed", "1"], "--dump-traces", "missing/t.csv")],
+        ids=["missing-params", "undecodable-params", "params-directory", "out-in-missing-dir",
+             "traces-in-missing-dir"],
+    )
+    def test_file_error_exits_2_naming_the_path(self, tmp_path, capsys, command, flag, target):
+        (tmp_path / "undecodable.txt").write_bytes(b"\xff")
+        path = str(tmp_path / target)
+        code, err = run_err(capsys, *command, flag, path)
+        assert code == 2
+        assert err.startswith(f"error: {path}: ")
+        assert "Traceback" not in err
 
     def test_csv_format(self, tmp_path):
         path = tmp_path / "o.csv"

@@ -3,13 +3,13 @@ import math
 import numpy as np
 import pytest
 
+from conftest import throughput_derivative_sign
 from covertfade.errors import DomainError
 from covertfade.link import (
     covert_connection_prob,
     estimation_error_var,
     snr_bob,
     throughput,
-    throughput_derivative_sign,
 )
 from covertfade.params import SystemParams
 

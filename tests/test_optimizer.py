@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
+from conftest import sign_threshold, throughput_derivative_sign
 from covertfade.detection import (WillieParams, expected_zeta_star_csi,
                                   expected_zeta_star_csi_and_slope)
 from covertfade.errors import DomainError, NumericError
@@ -19,13 +20,14 @@ from covertfade.params import SystemParams
 SW2 = 0.05
 
 
-def problem(epsilon=0.05, p_max=1.0, n_d_min=50, n_d_max=100, sigma_w2=SW2, p_t=None):
+def problem(epsilon=0.05, p_max=1.0, n_d_min=50, n_d_max=100, sigma_w2=SW2, p_t=None,
+            sigma_b2=0.01):
     return SystemParams(
         epsilon=epsilon,
         p_max=p_max,
         n_d_min=n_d_min,
         n_d_max=n_d_max,
-        sigma_b2=0.01, rate=1.0, n_t=1, p_t=p_max if p_t is None else p_t,
+        sigma_b2=sigma_b2, rate=1.0, n_t=1, p_t=p_max if p_t is None else p_t,
         sigma_w2=sigma_w2,
     )
 
@@ -177,7 +179,7 @@ class TestSharedSearch:
     @pytest.mark.parametrize(
         "solve, rule, calls",
         [(solve_p1, "power_for_covertness_exact", 3),
-         (solve_p1_1, "power_for_covertness_suboptimal", 1)],
+         (solve_p1_1, "power_for_covertness_suboptimal", 3)],
     )
     def test_power_rule_looked_up_at_call_time(self, monkeypatch, solve, rule, calls):
         # tracers wrap the module attribute, so the solvers must call through it;
@@ -216,23 +218,28 @@ def design(sol):
 
 class TestThroughputBound:
     @pytest.mark.parametrize(
-        "p_max, p_t, n_d_max, grid",
-        [(1.0, None, 100, np.linspace(0.01, 0.2, 20)),
-         (1e-4, None, 100, np.linspace(0.01, 0.2, 20)),
-         (1e-4, 1.0, 100, np.linspace(0.01, 0.2, 20)),
-         (1.0, None, 400, (0.01, 0.05, 0.2))],
-        ids=["criteria-4-5", "all-capped", "all-capped-pilot-1", "n_d-1-400"],
+        "p_max, p_t, sigma_b2, n_d_max, grid",
+        [(1.0, None, 0.01, 100, np.linspace(0.01, 0.2, 20)),
+         (1e-4, None, 0.01, 100, np.linspace(0.01, 0.2, 20)),
+         (1e-4, 1.0, 0.01, 100, np.linspace(0.01, 0.2, 20)),
+         (1.0, None, 0.01, 400, (0.01, 0.05, 0.2)),
+         (1.0, None, 1e-3, 100, (0.5,))],
+        ids=["criteria-4-5", "all-capped", "all-capped-pilot-1", "n_d-1-400",
+             "rising-closed-form"],
     )
-    def test_bounded_search_equals_full_enumeration(self, p_max, p_t, n_d_max, grid):
+    def test_bounded_search_equals_full_enumeration(self, p_max, p_t, sigma_b2, n_d_max, grid):
         # p_t = p_max = 1e-4 is the CLI's capped case (zero throughput
-        # everywhere); p_t = 1 gives positive capped throughputs
+        # everywhere); p_t = 1 gives positive capped throughputs; at epsilon
+        # 0.5 and sigma_b2 1e-3 the closed-form throughput rises past n_d_min
         n_d_min = 50 if n_d_max == 100 else 1
         for eps in grid:
-            prob = problem(epsilon=float(eps), p_max=p_max, p_t=p_t,
+            prob = problem(epsilon=float(eps), p_max=p_max, p_t=p_t, sigma_b2=sigma_b2,
                            n_d_min=n_d_min, n_d_max=n_d_max)
             expected = enumerate_designs(prob)
             assert design(solve_p1(prob)) == expected
             assert expected[3] == (p_max == 1e-4)
+            assert design(solve_p1_1(prob)) == enumerate_designs(
+                prob, power_for_covertness_suboptimal)
 
     def test_closed_form_power_rule_under_the_bound(self):
         # the closed-form power also falls with n_d, so the bound holds for it
@@ -265,6 +272,30 @@ class TestSolveP11:
     def test_always_minimum_symbols(self):
         for eps in (0.01, 0.05, 0.2):
             assert solve_p1_1(problem(epsilon=eps)).n_d_star == 50
+
+    def test_minimum_count_exactly_where_the_paper_condition_holds(self):
+        # The paper's sign condition compares L(N) with ln A, and L falls with
+        # N, so the closed-form throughput is unimodal in n_d: the design is
+        # n_d_min where the sign there is <= 0, and otherwise sits where the
+        # sign changes.
+        assert np.all(np.diff(sign_threshold(np.arange(1, 100_001))) < 0)
+        interior = 0
+        for eps in (0.01, 0.05, 0.1, 0.2, 0.5, 0.9):
+            for sigma_b2 in (1e-3, 1e-2, 1e-1):
+                for n_d_min in (1, 10, 50, 200):
+                    prob = problem(epsilon=eps, sigma_b2=sigma_b2, n_d_min=n_d_min,
+                                   n_d_max=400)
+                    sol = solve_p1_1(prob)
+                    assert not sol.power_capped
+                    sign = lambda n: throughput_derivative_sign(n, prob)
+                    if sign(n_d_min) <= 0:
+                        assert sol.n_d_star == n_d_min
+                    if sign(n_d_min + 1) > 0:
+                        assert sol.n_d_star > n_d_min
+                    if n_d_min < sol.n_d_star < prob.n_d_max:
+                        interior += 1
+                        assert sign(sol.n_d_star - 1) > 0 > sign(sol.n_d_star + 1)
+        assert interior > 0
 
     def test_linearized_constraint_inverts_exactly(self):
         # averaged linearized error at the closed-form power equals 1 - eps

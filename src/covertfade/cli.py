@@ -7,10 +7,12 @@ fields, ``--trials``, ``--force-nd``, ``--n-d-list``) is read by
 and ``50.5`` exits 2; ``--seed`` and ``--trace-slots`` take ints.
 
 Exit codes: 0 success, 2 usage error or unusable file, 3 numeric failure.
+Every output path is opened before any work, so an unusable one prints nothing.
 """
 
 import argparse
 import math
+import os
 import sys
 from dataclasses import replace
 
@@ -35,16 +37,20 @@ def _fmt(value) -> str:
     return str(value)
 
 
+def _write(path, text="", mode="w") -> None:
+    try:
+        with open(path, mode, newline="", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise DomainError(f"{path}: {exc.strerror or exc}") from None
+
+
 def _emit(rows, header, out_path) -> None:
     lines = [",".join(header)]
     lines.extend(",".join(_fmt(v) for v in row) for row in rows)
     text = "\n".join(lines) + "\n"
     if out_path:
-        try:
-            with open(out_path, "w", newline="", encoding="utf-8") as fh:
-                fh.write(text)
-        except OSError as exc:
-            raise DomainError(f"{out_path}: {exc.strerror or exc}") from None
+        _write(out_path, text)
     else:
         sys.stdout.write(text)
 
@@ -208,6 +214,12 @@ def main(argv=None) -> int:
         "simulate": cmd_simulate,
     }
     try:
+        for path in (args.out, getattr(args, "dump_traces", None)):
+            if path:  # an unusable path exits 2 before any work; no file is left
+                new = not os.path.lexists(path)
+                _write(path, mode="a")
+                if new:
+                    os.remove(path)
         return handlers[args.command](args)
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)

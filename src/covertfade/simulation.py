@@ -6,27 +6,27 @@ observations (so the LMMSE formula itself is exercised), the adversary's
 radiometer decides from its realized average power, and outage is declared
 from the realized estimate/error decomposition.
 
-A slot runs in two stages.  ``draw_channels`` draws the fading gains h_b and
-h_w and the mean of the n_t pilot observations, and forms Bob's LMMSE
-estimate and its error; ``radiometer_statistic`` then draws Willie's average
-received power over n_d samples.  Each stage draws a sufficient statistic,
-one variate per slot, rather than sample by sample: the estimate reads the
-pilots only through their mean, sqrt(p_t) h_b + CN(0, sigma_b2 / n_t), and
-at a fixed h_w the radiometer average is exactly a scaled Gamma(n_d, 1)
-variate (the energy-detector law).  The symbol-level routes are kept in the
-tests as their oracles.  ``simulate_slots`` composes the two stages.  The outage
-decision (``link.snr_bob`` on the realized estimate and error) depends only
-on the first stage, so ``estimate_pcc`` draws channels and nothing else.  A
-generator is consumed in the order h_b, h_w, pilot-mean noise, then one Gamma
-variate per slot, so stopping after the first stage leaves every channel
-draw, and hence every outage decision, unchanged.  ``analytic_detection``
-and ``analytic_zeta`` give the closed forms at each threshold policy.
+A slot runs in two stages, one per receiver, and each estimator draws only
+the stage its decision reads.  ``draw_channels`` is Bob's side: the fading
+gain h_b and the mean of the n_t pilot observations, from which it forms
+Bob's LMMSE estimate and its error.  ``simulate_slots`` is Willie's side: the
+fading gain h_w, then his average received power over n_d samples from
+``radiometer_statistic``.  Each stage draws a sufficient statistic, one
+variate per slot, rather than sample by sample: the estimate reads the pilots
+only through their mean, sqrt(p_t) h_b + CN(0, sigma_b2 / n_t), and at a
+fixed h_w the radiometer average is exactly a scaled Gamma(n_d, 1) variate
+(the energy-detector law).  The symbol-level routes are kept in the tests as
+their oracles.  Streams 0 and 1 (H0, H1 of ``estimate_detection``) hold h_w
+then one Gamma variate per slot; stream 2 (``estimate_pcc``) holds h_b then
+the pilot-mean noise.  ``analytic_detection`` and ``analytic_zeta`` give the
+closed forms at each threshold policy.
 
 A run's threshold is resolved once, by ``policy_threshold``, and carried in
 ``McConfig.threshold`` (None: the per-slot CSI threshold set from h_w).  The
 rows of ``simulate --dump-traces`` come from ``trace_rows``: one H0 batch then
-one H1 batch on the trace stream (stream 9; the estimators use 0-2), with the
-run's threshold and the outage rule of ``estimate_pcc`` applied per slot.
+one H1 batch on the trace stream (stream 9; the estimators use 0-2), each
+batch drawing Bob's stage then Willie's, with the run's threshold and the
+outage rule of ``estimate_pcc`` applied per slot.
 
 Randomness comes from numpy's counter-based Philox generator keyed by the
 two words (seed, stream), with a 64-bit seed; batch estimators consume one
@@ -135,16 +135,15 @@ def _thresholds(params: SystemParams, lam, h_w):
 
 def draw_channels(params: SystemParams, n_slots: int,
                   rng: np.random.Generator) -> dict:
-    """Channel stage of a slot batch: fading gains h_b and h_w, then the
-    pilots' mean, and Bob's LMMSE estimate of h_b with its error; arrays keyed
-    h_b, h_w, h_b_hat and h_b_tilde.  Nothing grows with n_t."""
+    """Bob's side of a slot batch: the fading gain h_b, then the pilots' mean,
+    and Bob's LMMSE estimate of h_b with its error; arrays keyed h_b, h_b_hat
+    and h_b_tilde.  Nothing grows with n_t."""
     n_slots = check_value("n_slots", n_slots, "counts")
     h_b = _cn(rng, n_slots, 1.0)
-    h_w = _cn(rng, n_slots, 1.0)
     amp = math.sqrt(params.p_t)
     y_mean = amp * h_b + _cn(rng, n_slots, params.sigma_b2 / params.n_t)
     h_hat = params.n_t * amp / (params.sigma_b2 + params.n_t * params.p_t) * y_mean
-    return {"h_b": h_b, "h_w": h_w, "h_b_hat": h_hat, "h_b_tilde": h_b - h_hat}
+    return {"h_b": h_b, "h_b_hat": h_hat, "h_b_tilde": h_b - h_hat}
 
 
 def radiometer_statistic(params: SystemParams, transmit: bool, h_w,
@@ -174,13 +173,12 @@ def _outage(params: SystemParams, h_hat, h_tilde):
 
 def simulate_slots(params: SystemParams, hypothesis: str, n_slots: int,
                    rng: np.random.Generator) -> dict:
-    """Vectorized slot batch, the channel stage then the radiometer stage;
-    the ``draw_channels`` arrays plus the radiometer ``statistic``."""
+    """Willie's side of a slot batch: the fading gain h_w, then the
+    radiometer stage; arrays keyed h_w and statistic."""
     if hypothesis not in ("H0", "H1"):
         raise DomainError("hypothesis must be 'H0' or 'H1'")
-    out = draw_channels(params, n_slots, rng)
-    out["statistic"] = radiometer_statistic(params, hypothesis == "H1", out["h_w"], rng)
-    return out
+    h_w = _cn(rng, check_value("n_slots", n_slots, "counts"), 1.0)
+    return {"h_w": h_w, "statistic": radiometer_statistic(params, hypothesis == "H1", h_w, rng)}
 
 
 def _binomial_se(p_hat, n):
@@ -218,8 +216,8 @@ def estimate_pcc(params: SystemParams, mc: McConfig) -> PccEstimate:
     """Empirical connection probability: fraction of transmission slots whose
     realized post-estimation SNR supports the fixed rate.
 
-    Runs the channel stage alone; its draws are the ones a full H1 batch on
-    the same stream would make.  The pilot budget is checked before any draw.
+    Draws Bob's stage alone, on stream 2; Willie's gain is never drawn.  The
+    pilot budget is checked before any draw.
     """
     link.estimation_error_var(params)
     channels = draw_channels(params, mc.trials, _rng(mc.seed, 2))
@@ -253,7 +251,7 @@ def trace_rows(params: SystemParams, mc: McConfig, n_slots: int) -> list:
     for hyp, n in (("H0", n_slots - n_slots // 2), ("H1", n_slots // 2)):
         if n == 0:
             continue
-        b = simulate_slots(params, hyp, n, rng)
+        b = {**draw_channels(params, n, rng), **simulate_slots(params, hyp, n, rng)}
         decision = np.where(b["statistic"] > _thresholds(params, mc.threshold, b["h_w"]),
                             "H1", "H0")
         outage = [""] * n if hyp == "H0" else (

@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from covertfade import optimizer, simulation
 from covertfade.cli import main
 from covertfade.optimizer import power_for_covertness_suboptimal
 from covertfade.params import SystemParams
@@ -469,6 +470,25 @@ class TestParameterHandling:
         assert code == 2
         assert err.startswith(f"error: {path}: ")
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command, flag", [
+        (["optimize", "--epsilon-grid", "0.05"], "--out"),
+        (["simulate", "--trials", "1000", "--seed", "1"], "--out"),
+        (["simulate", "--trials", "1000", "--seed", "1"], "--dump-traces"),
+    ], ids=["optimize-out", "simulate-out", "simulate-traces"])
+    def test_unusable_output_path_fails_before_any_work(self, tmp_path, capsys, monkeypatch,
+                                                        command, flag):
+        def no_work(*args, **kwargs):
+            raise AssertionError("work ran before the output path was checked")
+
+        monkeypatch.setattr(simulation, "estimate_detection", no_work)
+        monkeypatch.setattr(optimizer, "solve_p1", no_work)
+        path = str(tmp_path / "missing" / "x.csv")
+        code = main([*command, flag, path])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == f"error: {path}: No such file or directory\n"
 
     def test_csv_format(self, tmp_path):
         path = tmp_path / "o.csv"

@@ -57,10 +57,11 @@ class TestSimulateSlot:
 
     def test_decomposition_is_exact(self):
         p = params(p_d=0.02)
-        t = simulate_slots(p, "H1", 1, _rng(5, 0))
+        t = draw_channels(p, 1, _rng(5, 0))
         assert t["h_b"][0] == t["h_b_hat"][0] + t["h_b_tilde"][0]
-        assert t["statistic"][0] >= 0.0
-        lam = _thresholds(p, None, t["h_w"])
+        w = simulate_slots(p, "H1", 1, _rng(5, 0))
+        assert w["statistic"][0] >= 0.0
+        lam = _thresholds(p, None, w["h_w"])
         assert np.isfinite(lam[0]) and lam[0] >= p.sigma_w2
 
     def test_bad_hypothesis(self):
@@ -70,15 +71,44 @@ class TestSimulateSlot:
 
 class TestStages:
     @pytest.mark.parametrize("seed, n_t", [(33, 1), (2**40, 4)])
-    def test_channel_stage_is_prefix_of_full_batch(self, seed, n_t):
+    def test_each_estimator_is_its_own_stage_on_its_own_stream(self, seed, n_t):
         p = params(p_d=0.05, n_d=50, n_t=n_t)
-        full = simulate_slots(p, "H1", 20_000, _rng(seed, 2))
         channels = draw_channels(p, 20_000, _rng(seed, 2))
-        for key, value in channels.items():
-            assert np.array_equal(value, full[key]), key
-        outage = _outage(p, full["h_b_hat"], full["h_b_tilde"])
+        outage = _outage(p, channels["h_b_hat"], channels["h_b_tilde"])
         est = estimate_pcc(p, McConfig(trials=20_000, seed=seed))
         assert est.p_cc == float(np.mean(~outage))
+        h0 = simulate_slots(p, "H0", 10_000, _rng(seed, 0))
+        h1 = simulate_slots(p, "H1", 10_000, _rng(seed, 1))
+        det = estimate_detection(p, McConfig(trials=20_000, seed=seed))
+        assert det.p_fa == float(np.mean(h0["statistic"] > _thresholds(p, None, h0["h_w"])))
+        assert det.p_md == float(np.mean(h1["statistic"] <= _thresholds(p, None, h1["h_w"])))
+
+    @pytest.mark.parametrize("estimate, normals, gammas", [
+        (estimate_detection, 2, 1), (estimate_pcc, 4, 0)])
+    def test_each_estimator_draws_only_what_it_reads(self, monkeypatch, estimate,
+                                                     normals, gammas):
+        # Detection reads h_w and one Gamma variate per slot; P_cc reads h_b
+        # and the pilot-mean noise.  Complex variates are two real normals.
+        drawn = {"normal": 0, "standard_gamma": 0}
+
+        class Counting:
+            def __init__(self, rng):
+                self.rng = rng
+
+            def __getattr__(self, name):
+                method = getattr(self.rng, name)
+
+                def draw(*args, **kwargs):
+                    out = method(*args, **kwargs)
+                    drawn[name] += np.size(out)
+                    return out
+                return draw
+
+        rng = simulation._rng
+        monkeypatch.setattr(simulation, "_rng", lambda *key: Counting(rng(*key)))
+        trials = 1_001
+        estimate(params(p_d=0.02, n_d=50), McConfig(trials=trials, seed=5))
+        assert drawn == {"normal": normals * trials, "standard_gamma": gammas * trials}
 
     @pytest.mark.parametrize("transmit", [True, False])
     @pytest.mark.parametrize("n_d", [1, 50, 400])
@@ -305,9 +335,9 @@ class TestPilotBudgetFirst:
     def test_unusable_budget_raises_before_any_draw(self, monkeypatch, estimate):
         # n_t * p_t overflows, so beta_b = 0; no batch may be drawn first.
         def no_draw(*args):
-            raise AssertionError("a batch was drawn before the pilot budget was checked")
+            raise AssertionError("a generator was made before the pilot budget was checked")
 
-        monkeypatch.setattr(simulation, "draw_channels", no_draw)
+        monkeypatch.setattr(simulation, "_rng", no_draw)
         with pytest.raises(DomainError, match="beta_b"):
             estimate(params(n_t=1e308, p_t=1e10), McConfig(trials=100_000, seed=1))
 
@@ -315,7 +345,7 @@ class TestPilotBudgetFirst:
 class TestEstimationStatistics:
     def test_orthogonality_variances(self):
         p = params(p_d=0.02)
-        batch = simulate_slots(p, "H1", 200_000, _rng(41, 0))
+        batch = draw_channels(p, 200_000, _rng(41, 0))
         beta = p.sigma_b2 / (p.sigma_b2 + p.n_t * p.p_t)
         assert np.mean(np.abs(batch["h_b_hat"]) ** 2) == pytest.approx(
             1.0 - beta, rel=0.01
@@ -327,7 +357,7 @@ class TestEstimationStatistics:
     def test_estimate_uncorrelated_with_error(self):
         p = params(p_d=0.02)
         n = 200_000
-        batch = simulate_slots(p, "H1", n, _rng(42, 0))
+        batch = draw_channels(p, n, _rng(42, 0))
         num = np.mean(batch["h_b_hat"] * np.conj(batch["h_b_tilde"]))
         den = math.sqrt(
             np.mean(np.abs(batch["h_b_hat"]) ** 2)
@@ -377,7 +407,8 @@ class TestTraceDump:
         p = params(p_d=0.02)
         lam = policy_threshold(p, policy, 0.055)
         rng = _rng(71, 9)
-        batches = {h: simulate_slots(p, h, n, rng) for h, n in (("H0", 4), ("H1", 3))}
+        batches = {h: {**draw_channels(p, n, rng), **simulate_slots(p, h, n, rng)}
+                   for h, n in (("H0", 4), ("H1", 3))}
         for i, row in enumerate(rows):
             slot, hyp, *values, decision, outage = row.split(",")
             b = batches[hyp]

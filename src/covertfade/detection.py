@@ -46,6 +46,7 @@ __all__ = [
     "zeta_star_cdi",
     "expected_zeta_star_csi",
     "expected_zeta_star_csi_and_slope",
+    "csi_average_and_slope",
     "expected_p_fa_csi",
 ]
 
@@ -206,18 +207,17 @@ def _average(weights, values, a):
     return value
 
 
-def _csi_averages(w: WillieParams, slope=False):
+def _csi_averages(n_d, a, slope=False):
     """Fading averages of the false-alarm and missed-detection terms of
     zeta*_n at mean SNR a = p_d / sigma_w2 >= _SNR_FLOOR; with ``slope``, their
     sum and its derivative in ln a (the weights times x/a - 1)."""
-    a = w.p_d / w.sigma_w2
-    lo, hi = _span(a, w.n_d)
+    lo, hi = _span(a, n_d)
     if _TABLE_SPAN[0] <= lo and hi <= _TABLE_SPAN[1]:
         x, weights = _table_rule()
-        fa, md = _csi_table(w.n_d)
+        fa, md = _csi_table(n_d)
     else:
         x, weights = _rule(lo, hi)
-        fa, md = _csi_terms(x, w.n_d)
+        fa, md = _csi_terms(x, n_d)
     k = weights * np.exp(-x / a)
     averages = _average(k, fa, a), _average(k, md, a)
     return (sum(averages), _average(k * (x / a - 1.0), fa + md, a)) if slope else averages
@@ -298,12 +298,18 @@ def zeta_star_cdi(w: WillieParams) -> float:
 
 def expected_zeta_star_csi(w: WillieParams) -> float:
     """Fading-gain average of the perfect-knowledge minimum error."""
-    return 1.0 if w.p_d / w.sigma_w2 < _SNR_FLOOR else sum(_csi_averages(w))
+    a = w.p_d / w.sigma_w2
+    return 1.0 if a < _SNR_FLOOR else sum(_csi_averages(w.n_d, a))
 
 
 def expected_zeta_star_csi_and_slope(w: WillieParams):
     """expected_zeta_star_csi and its derivative in ln p_d."""
-    return (1.0, 0.0) if w.p_d / w.sigma_w2 < _SNR_FLOOR else _csi_averages(w, slope=True)
+    return csi_average_and_slope(w.n_d, w.p_d / w.sigma_w2)
+
+
+def csi_average_and_slope(n_d: int, a: float):
+    """expected_zeta_star_csi_and_slope at mean SNR a = p_d / sigma_w2, for a checked count."""
+    return (1.0, 0.0) if a < _SNR_FLOOR else _csi_averages(n_d, a, slope=True)
 
 
 def expected_p_fa_csi(w: WillieParams) -> float:
@@ -312,4 +318,4 @@ def expected_p_fa_csi(w: WillieParams) -> float:
     power."""
     if w.p_d / w.sigma_w2 < _SNR_FLOOR:
         return p_fa(w.sigma_w2, w)
-    return _csi_averages(w)[0]
+    return _csi_averages(w.n_d, w.p_d / w.sigma_w2)[0]

@@ -14,6 +14,7 @@ __all__ = [
     "covert_connection_prob",
     "snr_bob",
     "throughput",
+    "throughput_at",
 ]
 
 
@@ -24,16 +25,20 @@ def estimation_error_var(params: SystemParams) -> float:
                        "fractions")
 
 
-def covert_connection_prob(params: SystemParams) -> float:
-    """Probability the receiver decodes a rate-R message despite estimation
-    error; 0 when no data power is spent."""
+def _connection_prob(p_d: float, params: SystemParams) -> float:
     beta_b = estimation_error_var(params)
-    if params.p_d == 0:
+    if p_d == 0:
         return 0.0
     g = math.expm1(params.rate * math.log(2.0))  # 2^R - 1, via exp for non-integer rates
     ok = 1.0 - beta_b
     prefactor = ok / (ok + beta_b * g)
-    return prefactor * math.exp(-params.sigma_b2 * g / (ok * params.p_d))
+    return prefactor * math.exp(-params.sigma_b2 * g / (ok * p_d))
+
+
+def covert_connection_prob(params: SystemParams) -> float:
+    """Probability the receiver decodes a rate-R message despite estimation
+    error; 0 when no data power is spent."""
+    return _connection_prob(params.p_d, params)
 
 
 def snr_bob(h_hat2, h_tilde2, params: SystemParams):
@@ -45,7 +50,12 @@ def snr_bob(h_hat2, h_tilde2, params: SystemParams):
         return h_hat2 * params.p_d / (h_tilde2 * params.p_d + params.sigma_b2)
 
 
+def throughput_at(n_d: int, p_d: float, params: SystemParams) -> float:
+    """``throughput`` at the design (n_d, p_d), unchecked and without a copy."""
+    return n_d * params.rate * _connection_prob(p_d, params)
+
+
 def throughput(params: SystemParams) -> float:
     """Expected reliably delivered bits per slot, counting data symbols only."""
-    return params.n_d * params.rate * covert_connection_prob(params)
+    return throughput_at(params.n_d, params.p_d, params)
 

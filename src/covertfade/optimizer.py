@@ -1,26 +1,25 @@
 """Covert design optimization over the scenario in ``SystemParams``: the data
 power P_D and the block length N_D, for the budget ``epsilon``, the power cap
 ``p_max`` and the bounds ``n_d_min``..``n_d_max``.  The ``p_d`` and ``n_d``
-fields of the scenario are ignored; candidate designs are evaluated on copies.
+fields of the scenario are ignored; candidates are scored without copies.
 
 Both solvers are one search over the admissible symbol counts in increasing
 order, stopped once a throughput bound proves that no larger count can do
 better, and differ only in the power rule.  Exact solver: the data power
 meeting the fading-averaged covertness constraint with equality (safeguarded
-Newton in ln P_D from the closed-form power toward p_max).  Closed-form
+Newton in ln P_D, below and from the last uncapped count's root).  Closed-form
 solver: the inverted linearized constraint.  Either solver can be pinned to
 one admissible count (``force_nd``).  Either power is capped at ``p_max``, and
 a capped design is checked against the fading-averaged constraint.
 """
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import NamedTuple
 
-from .detection import (WillieParams, expected_zeta_star_csi, expected_zeta_star_csi_and_slope,
-                        low_power_scale)
+from .detection import csi_average_and_slope, low_power_scale
 from .errors import DomainError, NumericError
-from .link import throughput
+from .link import throughput_at
 from .params import SystemParams, check_value
 from .solver import newton_bracket
 
@@ -56,7 +55,7 @@ def _capped(p_d: float, params: SystemParams) -> CovertPower:
 
 
 def _avg_error(n_d: int, p_d: float, params: SystemParams) -> float:
-    return expected_zeta_star_csi(WillieParams(sigma_w2=params.sigma_w2, n_d=n_d, p_d=p_d))
+    return csi_average_and_slope(n_d, p_d / params.sigma_w2)[0]
 
 
 def power_for_covertness_exact(n_d: int, params: SystemParams) -> CovertPower:
@@ -68,24 +67,35 @@ def power_for_covertness_exact(n_d: int, params: SystemParams) -> CovertPower:
     power and p_max.  One average at p_max decides the cap; otherwise
     ``solver.newton_bracket`` runs in ln P_D from the closed-form power, on
     the error and its slope, to relative tolerance _CONSTRAINT_RTOL.  The
-    capped case can only make the constraint slack, never violate it.
+    capped case can only make the constraint slack, never violate it.  This
+    is the cold root: ``solve_p1`` starts each count after an uncapped one
+    from that count's root instead.
     """
+    return _exact_power(check_value("n_d", n_d, "counts"), params)
+
+
+def _exact_power(n_d: int, params: SystemParams, top: float = None) -> CovertPower:
+    """The cold root; or Newton down from ``top``, a root at or above this one,
+    where the gap there is positive (adjacent roots can round together)."""
     target = 1.0 - params.epsilon
 
     def gap(u):  # rises through the root in u = ln P_D, with its slope
-        value, slope = expected_zeta_star_csi_and_slope(
-            WillieParams(sigma_w2=params.sigma_w2, n_d=n_d, p_d=math.exp(u)))
+        value, slope = csi_average_and_slope(n_d, math.exp(u) / params.sigma_w2)
         return target - value, -slope
 
     lo = math.log(power_for_covertness_suboptimal(n_d, params).value)
-    hi = math.log(params.p_max)
-    if gap(hi)[0] <= 0.0:
-        # root lies beyond p_max: cap, constraint still satisfied
-        return CovertPower(value=params.p_max, capped=True)
-    start = gap(lo)
-    if start[0] > 0.0:
-        raise NumericError(f"the closed-form power overshoots the covertness root (n_d={n_d})")
-    return _capped(math.exp(newton_bracket(gap, lo, hi, lo, *start, _CONSTRAINT_RTOL)), params)
+    if top is not None:
+        x = hi = math.log(top)
+        start = gap(x)
+    if top is None or start[0] <= 0.0:
+        hi = math.log(params.p_max)
+        if gap(hi)[0] <= 0.0:
+            # root lies beyond p_max: cap, constraint still satisfied
+            return CovertPower(value=params.p_max, capped=True)
+        x, start = lo, gap(lo)
+        if start[0] > 0.0:
+            raise NumericError(f"the closed-form power overshoots the covertness root (n_d={n_d})")
+    return _capped(math.exp(newton_bracket(gap, lo, hi, x, *start, _CONSTRAINT_RTOL)), params)
 
 
 def power_for_covertness_suboptimal(n_d: int, params: SystemParams) -> CovertPower:
@@ -94,11 +104,7 @@ def power_for_covertness_suboptimal(n_d: int, params: SystemParams) -> CovertPow
     return _capped(params.epsilon * params.sigma_w2 * low_power_scale(n_d), params)
 
 
-def _throughput_at(n_d: int, p_d: float, params: SystemParams) -> float:
-    return throughput(replace(params, p_d=p_d, n_d=n_d))
-
-
-def _search(params: SystemParams, candidates, power_rule) -> DesignSolution:
+def _search(params: SystemParams, candidates, power_rule, warm_rule=None) -> DesignSolution:
     """Throughput-maximizing count in ``candidates`` (increasing) with its
     power from ``power_rule(n_d, params)``; ties break toward fewer symbols.
 
@@ -108,16 +114,18 @@ def _search(params: SystemParams, candidates, power_rule) -> DesignSolution:
     at most the last count's throughput at the current power, which is this
     count's throughput times n_top / n_d (at a fixed power the throughput is
     linear in n_d), and the search stops once that bound cannot beat the best
-    design so far.
+    design so far.  The last uncapped power ``top`` bounds the next one too:
+    ``warm_rule(n_d, params, top)``, if given, starts from it.
     """
-    best = None
+    best = top = None
     n_top = candidates[-1]
     for n_d in candidates:
         try:
-            power = power_rule(n_d, params)
+            power = power_rule(n_d, params) if top is None else warm_rule(n_d, params, top)
         except NumericError as exc:
             raise NumericError(f"n_d={n_d}: {exc}") from exc
-        value = _throughput_at(n_d, power.value, params)
+        top = power.value if warm_rule and not power.capped else None
+        value = throughput_at(n_d, power.value, params)
         if best is None or value > best[0]:
             best = (value, n_d, power)
         if value * (n_top / n_d) <= best[0]:
@@ -141,9 +149,9 @@ def _candidates(params: SystemParams, force_nd) -> range:
 
 
 def solve_p1(params: SystemParams, force_nd: int = None) -> DesignSolution:
-    """Exact design: ``_search`` over ``_candidates`` with the
-    constraint-equality power at each count."""
-    return _search(params, _candidates(params, force_nd), power_for_covertness_exact)
+    """Exact design: ``_search`` over ``_candidates`` with the constraint-equality
+    power at each count, warm-started after the first uncapped one."""
+    return _search(params, _candidates(params, force_nd), power_for_covertness_exact, _exact_power)
 
 
 def solve_p1_1(params: SystemParams, force_nd: int = None) -> DesignSolution:

@@ -1,9 +1,9 @@
 """The one scenario model: ``SystemParams`` holds every scenario constant and
 validates it when built.  The link, optimizer and simulation layers read it;
 ``_FIELD_TYPES`` parses its fields' text for the CLI flags and the parameter
-file, ``float`` for reals and ``count`` for counts.  Callers that vary a field
-(the optimizer ``p_d`` and ``n_d``, the CLI ``epsilon``) do so on copies made
-with ``dataclasses.replace``, which validates again.  ``check_value`` judges
+file, ``float`` for reals and ``count`` for counts.  The CLI varies fields on
+copies made with ``dataclasses.replace``, which validates again; the optimizer
+scores its candidate ``n_d`` and ``p_d`` with no copy.  ``check_value`` judges
 every scalar input of every layer against a ``_RANGES`` group."""
 
 import contextlib

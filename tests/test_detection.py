@@ -411,7 +411,7 @@ class TestRuleGuard:
     def test_false_alarm_and_missed_detection_sum_to_zeta(self, n_d):
         for p_d in (1e-12, 1e-4, 0.02, 1.0, 1e3, 1e10):  # in and out of the table window
             w = willie(n_d=n_d, p_d=p_d)
-            fa, md = detection._csi_averages(w)
+            fa, md = detection._csi_averages(n_d, p_d / SW2)
             assert fa == detection.expected_p_fa_csi(w)
             assert abs(fa + md - expected_zeta_star_csi(w)) <= 1e-15
 

@@ -1,14 +1,14 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from scipy.optimize import brentq
 
 from conftest import sign_threshold, throughput_derivative_sign
-from covertfade.detection import (WillieParams, expected_zeta_star_csi,
-                                  expected_zeta_star_csi_and_slope)
+from covertfade.detection import WillieParams, csi_average_and_slope, expected_zeta_star_csi
 from covertfade.errors import DomainError, NumericError
-from covertfade import optimizer
+from covertfade import link, optimizer
 from covertfade.optimizer import (
     power_for_covertness_exact,
     power_for_covertness_suboptimal,
@@ -62,11 +62,11 @@ class TestExactPower:
     def test_one_quadrature_per_distinct_power(self, monkeypatch, p_max):
         calls = []
 
-        def counting(w):
-            calls.append(w.p_d)
-            return expected_zeta_star_csi_and_slope(w)
+        def counting(n_d, a):
+            calls.append(a)
+            return csi_average_and_slope(n_d, a)
 
-        monkeypatch.setattr(optimizer, "expected_zeta_star_csi_and_slope", counting)
+        monkeypatch.setattr(optimizer, "csi_average_and_slope", counting)
         power = power_for_covertness_exact(50, problem(epsilon=0.05, p_max=p_max))
         if p_max == 1e-4:  # one average at p_max decides the cap
             assert power.capped and len(calls) == 1
@@ -94,7 +94,7 @@ class TestExactPower:
                     assert power_for_covertness_exact(n_d, prob).value >= p_lin
 
     def test_closed_form_power_past_the_root_raises(self, monkeypatch):
-        monkeypatch.setattr(optimizer, "expected_zeta_star_csi_and_slope", lambda w: (0.0, 0.0))
+        monkeypatch.setattr(optimizer, "csi_average_and_slope", lambda n_d, a: (0.0, 0.0))
         with pytest.raises(NumericError, match="closed-form power"):
             power_for_covertness_exact(50, problem(epsilon=0.05))
 
@@ -126,7 +126,7 @@ class TestSolveP1:
         assert not sol.power_capped and not sol.constraint_violated
 
     def test_tie_break_toward_fewer_symbols(self, monkeypatch):
-        monkeypatch.setattr(optimizer, "_throughput_at", lambda n, p, prob: 1.0)
+        monkeypatch.setattr(optimizer, "throughput_at", lambda n, p, prob: 1.0)
         sol = solve_p1(problem(epsilon=0.05, n_d_min=60, n_d_max=70))
         assert sol.n_d_star == 60
 
@@ -135,7 +135,7 @@ class TestSolveP1:
         sol = solve_p1(prob)
         for n_d in range(prob.n_d_min, prob.n_d_max + 1):
             power = power_for_covertness_exact(n_d, prob)
-            value = optimizer._throughput_at(n_d, power.value, prob)
+            value = link.throughput(replace(prob, p_d=power.value, n_d=n_d))
             assert sol.throughput >= value - 1e-15
 
     def test_force_nd(self):
@@ -198,11 +198,13 @@ class TestSharedSearch:
 
 
 def enumerate_designs(params, power_rule=power_for_covertness_exact):
-    """Reference design: every admissible count, ties toward fewer symbols."""
+    """Reference design: every admissible count with its power from the cold
+    ``power_rule`` and its throughput on a validated copy, ties toward fewer
+    symbols."""
     best = None
     for n_d in range(params.n_d_min, params.n_d_max + 1):
         power = power_rule(n_d, params)
-        value = optimizer._throughput_at(n_d, power.value, params)
+        value = link.throughput(replace(params, p_d=power.value, n_d=n_d))
         if best is None or value > best[0]:
             best = (value, n_d, power)
     value, n_d, power = best
@@ -223,14 +225,17 @@ class TestThroughputBound:
          (1e-4, None, 0.01, 100, np.linspace(0.01, 0.2, 20)),
          (1e-4, 1.0, 0.01, 100, np.linspace(0.01, 0.2, 20)),
          (1.0, None, 0.01, 400, (0.01, 0.05, 0.2)),
-         (1.0, None, 1e-3, 100, (0.5,))],
+         (1.0, None, 1e-3, 100, (0.5,)),
+         (2e-3, 1.0, 0.01, 400, (0.05, 0.2))],
         ids=["criteria-4-5", "all-capped", "all-capped-pilot-1", "n_d-1-400",
-             "rising-closed-form"],
+             "rising-closed-form", "capped-then-uncapped"],
     )
     def test_bounded_search_equals_full_enumeration(self, p_max, p_t, sigma_b2, n_d_max, grid):
         # p_t = p_max = 1e-4 is the CLI's capped case (zero throughput
         # everywhere); p_t = 1 gives positive capped throughputs; at epsilon
-        # 0.5 and sigma_b2 1e-3 the closed-form throughput rises past n_d_min
+        # 0.5 and sigma_b2 1e-3 the closed-form throughput rises past n_d_min;
+        # at p_max 2e-3 the exact power is capped up to a count in mid-range
+        # and warm-started after it (epsilon 0.2: the optimum is n_d 190)
         n_d_min = 50 if n_d_max == 100 else 1
         for eps in grid:
             prob = problem(epsilon=float(eps), p_max=p_max, p_t=p_t, sigma_b2=sigma_b2,
@@ -254,18 +259,79 @@ class TestThroughputBound:
         assert all(b <= a for a, b in zip(powers, powers[1:]))
 
     def test_search_stops_before_the_last_count(self, monkeypatch):
+        # every visited count is scored once; after the first, its root is warm
         seen = []
-        original = optimizer.power_for_covertness_exact
+        original = optimizer.throughput_at
 
-        def counting(n_d, params):
+        def counting(n_d, p_d, params):
             seen.append(n_d)
-            return original(n_d, params)
+            return original(n_d, p_d, params)
 
-        monkeypatch.setattr(optimizer, "power_for_covertness_exact", counting)
+        monkeypatch.setattr(optimizer, "throughput_at", counting)
         sol = solve_p1(problem(epsilon=0.05))
         assert sol.n_d_star == 50
         assert seen == list(range(50, 50 + len(seen)))
         assert 1 <= len(seen) < 51
+
+
+class TestWarmStart:
+    """After the first uncapped count, ``solve_p1`` starts each root from the
+    last one, bracketed above by it."""
+
+    @staticmethod
+    def record(monkeypatch, answer=None):
+        calls = []
+
+        def recording(n_d, a):
+            calls.append((n_d, a))
+            value, slope = csi_average_and_slope(n_d, a)
+            return (value, slope) if answer is None else (answer(n_d, a, value), slope)
+
+        monkeypatch.setattr(optimizer, "csi_average_and_slope", recording)
+        return calls
+
+    def test_fewer_averages_on_the_reference_grid(self, monkeypatch):
+        calls = self.record(monkeypatch)
+        for eps in np.linspace(0.01, 0.2, 20):
+            prob = problem(epsilon=float(eps))
+            start = len(calls)
+            assert not solve_p1(prob).power_capped
+            # every count is uncapped, so only the first decides the cap
+            a_max = math.exp(math.log(prob.p_max)) / SW2
+            assert {n for n, a in calls[start:] if a == a_max} == {prob.n_d_min}
+        assert len(calls) <= 992  # 1,567 with a cold root at every count
+
+    def test_no_cap_decision_after_the_first_uncapped_count(self, monkeypatch):
+        prob = problem(epsilon=0.2, p_max=2e-3, p_t=1.0, n_d_min=1, n_d_max=400)
+        calls = self.record(monkeypatch)
+        assert solve_p1(prob).n_d_star == 190
+        a_max = math.exp(math.log(prob.p_max)) / SW2
+        decided = sorted({n for n, a in calls if a == a_max})
+        first = decided[-1]
+        assert decided == list(range(1, first + 1))
+        assert max(n for n, a in calls) > first
+        assert power_for_covertness_exact(first - 1, prob).capped
+        assert not power_for_covertness_exact(first, prob).capped
+
+    def test_top_end_without_a_positive_gap_falls_back_to_the_cold_bracket(self, monkeypatch):
+        # Adjacent roots closer than the tolerance can leave the gap at the
+        # last root <= 0 by rounding; here the first average of every count
+        # past n_d_min, the one at the warm top end, reads exactly 1 - epsilon.
+        prob = problem(epsilon=0.2, n_d_min=1, n_d_max=60)
+        expected = enumerate_designs(prob)
+        seen = set()
+
+        def first_reads_the_target(n_d, a, value):
+            first = n_d not in seen
+            seen.add(n_d)
+            return 1.0 - prob.epsilon if first and n_d > prob.n_d_min else value
+
+        calls = self.record(monkeypatch, first_reads_the_target)
+        assert design(solve_p1(prob)) == expected
+        visited = {n for n, _ in calls}
+        a_max = math.exp(math.log(prob.p_max)) / SW2
+        assert {n for n, a in calls if a == a_max} == visited
+        assert max(visited) > prob.n_d_min
 
 
 class TestSolveP11:

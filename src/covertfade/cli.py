@@ -1,16 +1,20 @@
 """Command-line front end: detection-error sweeps, covert design optimization,
 and Monte Carlo validation runs, all emitted as CSV (stdout or --out).
 
-Scenario flags are typed by ``params._FIELD_TYPES``.  Every count (the int
-fields, ``--trials``, ``--force-nd``, ``--n-d-list``) is read by
-``params.count`` and judged by ``params.check_value``, so ``50.0`` runs as 50
-and ``50.5`` exits 2; ``--seed`` and ``--trace-slots`` take ints.
+Every subcommand takes ``--params``, ``--out`` and the scenario flags, which
+are declared once on a shared parent parser and typed by
+``params._FIELD_TYPES``; each subcommand binds its handler as ``run``, and
+``main`` builds the parser once per process.  Every count (the int fields,
+``--trials``, ``--force-nd``, ``--n-d-list``) is read by ``params.count`` and
+judged by ``params.check_value``, so ``50.0`` runs as 50 and ``50.5`` exits 2;
+``--seed`` and ``--trace-slots`` take ints.
 
 Exit codes: 0 success, 2 usage error or unusable file, 3 numeric failure.
 Every output path is opened before any work, so an unusable one prints nothing.
 """
 
 import argparse
+import functools
 import math
 import os
 import sys
@@ -75,12 +79,6 @@ def _int_list(text):
     return _parse_list(text, lambda tok: check_value("value", count(tok), "counts"))
 
 
-def _add_param_flags(parser):
-    group = parser.add_argument_group("scenario parameters")
-    for name, kind in _FIELD_TYPES.items():
-        group.add_argument(f"--{name.replace('_', '-')}", type=kind, default=None)
-
-
 def _resolve_params(args) -> SystemParams:
     overrides = {}
     if args.params:
@@ -93,27 +91,29 @@ def _resolve_params(args) -> SystemParams:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    shared = argparse.ArgumentParser(add_help=False)
+    shared.add_argument("--params", help="key = value override file")
+    shared.add_argument("--out", help="output CSV path (default stdout)")
+    group = shared.add_argument_group("scenario parameters")
+    for name, kind in _FIELD_TYPES.items():
+        group.add_argument(f"--{name.replace('_', '-')}", type=kind, default=None)
+
     parser = argparse.ArgumentParser(
         prog="covertfade",
         description="Covert-link detection, design and simulation toolkit",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--params", help="key = value override file")
-        p.add_argument("--out", help="output CSV path (default stdout)")
-        _add_param_flags(p)
-
-    p = sub.add_parser("detect-sweep", help="detection error vs data power")
-    common(p)
+    p = sub.add_parser("detect-sweep", parents=[shared], help="detection error vs data power")
+    p.set_defaults(run=cmd_detect_sweep)
     p.add_argument("--p-d-grid", type=_float_list, required=True)
-    p.add_argument("--n-d-list", type=_int_list, default=[50, 100])
+    p.add_argument("--n-d-list", type=_int_list, default=(50, 100))
     p.add_argument(
         "--mode", choices=["csi", "cdi_exact", "cdi_approx", "both"], default="both"
     )
 
-    p = sub.add_parser("optimize", help="covert design over a covertness grid")
-    common(p)
+    p = sub.add_parser("optimize", parents=[shared], help="covert design over a covertness grid")
+    p.set_defaults(run=cmd_optimize)
     p.add_argument("--epsilon-grid", type=_float_list, required=True)
     p.add_argument(
         "--method", choices=["exact", "suboptimal", "both"], default="both"
@@ -121,8 +121,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--force-nd", type=count, default=None,
                    help="pin the search to one symbol count")
 
-    p = sub.add_parser("simulate", help="Monte Carlo vs closed-form check")
-    common(p)
+    p = sub.add_parser("simulate", parents=[shared], help="Monte Carlo vs closed-form check")
+    p.set_defaults(run=cmd_simulate)
     p.add_argument("--seed", type=int, default=12345)
     p.add_argument("--trials", type=count, default=100_000)
     p.add_argument("--policy", choices=simulation.POLICIES, default="csi_optimal")
@@ -130,6 +130,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dump-traces", help="also write per-slot traces here")
     p.add_argument("--trace-slots", type=int, default=100)
     return parser
+
+
+# Building the parser takes about a millisecond, so main builds one per
+# process and in-process callers do not pay it per call.
+_parser = functools.cache(build_parser)
 
 
 def cmd_detect_sweep(args) -> int:
@@ -206,13 +211,7 @@ def cmd_simulate(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    handlers = {
-        "detect-sweep": cmd_detect_sweep,
-        "optimize": cmd_optimize,
-        "simulate": cmd_simulate,
-    }
+    args = _parser().parse_args(argv)
     try:
         for path in (args.out, getattr(args, "dump_traces", None)):
             if path:  # an unusable path exits 2 before any work; no file is left
@@ -220,7 +219,7 @@ def main(argv=None) -> int:
                 _write(path, mode="a")
                 if new:
                     os.remove(path)
-        return handlers[args.command](args)
+        return args.run(args)
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -24,7 +24,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import special
-from scipy.special import cython_special as _cs
 
 from .errors import DegenerateHypothesesError, NumericError
 from .params import check_fields, check_value
@@ -45,7 +44,6 @@ __all__ = [
     "threshold_cdi_exact",
     "zeta_star_cdi",
     "expected_zeta_star_csi",
-    "expected_zeta_star_csi_and_slope",
     "csi_average_and_slope",
     "expected_p_fa_csi",
 ]
@@ -85,7 +83,7 @@ def p_fa(lam: float, w: WillieParams) -> float:
     """False-alarm probability of the radiometer at threshold ``lam``; its
     limit 0 where the gamma argument overflows."""
     check_value("threshold", lam, "positive")
-    x = w.n_d * (lam / w.sigma_w2)
+    x = w.n_d * (float(lam) / w.sigma_w2)  # inf where it overflows: no numpy warning
     return reg_upper_gamma(w.n_d, x) if x < math.inf else 0.0
 
 
@@ -244,7 +242,7 @@ def expected_zeta_cdi(lam: float, w: WillieParams) -> float:
     x, k, a = _cdi_rule(lam, w)
     arg = w.n_d * (float(lam) / w.sigma_w2)  # inf where it overflows: no numpy warning
     md = special.gammainc(w.n_d, arg / (1.0 + x))
-    return _cs.gammaincc(w.n_d, arg) + _average(k, md, a)
+    return p_fa(lam, w) + _average(k, md, a)
 
 
 def _cdi_slope(u, w: WillieParams):
@@ -302,13 +300,9 @@ def expected_zeta_star_csi(w: WillieParams) -> float:
     return 1.0 if a < _SNR_FLOOR else sum(_csi_averages(w.n_d, a))
 
 
-def expected_zeta_star_csi_and_slope(w: WillieParams):
-    """expected_zeta_star_csi and its derivative in ln p_d."""
-    return csi_average_and_slope(w.n_d, w.p_d / w.sigma_w2)
-
-
 def csi_average_and_slope(n_d: int, a: float):
-    """expected_zeta_star_csi_and_slope at mean SNR a = p_d / sigma_w2, for a checked count."""
+    """expected_zeta_star_csi at mean SNR a = p_d / sigma_w2, for a checked
+    count, and its derivative in ln p_d."""
     return (1.0, 0.0) if a < _SNR_FLOOR else _csi_averages(n_d, a, slope=True)
 
 

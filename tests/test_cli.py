@@ -1,3 +1,4 @@
+import argparse
 import os
 import subprocess
 import sys
@@ -181,6 +182,13 @@ class TestOptimize:
     def test_bad_epsilon_exits_2(self, capsys):
         assert run(capsys, "optimize", "--epsilon-grid", "1.5")[0] == 2
 
+    def test_numeric_failure_exits_3_naming_the_count(self, capsys, monkeypatch):
+        # an averaged error of 0 puts the closed-form power past the root
+        monkeypatch.setattr(optimizer, "csi_average_and_slope", lambda n_d, a: (0.0, 0.0))
+        code, err = run_err(capsys, "optimize", "--epsilon-grid", "0.05", "--method", "exact")
+        assert code == 3
+        assert err.startswith("numeric failure: n_d=50: ") and "closed-form power" in err
+
     def test_golden_bytes(self, capsys):
         # Pinned output: any change that moves a printed digit shows up here.
         code, out = run(
@@ -363,6 +371,10 @@ class TestParameterHandling:
             (["detect-sweep", "--p-d-grid", "0.01", "--n-d-list", "0"], "--n-d-list"),
             (["detect-sweep", "--p-d-grid", "0.01", "--n-d-list", BEYOND_DOUBLE], "--n-d-list"),
             (["optimize", "--epsilon-grid", "0.05", "--force-nd", "0"], "force_nd"),
+            pytest.param(["detect-sweep", "--p-d-grid", "abc"],
+                         "--p-d-grid: bad numeric list 'abc'", id="argv22-unparsable-list"),
+            pytest.param(["detect-sweep", "--p-d-grid", ","], "--p-d-grid: empty list",
+                         id="argv23-empty-list"),
         ],
     )
     def test_bad_input_exits_2_naming_field(self, argv, field, capsys):
@@ -412,9 +424,10 @@ class TestParameterHandling:
         assert code == 2
         assert "beta_b" in err
 
-    def test_scenario_flags_follow_field_order(self, capsys):
+    @pytest.mark.parametrize("command", ["detect-sweep", "optimize", "simulate"])
+    def test_scenario_flags_follow_field_order(self, capsys, command):
         with pytest.raises(SystemExit):
-            main(["optimize", "--help"])
+            main([command, "--help"])
         text = capsys.readouterr().out.split("scenario parameters:", 1)[1]
         flags = [tok for tok in text.split() if tok.startswith("--")]
         assert flags == [
@@ -422,12 +435,17 @@ class TestParameterHandling:
             "--n-d-min", "--n-d-max", "--epsilon", "--p-d", "--n-d",
         ]
 
-    def test_bad_value_in_file_exits_2(self, tmp_path, capsys):
+    @pytest.mark.parametrize("text, message", [
+        ("n_d = nan\n", "n_d"),
+        ("# comment\n\nsigma_w2 = abc\n", ":3: bad value for sigma_w2: 'abc'"),
+        ("sigma_w2\n", ":1: expected 'key = value'"),
+    ], ids=["invalid-count", "unparsable-value", "no-equals-sign"])
+    def test_bad_value_in_file_exits_2(self, tmp_path, capsys, text, message):
         cfg = tmp_path / "params.txt"
-        cfg.write_text("n_d = nan\n")
+        cfg.write_text(text)
         code, err = run_err(capsys, "simulate", "--trials", "10", "--params", str(cfg))
         assert code == 2
-        assert "n_d" in err
+        assert message in err
 
     def test_file_then_flag_precedence(self, tmp_path, capsys):
         cfg = tmp_path / "params.txt"
@@ -498,6 +516,21 @@ class TestParameterHandling:
         assert b"\r" not in data and data.endswith(b"\n")
         header = data.split(b"\n", 1)[0].decode()
         assert header == "epsilon,method,p_d_star,n_d_star,throughput,power_capped,diagnostics"
+
+
+def test_main_reuses_one_parser(capsys, monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    argv = ["detect-sweep", "--p-d-grid", "0", "--n-d-list", "1", "--mode", "cdi_approx"]
+    assert main(argv) == 0
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    assert [main(argv), main(argv)] == [0, 0]
+    assert built == []
 
 
 def test_package_import_loads_no_layer_module():

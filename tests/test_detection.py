@@ -78,6 +78,10 @@ class TestErrorProbabilities:
         w = willie(p_d=0.01, h_w2=1.0)
         assert p_fa(1e306, w) == 0.0 and p_md(1e306, w) == 1.0
         assert p_fa(1e300, w) == 0.0 and p_md(1e300, w) == 1.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a numpy overflow warning would raise
+            assert p_fa(np.float64(1e306), w) == 0.0
+            assert expected_zeta_cdi(np.float64(1e306), w) == expected_zeta_cdi(1e306, w)
 
     def test_threshold_domain(self):
         with pytest.raises(DomainError):
@@ -329,14 +333,15 @@ class TestExpectedZetaStarCsi:
         step = 1e-5
         for p_d in (1e-12, 1e-4, 0.02, 1.0, 1e3, 1e10):  # in and out of the table window
             w = willie(n_d=n_d, p_d=p_d)
-            value, slope = detection.expected_zeta_star_csi_and_slope(w)
+            value, slope = detection.csi_average_and_slope(w.n_d, w.p_d / w.sigma_w2)
             assert value == expected_zeta_star_csi(w)
             up, down = (expected_zeta_star_csi(willie(n_d=n_d, p_d=p_d * math.exp(s)))
                         for s in (step, -step))
             assert slope == pytest.approx((up - down) / (2 * step), rel=1e-6, abs=1e-10), p_d
 
     def test_slope_below_the_snr_floor_is_zero(self):
-        assert detection.expected_zeta_star_csi_and_slope(willie(p_d=1e-320)) == (1.0, 0.0)
+        w = willie(p_d=1e-320)
+        assert detection.csi_average_and_slope(w.n_d, w.p_d / w.sigma_w2) == (1.0, 0.0)
 
 
 class TestExpectedPFaCsi:

@@ -13,9 +13,12 @@ where lo is a tenth of the smaller of a and the knee 1/sqrt(n_d) of the
 error curve.  The CSI averages share one node set for every a in [1e-8,
 1e8], on which the two gamma terms of zeta*_n are tabulated once per n_d in
 a bounded cache, so each average is a weighted dot product; other a get a
-rule of their own.  The fixed-threshold average adds panel edges around its
-missed-detection step.  Below a mean SNR of 1e-300 the averages are their
-zero-power limits; a non-finite table entry or average raises NumericError.
+rule of their own.  The log panels of a rule are built once per (n_d, a),
+in a cache of a few entries, and each threshold of the fixed-threshold
+average only adds panel edges around its missed-detection step: the Newton
+steps of its argmin and the average at the root share one set of panels.
+Below a mean SNR of 1e-300 the averages are their zero-power limits; a
+non-finite table entry or average raises NumericError.
 """
 
 import functools
@@ -54,6 +57,11 @@ _PANELS_PER_DECADE = 3
 # SNR a in [1e-8, 1e8] (for n_d <= 1e16).
 _TABLE_SPAN = (1e-9, 4e9)
 _TABLE_CACHE = 128  # n_d values; the default design range needs 51
+_CUTS_CACHE = 4  # (lo, hi) pairs; one serves a whole CDI argmin and its average
+# Offsets, in units of 1/sqrt(n_d) in ln(1 + x), of the panel edges around the
+# missed-detection step of a fixed-threshold average.
+_STEP_OFFSETS = np.array([-8.0, -2.0, 0.0, 2.0, 8.0])
+_STEP_OFFSETS.flags.writeable = False
 # Below this mean SNR the first-order term of every average is < 1e-140.
 _SNR_FLOOR = 1e-300
 _X_MAX = 1e300  # cap on the top panel edge
@@ -92,7 +100,7 @@ def p_md(lam: float, w: WillieParams) -> float:
     Its limit 1 where the gamma argument overflows."""
     check_value("threshold", lam, "positive")
     check_value("h_w2", w.h_w2, "nonnegative")
-    x = w.n_d * (lam / (w.h_w2 * w.p_d + w.sigma_w2))
+    x = w.n_d * (float(lam) / (w.h_w2 * w.p_d + w.sigma_w2))  # inf where it overflows
     return reg_lower_gamma(w.n_d, x) if x < math.inf else 1.0
 
 
@@ -166,11 +174,19 @@ def threshold_cdi_approx(sigma_w2: float) -> float:
     return check_value("sigma_w2", sigma_w2, "positive")
 
 
+@functools.lru_cache(maxsize=_CUTS_CACHE)
+def _cuts(lo, hi):
+    """0 and the log-spaced panel cuts from lo to hi, read-only."""
+    panels = max(1, math.ceil(_PANELS_PER_DECADE * (math.log10(hi) - math.log10(lo))))
+    cuts = np.concatenate(([0.0], np.geomspace(lo, hi, panels + 1)))
+    cuts.flags.writeable = False
+    return cuts
+
+
 def _rule(lo, hi, edges=()):
     """Nodes and weights of the composite 16-node Gauss-Legendre rule on
     [0, lo] and log-spaced panels from lo to hi, split again at ``edges``."""
-    panels = max(1, math.ceil(_PANELS_PER_DECADE * (math.log10(hi) - math.log10(lo))))
-    cuts = np.unique(np.concatenate(([0.0], np.geomspace(lo, hi, panels + 1), edges)))
+    cuts = np.unique(np.concatenate((_cuts(lo, hi), edges)))
     half = np.diff(cuts)[:, None] / 2.0
     mid = (cuts[:-1] + cuts[1:])[:, None] / 2.0
     return (mid + half * _GL_NODES).ravel(), (half * _GL_WEIGHTS).ravel()
@@ -227,8 +243,7 @@ def _cdi_rule(lam, w: WillieParams):
     lo, hi = _span(a, w.n_d)
     # The missed-detection probability steps down at x = lam / sigma_w2 - 1,
     # over about 1/sqrt(n_d) in ln(1 + x).
-    step = (math.log(lam) - math.log(w.sigma_w2)
-            + np.array([-8.0, -2.0, 0.0, 2.0, 8.0]) / math.sqrt(w.n_d))
+    step = math.log(lam) - math.log(w.sigma_w2) + _STEP_OFFSETS / math.sqrt(w.n_d)
     step = step[(math.log1p(lo) < step) & (step < math.log1p(hi))]
     x, weights = _rule(lo, hi, np.expm1(step))
     return x, weights * np.exp(-x / a), a
@@ -254,13 +269,14 @@ def _cdi_slope(u, w: WillieParams):
     is near linear about the root, and -inf where E_x underflows."""
     x, k, a = _cdi_rule(math.exp(min(math.log(w.sigma_w2) + u, _LN_MAX)), w)
     t = np.minimum(u - np.log1p(x), 50.0)  # clipped where h underflows anyway
-    h = np.exp(w.n_d * np.maximum(t - np.expm1(t), -1e3 / w.n_d))
+    e_t = np.expm1(t)
+    h = np.exp(w.n_d * np.maximum(t - e_t, -1e3 / w.n_d))
     mean = _average(k, h, a)
     if mean == 0.0:
         return -math.inf, 0.0
     e = math.expm1(min(u, 700.0))
     return (math.log(mean) + w.n_d * (e - u),
-            _average(k, -w.n_d * (np.expm1(t) * h), a) / mean + w.n_d * e)
+            _average(k, -w.n_d * (e_t * h), a) / mean + w.n_d * e)
 
 
 def threshold_cdi_exact(w: WillieParams) -> float:

@@ -94,6 +94,35 @@ def expected_zeta_cdi_grid(lams, p_d, sigma_w2, n_d, nodes=96):
     return fa + md
 
 
+def panel_cuts_ref(lo, hi):
+    """0 and log-spaced panel cuts from lo to hi, three panels a decade."""
+    panels = max(1, math.ceil(3 * (math.log10(hi) - math.log10(lo))))
+    return np.concatenate(([0.0], np.geomspace(lo, hi, panels + 1)))
+
+
+def rule_ref(lo, hi, edges=()):
+    """Composite 16-node Gauss-Legendre rule on the panel cuts from lo to hi
+    and the extra ``edges``, built from scratch on every call."""
+    gl_x, gl_w = np.polynomial.legendre.leggauss(16)
+    cuts = np.unique(np.concatenate((panel_cuts_ref(lo, hi), edges)))
+    half = np.diff(cuts)[:, None] / 2.0
+    mid = (cuts[:-1] + cuts[1:])[:, None] / 2.0
+    return (mid + half * gl_x).ravel(), (half * gl_w).ravel()
+
+
+def cdi_rule_ref(lam, sigma_w2, n_d, p_d):
+    """Nodes, weights times e^(-x/a) and mean SNR a of the fixed-threshold
+    average at ``lam``: edges at ln(1 + x) = ln(lam / sigma_w2) + k / sqrt(n_d)
+    for k in (-8, -2, 0, 2, 8), kept strictly inside (lo, hi)."""
+    a = p_d / sigma_w2
+    lo, hi = 0.1 * min(a, n_d ** -0.5), min(40.0 * a, 1e300)
+    step = (math.log(lam) - math.log(sigma_w2)
+            + np.array([-8.0, -2.0, 0.0, 2.0, 8.0]) / math.sqrt(n_d))
+    step = step[(math.log1p(lo) < step) & (step < math.log1p(hi))]
+    x, weights = rule_ref(lo, hi, np.expm1(step))
+    return x, weights * np.exp(-x / a), a
+
+
 def _load_bench_oracle():
     path = Path(__file__).resolve().parent.parent / "bench" / "oracle.py"
     spec = importlib.util.spec_from_file_location("bench_oracle", path)

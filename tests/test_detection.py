@@ -11,11 +11,14 @@ from scipy.optimize import minimize_scalar
 from scipy.special import gammaincc as sp_gammaincc
 
 from conftest import (
+    cdi_rule_ref,
     expected_zeta_cdi_grid,
     gain_average_quad,
     oracle,
+    panel_cuts_ref,
     radiometer_statistics,
     radiometer_statistics_signal,
+    rule_ref,
     sample_exponential_gains,
     snr_integral_quad,
     zeta_star_csi_ref,
@@ -81,6 +84,7 @@ class TestErrorProbabilities:
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # a numpy overflow warning would raise
             assert p_fa(np.float64(1e306), w) == 0.0
+            assert p_md(np.float64(1e306), WillieParams(0.05, 50, 0.01, 1.0)) == 1.0
             assert expected_zeta_cdi(np.float64(1e306), w) == expected_zeta_cdi(1e306, w)
 
     def test_threshold_domain(self):
@@ -407,10 +411,22 @@ class TestRuleGuard:
     def test_no_table_at_import_and_a_bounded_cache(self):
         code = ("import covertfade.cli; from covertfade import detection as d; "
                 "print(d._table_rule.cache_info().currsize, d._csi_table.cache_info().currsize,"
-                " d._csi_table.cache_info().maxsize)")
+                " d._csi_table.cache_info().maxsize, d._cuts.cache_info().currsize,"
+                " d._cuts.cache_info().maxsize)")
         out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                              check=True, env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
-        assert out.stdout.split() == ["0", "0", "128"]
+        assert out.stdout.split() == ["0", "0", "128", "0", "4"]
+
+    def test_cached_cuts_are_read_only(self):
+        with pytest.raises(ValueError):
+            detection._cuts(1e-3, 1.0)[1] = 0.5
+
+    def test_one_cdi_argmin_and_its_average_build_one_set_of_cuts(self):
+        before = detection._cuts.cache_info()
+        zeta_star_cdi(willie(n_d=37, p_d=0.0123))  # a (lo, hi) no other test uses
+        after = detection._cuts.cache_info()
+        assert after.misses - before.misses == 1
+        assert after.hits - before.hits >= 5
 
     @pytest.mark.parametrize("n_d", [1, 50, 5000])
     def test_false_alarm_and_missed_detection_sum_to_zeta(self, n_d):
@@ -419,6 +435,45 @@ class TestRuleGuard:
             fa, md = detection._csi_averages(n_d, p_d / SW2)
             assert fa == detection.expected_p_fa_csi(w)
             assert abs(fa + md - expected_zeta_star_csi(w)) <= 1e-15
+
+
+def _lam_with_an_edge_on_a_cut(cuts, n_d):
+    """A threshold within 64 ulps of sigma_w2 (1 + c), for c a cut, one of
+    whose step edges is exactly a cut; None if there is none."""
+    for c in cuts[-2:1:-1]:
+        for k in range(-64, 65):
+            lam = SW2 * (1.0 + c) * (1.0 + k * 2.0 ** -52)
+            step = (math.log(lam) - math.log(SW2)
+                    + np.array([-8.0, -2.0, 0.0, 2.0, 8.0]) / math.sqrt(n_d))
+            if np.isin(np.expm1(step), cuts).any():
+                return lam
+    return None
+
+
+class TestCachedCuts:
+    """The rule on cached panel cuts equals one built from scratch, bit for bit."""
+
+    @pytest.mark.parametrize("p_d", [1e-6, 1e-4, 1e-2, 1.0, 100.0, 1e10])
+    @pytest.mark.parametrize("n_d", [1, 10, 50, 200, 5000])
+    def test_cdi_rule_matches_a_per_call_build(self, n_d, p_d):
+        lo, hi = detection._span(p_d / SW2, n_d)
+        cuts = panel_cuts_ref(lo, hi)
+        # Step edges below 0, inside [0, lo], between the cuts and above hi.
+        lams = [SW2 * 0.5, SW2 * (1.0 + lo / 2), *SW2 * (1.0 + np.geomspace(lo, hi, 7)),
+                SW2 * (1.0 + 2.0 * hi)]
+        on_cut = _lam_with_an_edge_on_a_cut(cuts, n_d)
+        if p_d >= 1.0:
+            assert on_cut is not None
+        if on_cut is not None:
+            lams.append(on_cut)
+        w = willie(n_d=n_d, p_d=p_d)
+        for lam in lams:
+            got, want = detection._cdi_rule(float(lam), w), cdi_rule_ref(float(lam), SW2, n_d, p_d)
+            assert all(np.array_equal(g, r) for g, r in zip(got, want)), lam
+        # Edges exactly on cuts at every p_d, through the rule itself.
+        edges = np.concatenate((cuts[1:3], [(cuts[2] + cuts[3]) / 2]))
+        for g, r in zip(detection._rule(lo, hi, edges), rule_ref(lo, hi, edges)):
+            assert np.array_equal(g, r)
 
 
 class TestAcrossDomain:

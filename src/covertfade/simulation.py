@@ -10,30 +10,30 @@ A slot runs in two stages, one per receiver, and each estimator draws only
 the stage its decision reads.  ``draw_channels`` is Bob's side: the fading
 gain h_b and the mean of the n_t pilot observations, from which it forms
 Bob's LMMSE estimate and its error.  ``simulate_slots`` is Willie's side: the
-fading gain h_w, then his average received power over n_d samples from
-``radiometer_statistic``.  Each stage draws a sufficient statistic, one
-variate per slot, rather than sample by sample: the estimate reads the pilots
-only through their mean, sqrt(p_t) h_b + CN(0, sigma_b2 / n_t), and at a
-fixed h_w the radiometer average is exactly a scaled Gamma(n_d, 1) variate
-(the energy-detector law).  The symbol-level routes are kept in the tests as
-their oracles.  Streams 0 and 1 (H0, H1 of ``estimate_detection``) hold h_w
-then one Gamma variate per slot; stream 2 (``estimate_pcc``) holds h_b then
-the pilot-mean noise.  ``analytic_detection`` and ``analytic_zeta`` give the
-closed forms at each threshold policy.
+squared fading gain |h_w|^2 ~ Exp(1), then his average received power over
+n_d samples from ``radiometer_statistic``.  Each stage draws a sufficient
+statistic, one variate per slot: the estimate reads the pilots only through
+their mean, sqrt(p_t) h_b + CN(0, sigma_b2 / n_t); Willie reads h_w only
+through |h_w|^2, at which the radiometer average is exactly a scaled
+Gamma(n_d, 1) variate (the energy-detector law).  The symbol-level routes
+are kept in the tests as their oracles.  Streams 0 and 1 (H0, H1 of
+``estimate_detection``) hold |h_w|^2 then one Gamma variate per slot; stream
+2 (``estimate_pcc``) holds h_b then the pilot-mean noise.
+``analytic_detection`` and ``analytic_zeta`` give the closed forms.
 
 A run's threshold is resolved once, by ``policy_threshold``, and carried in
 ``McConfig.threshold`` (None: the per-slot CSI threshold set from h_w).  The
 rows of ``simulate --dump-traces`` come from ``trace_rows``: one H0 batch then
 one H1 batch on the trace stream (stream 9; the estimators use 0-2), each
-batch drawing Bob's stage then Willie's, with the run's threshold and the
-outage rule of ``estimate_pcc`` applied per slot.
+batch drawing Bob's stage, a complex h_w (the file prints it), then the
+radiometer at |h_w|^2, with the run's threshold and outage rule per slot.
 
 Randomness comes from numpy's counter-based Philox generator keyed by the
 two words (seed, stream), with a 64-bit seed; batch estimators consume one
 stream per hypothesis, so identical (params, config) pairs reproduce
 identical results and distinct (seed, stream) pairs never share a key.
-Complex Gaussian CN(0, s) is drawn as two independent real normals of
-variance s/2, real part first.
+CN(0, s) is drawn as one block of 2n standard normals scaled by sqrt(s/2)
+and read as n complex values: real and imaginary parts interleave.
 """
 
 import math
@@ -92,8 +92,9 @@ class PccEstimate(NamedTuple):
 
 
 def _cn(rng, size, var):
-    scale = math.sqrt(var / 2.0)
-    return rng.normal(0.0, scale, size) + 1j * rng.normal(0.0, scale, size)
+    z = rng.standard_normal(2 * size)
+    z *= math.sqrt(var / 2.0)
+    return z.view(np.complex128)
 
 
 def _rng(seed, stream):
@@ -124,12 +125,12 @@ def policy_threshold(params: SystemParams, policy: str, fixed_threshold=None):
     raise DomainError(f"policy must be one of {POLICIES}, got {policy!r}")
 
 
-def _thresholds(params: SystemParams, lam, h_w):
-    """The run's scalar threshold, or per-slot CSI thresholds from h_w."""
+def _thresholds(params: SystemParams, lam, h_w2):
+    """The run's scalar threshold, or per-slot CSI thresholds from |h_w|^2."""
     if lam is not None:
         return lam
     with overflow_check(_power_overflow(params)):
-        s = np.abs(h_w) ** 2 * params.p_d
+        s = h_w2 * params.p_d
     return detection.csi_threshold(s, params.sigma_w2)
 
 
@@ -141,15 +142,17 @@ def draw_channels(params: SystemParams, n_slots: int,
     n_slots = check_value("n_slots", n_slots, "counts")
     h_b = _cn(rng, n_slots, 1.0)
     amp = math.sqrt(params.p_t)
-    y_mean = amp * h_b + _cn(rng, n_slots, params.sigma_b2 / params.n_t)
-    h_hat = params.n_t * amp / (params.sigma_b2 + params.n_t * params.p_t) * y_mean
+    h_hat = _cn(rng, n_slots, params.sigma_b2 / params.n_t)
+    h_hat += amp * h_b  # the pilots' mean, then its LMMSE scaling in place
+    h_hat *= params.n_t * amp / (params.sigma_b2 + params.n_t * params.p_t)
     return {"h_b": h_b, "h_b_hat": h_hat, "h_b_tilde": h_b - h_hat}
 
 
-def radiometer_statistic(params: SystemParams, transmit: bool, h_w,
-                         rng: np.random.Generator) -> np.ndarray:
+def radiometer_statistic(params: SystemParams, transmit: bool, h_w2,
+                         rng: np.random.Generator):
     """Radiometer stage: Willie's average received power over n_d samples in
-    each slot whose channel gain is the matching entry of ``h_w``.
+    each slot whose squared channel gain |h_w|^2 is the matching entry of
+    ``h_w2`` (a scalar or an array of any shape; one statistic per gain).
 
     Each sample is y ~ CN(0, v), with v = |h_w|^2 p_d + sigma_w2 when
     ``transmit`` and p_d > 0 and v = sigma_w2 otherwise, so the average of
@@ -157,12 +160,11 @@ def radiometer_statistic(params: SystemParams, transmit: bool, h_w,
     from that law, one Gamma variate per slot, so time and memory do not
     grow with n_d.
     """
-    h_w = np.asarray(h_w)
     with overflow_check(_power_overflow(params)):
         v = params.sigma_w2
         if transmit and params.p_d > 0:
-            v = np.abs(h_w) ** 2 * params.p_d + params.sigma_w2
-        return v * rng.standard_gamma(params.n_d, h_w.shape[0]) / params.n_d
+            v = h_w2 * params.p_d + params.sigma_w2
+        return v * rng.standard_gamma(params.n_d, np.shape(h_w2)) / params.n_d
 
 
 def _outage(params: SystemParams, h_hat, h_tilde):
@@ -173,12 +175,12 @@ def _outage(params: SystemParams, h_hat, h_tilde):
 
 def simulate_slots(params: SystemParams, hypothesis: str, n_slots: int,
                    rng: np.random.Generator) -> dict:
-    """Willie's side of a slot batch: the fading gain h_w, then the
-    radiometer stage; arrays keyed h_w and statistic."""
+    """Willie's side of a slot batch: |h_w|^2 ~ Exp(1), the law of |CN(0, 1)|^2,
+    then the radiometer stage; arrays keyed h_w2 and statistic."""
     if hypothesis not in ("H0", "H1"):
         raise DomainError("hypothesis must be 'H0' or 'H1'")
-    h_w = _cn(rng, check_value("n_slots", n_slots, "counts"), 1.0)
-    return {"h_w": h_w, "statistic": radiometer_statistic(params, hypothesis == "H1", h_w, rng)}
+    h_w2 = rng.standard_exponential(check_value("n_slots", n_slots, "counts"))
+    return {"h_w2": h_w2, "statistic": radiometer_statistic(params, hypothesis == "H1", h_w2, rng)}
 
 
 def _binomial_se(p_hat, n):
@@ -197,11 +199,11 @@ def estimate_detection(params: SystemParams, mc: McConfig) -> DetectionEstimate:
     lam = mc.threshold
 
     batch0 = simulate_slots(params, "H0", n_h0, _rng(mc.seed, 0))
-    p_fa_hat = float(np.mean(batch0["statistic"] > _thresholds(params, lam, batch0["h_w"])))
+    p_fa_hat = float(np.mean(batch0["statistic"] > _thresholds(params, lam, batch0["h_w2"])))
 
     if n_h1 > 0:
         batch1 = simulate_slots(params, "H1", n_h1, _rng(mc.seed, 1))
-        p_md_hat = float(np.mean(batch1["statistic"] <= _thresholds(params, lam, batch1["h_w"])))
+        p_md_hat = float(np.mean(batch1["statistic"] <= _thresholds(params, lam, batch1["h_w2"])))
     else:
         p_md_hat = float("nan")
 
@@ -245,18 +247,21 @@ def analytic_detection(params: SystemParams, mc: McConfig):
 def trace_rows(params: SystemParams, mc: McConfig, n_slots: int) -> list:
     """Rows (slot, hypothesis, h_b re/im, h_w re/im, statistic, decision,
     outage) of ceil(n/2) H0 then floor(n/2) H1 slots drawn on the trace stream,
-    interleaved so that even slots are H0; outage is empty on H0 rows."""
+    interleaved so that even slots are H0; outage is empty on H0 rows.  The
+    radiometer reads the printed complex h_w through |h_w|^2."""
     rng = _rng(mc.seed, 9)
     rows = {}
     for hyp, n in (("H0", n_slots - n_slots // 2), ("H1", n_slots // 2)):
         if n == 0:
             continue
-        b = {**draw_channels(params, n, rng), **simulate_slots(params, hyp, n, rng)}
-        decision = np.where(b["statistic"] > _thresholds(params, mc.threshold, b["h_w"]),
-                            "H1", "H0")
+        b = draw_channels(params, n, rng)
+        h_w = _cn(rng, n, 1.0)
+        h_w2 = np.abs(h_w) ** 2
+        statistic = radiometer_statistic(params, hyp == "H1", h_w2, rng)
+        decision = np.where(statistic > _thresholds(params, mc.threshold, h_w2), "H1", "H0")
         outage = [""] * n if hyp == "H0" else (
             _outage(params, b["h_b_hat"], b["h_b_tilde"]).astype(int).tolist())
         rows[hyp] = list(zip([hyp] * n, b["h_b"].real.tolist(), b["h_b"].imag.tolist(),
-                             b["h_w"].real.tolist(), b["h_w"].imag.tolist(),
-                             b["statistic"].tolist(), decision.tolist(), outage))
+                             h_w.real.tolist(), h_w.imag.tolist(),
+                             statistic.tolist(), decision.tolist(), outage))
     return [(i,) + rows["H1" if i % 2 else "H0"][i // 2] for i in range(n_slots)]

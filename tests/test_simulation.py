@@ -1,6 +1,7 @@
 import math
 import tracemalloc
 import warnings
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -20,6 +21,7 @@ from covertfade.simulation import (
     policy_threshold,
     radiometer_statistic,
     simulate_slots,
+    _cn,
     _outage,
     _rng,
     _thresholds,
@@ -61,7 +63,7 @@ class TestSimulateSlot:
         assert t["h_b"][0] == t["h_b_hat"][0] + t["h_b_tilde"][0]
         w = simulate_slots(p, "H1", 1, _rng(5, 0))
         assert w["statistic"][0] >= 0.0
-        lam = _thresholds(p, None, w["h_w"])
+        lam = _thresholds(p, None, w["h_w2"])
         assert np.isfinite(lam[0]) and lam[0] >= p.sigma_w2
 
     def test_bad_hypothesis(self):
@@ -80,16 +82,17 @@ class TestStages:
         h0 = simulate_slots(p, "H0", 10_000, _rng(seed, 0))
         h1 = simulate_slots(p, "H1", 10_000, _rng(seed, 1))
         det = estimate_detection(p, McConfig(trials=20_000, seed=seed))
-        assert det.p_fa == float(np.mean(h0["statistic"] > _thresholds(p, None, h0["h_w"])))
-        assert det.p_md == float(np.mean(h1["statistic"] <= _thresholds(p, None, h1["h_w"])))
+        assert det.p_fa == float(np.mean(h0["statistic"] > _thresholds(p, None, h0["h_w2"])))
+        assert det.p_md == float(np.mean(h1["statistic"] <= _thresholds(p, None, h1["h_w2"])))
 
-    @pytest.mark.parametrize("estimate, normals, gammas", [
-        (estimate_detection, 2, 1), (estimate_pcc, 4, 0)])
-    def test_each_estimator_draws_only_what_it_reads(self, monkeypatch, estimate,
-                                                     normals, gammas):
-        # Detection reads h_w and one Gamma variate per slot; P_cc reads h_b
-        # and the pilot-mean noise.  Complex variates are two real normals.
-        drawn = {"normal": 0, "standard_gamma": 0}
+    @pytest.mark.parametrize("estimate, per_trial", [
+        (estimate_detection, {"standard_exponential": 1, "standard_gamma": 1}),
+        (estimate_pcc, {"standard_normal": 4})], ids=["estimate_detection", "estimate_pcc"])
+    def test_each_estimator_draws_only_what_it_reads(self, monkeypatch, estimate, per_trial):
+        # Detection reads |h_w|^2 and one Gamma variate per slot; P_cc reads
+        # h_b and the pilot-mean noise, each complex variate two real normals.
+        # Every method called is counted, so an unexpected draw shows up.
+        drawn = Counter()
 
         class Counting:
             def __init__(self, rng):
@@ -108,17 +111,18 @@ class TestStages:
         monkeypatch.setattr(simulation, "_rng", lambda *key: Counting(rng(*key)))
         trials = 1_001
         estimate(params(p_d=0.02, n_d=50), McConfig(trials=trials, seed=5))
-        assert drawn == {"normal": normals * trials, "standard_gamma": gammas * trials}
+        assert drawn == {name: k * trials for name, k in per_trial.items()}
 
     @pytest.mark.parametrize("transmit", [True, False])
     @pytest.mark.parametrize("n_d", [1, 50, 400])
     def test_radiometer_matches_symbol_level_oracle(self, n_d, transmit):
-        # The simulator draws the statistic from its Gamma law; the oracle
-        # builds it symbol by symbol.  Chunks hold at most 5e6 samples.
+        # The simulator draws the statistic from its Gamma law at |h_w|^2; the
+        # oracle builds it symbol by symbol from h_w.  Chunks hold at most 5e6
+        # samples.
         p = params(p_d=0.05, n_d=n_d)
         h_w = 0.8 - 0.6j
         n = 100_000
-        stats = radiometer_statistic(p, transmit, np.full(n, h_w), _rng(61, 0))
+        stats = radiometer_statistic(p, transmit, np.full(n, abs(h_w) ** 2), _rng(61, 0))
         ref = radiometer_statistics_signal(
             n_d, p.p_d if transmit else 0.0, h_w, p.sigma_w2, n, seed=62,
             chunk=min(100_000, 5_000_000 // n_d),
@@ -127,6 +131,17 @@ class TestStages:
         assert abs(np.mean(stats) - np.mean(ref)) <= 4.0 * se_mean
         assert np.var(stats) == pytest.approx(np.var(ref), rel=0.03)
         assert stats_mod.ks_2samp(stats, ref).pvalue > 1e-3
+
+    @pytest.mark.parametrize("transmit", [True, False])
+    def test_radiometer_gives_one_statistic_per_gain_of_any_shape(self, transmit):
+        p = params(p_d=0.05, n_d=50)
+        gains = np.arange(1.0, 7.0)
+        flat = radiometer_statistic(p, transmit, gains, _rng(63, 0))
+        grid = radiometer_statistic(p, transmit, gains.reshape(2, 3), _rng(63, 0))
+        one = radiometer_statistic(p, transmit, 1.0, _rng(63, 0))
+        assert flat.shape == (6,) and grid.shape == (2, 3) and np.shape(one) == ()
+        assert np.array_equal(grid.ravel(), flat)
+        assert one == flat[0]
 
     def test_pilot_mean_matches_symbol_level_oracle(self):
         # The simulator draws the mean of the n_t pilots; the oracle draws
@@ -198,6 +213,29 @@ class TestStages:
         assert code == 0
         golden = Path(__file__).with_name("data") / f"simulate_seed314_{policy}.csv"
         assert out.read_bytes() == golden.read_bytes()
+
+
+class TestDrawLaws:
+    def test_exponential_gain_is_the_law_of_a_cn_squared_magnitude(self):
+        # simulate_slots draws |h_w|^2 ~ Exp(1); trace_rows draws h_w by _cn.
+        n = 200_000
+        exp = _rng(81, 0).standard_exponential(n)
+        cn2 = np.abs(_cn(_rng(82, 0), n, 1.0)) ** 2
+        assert stats_mod.ks_2samp(exp, cn2).pvalue > 1e-3
+        for sample in (exp, cn2):
+            # Exp(1): the sample mean has se 1/sqrt(n), the sample variance
+            # sqrt((mu_4 - 1) / n) with fourth central moment mu_4 = 9.
+            assert abs(np.mean(sample) - 1.0) <= 5.0 / math.sqrt(n)
+            assert abs(np.var(sample) - 1.0) <= 5.0 * math.sqrt(8.0 / n)
+
+    @pytest.mark.parametrize("var", [1.0, 0.37, 1e-6])
+    def test_cn_block_parts_are_uncorrelated_normals_of_half_the_variance(self, var):
+        n = 200_000
+        z = _cn(_rng(83, 2), n, var)
+        assert z.dtype == np.complex128 and z.shape == (n,)
+        for part in (z.real, z.imag):
+            assert stats_mod.kstest(part, "norm", args=(0.0, math.sqrt(var / 2.0))).pvalue > 1e-3
+        assert abs(np.corrcoef(z.real, z.imag)[0, 1]) <= 5.0 / math.sqrt(n)
 
 
 class TestRng:
@@ -407,8 +445,13 @@ class TestTraceDump:
         p = params(p_d=0.02)
         lam = policy_threshold(p, policy, 0.055)
         rng = _rng(71, 9)
-        batches = {h: {**draw_channels(p, n, rng), **simulate_slots(p, h, n, rng)}
-                   for h, n in (("H0", 4), ("H1", 3))}
+        batches = {}
+        for h, n in (("H0", 4), ("H1", 3)):
+            b = draw_channels(p, n, rng)
+            b["h_w"] = _cn(rng, n, 1.0)
+            b["h_w2"] = np.abs(b["h_w"]) ** 2
+            b["statistic"] = radiometer_statistic(p, h == "H1", b["h_w2"], rng)
+            batches[h] = b
         for i, row in enumerate(rows):
             slot, hyp, *values, decision, outage = row.split(",")
             b = batches[hyp]
@@ -417,7 +460,7 @@ class TestTraceDump:
             assert values == [f"{v:.12g}" for v in (
                 b["h_b"][j].real, b["h_b"][j].imag, b["h_w"][j].real,
                 b["h_w"][j].imag, b["statistic"][j])]
-            threshold = np.broadcast_to(_thresholds(p, lam, b["h_w"]), (b["h_w"].size,))[j]
+            threshold = np.broadcast_to(_thresholds(p, lam, b["h_w2"]), (b["h_w2"].size,))[j]
             assert decision == ("H1" if b["statistic"][j] > threshold else "H0")
             if hyp == "H0":
                 assert outage == ""

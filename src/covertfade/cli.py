@@ -9,6 +9,11 @@ are declared once on a shared parent parser and typed by
 judged by ``params.check_value``, so ``50.0`` runs as 50 and ``50.5`` exits 2;
 ``--seed`` and ``--trace-slots`` take ints.
 
+``simulate`` runs its two Monte Carlo stages at the same time, each on its own
+streams: P_cc on a worker thread, detection on the calling thread.  The bytes
+are those of running them one after the other, and when both stages fail the
+detection error is the one reported.
+
 Exit codes: 0 success, 2 usage error or unusable file, 3 numeric failure.
 Every output path is opened before any work, so an unusable one prints nothing.
 """
@@ -22,7 +27,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from . import link, optimizer, simulation
+from . import detection, link, optimizer, simulation
 from .errors import DomainError, NumericError
 from .params import _FIELD_TYPES, SystemParams, check_value, count, parse_params_file
 
@@ -142,9 +147,9 @@ def cmd_detect_sweep(args) -> int:
     modes = ["csi", "cdi_exact"] if args.mode == "both" else [args.mode]
     rows = []
     for n_d in args.n_d_list:
-        row = replace(params, n_d=n_d)  # n_d is checked before the p_d grid
         for p_d in args.p_d_grid:
-            point = replace(row, p_d=p_d)
+            # the point's one validated copy serves every mode; n_d is checked before p_d
+            point = detection.WillieParams(sigma_w2=params.sigma_w2, n_d=n_d, p_d=p_d)
             for mode in modes:
                 lam = simulation.policy_threshold(
                     point, "csi_optimal" if mode == "csi" else mode)
@@ -184,8 +189,15 @@ def cmd_simulate(args) -> int:
     mc = simulation.McConfig(trials=args.trials, seed=args.seed)  # checked before the policy
     mc = replace(mc, threshold=simulation.policy_threshold(
         params, args.policy, args.fixed_threshold))
-    est = simulation.estimate_detection(params, mc)
-    pcc = simulation.estimate_pcc(params, mc)
+    # P_cc, the longer stage, runs on the worker (numpy releases the GIL in
+    # both).  Leaving the block joins it, so a detection error propagates
+    # before the P_cc result, or its error, is read.
+    from concurrent.futures import ThreadPoolExecutor  # loaded here, not at CLI start
+
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        pcc_stage = pool.submit(simulation.estimate_pcc, params, mc)
+        est = simulation.estimate_detection(params, mc)
+    pcc = pcc_stage.result()
 
     fa, md, zeta = simulation.analytic_detection(params, mc)
     pcc_analytic = link.covert_connection_prob(params)

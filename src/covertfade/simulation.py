@@ -18,7 +18,9 @@ through |h_w|^2, at which the radiometer average is exactly a scaled
 Gamma(n_d, 1) variate (the energy-detector law).  The symbol-level routes
 are kept in the tests as their oracles.  Streams 0 and 1 (H0, H1 of
 ``estimate_detection``) hold |h_w|^2 then one Gamma variate per slot; stream
-2 (``estimate_pcc``) holds h_b then the pilot-mean noise.
+2 (``estimate_pcc``) holds h_b then the pilot-mean noise.  The two estimators
+share no generator, so ``cli.cmd_simulate`` runs them at the same time, P_cc
+on a worker thread, with the bytes of running them one after the other.
 ``analytic_detection`` and ``analytic_zeta`` give the closed forms.
 
 A run's threshold is resolved once, by ``policy_threshold``, and carried in
@@ -106,14 +108,18 @@ def _power_overflow(params: SystemParams):
     return f"p_d={params.p_d!r} with sigma_w2={params.sigma_w2!r} overflows Willie's received power"
 
 
-def _willie(params: SystemParams):
+def _willie(params):
+    """Willie's side of ``params``; a ``WillieParams`` is already that, unchecked again."""
+    if isinstance(params, detection.WillieParams):
+        return params
     return detection.WillieParams(sigma_w2=params.sigma_w2, n_d=params.n_d, p_d=params.p_d)
 
 
-def policy_threshold(params: SystemParams, policy: str, fixed_threshold=None):
+def policy_threshold(params, policy: str, fixed_threshold=None):
     """Detector threshold of ``policy``, one of ``POLICIES``: None for
     csi_optimal, whose threshold is set per slot from h_w; the CDI argmin or
-    its noise-floor approximation; or ``fixed_threshold``."""
+    its noise-floor approximation; or ``fixed_threshold``.  ``params`` is a
+    ``SystemParams`` or Willie's side of one, a ``detection.WillieParams``."""
     if policy == "csi_optimal":
         return None
     if policy == "cdi_exact":
@@ -228,9 +234,9 @@ def estimate_pcc(params: SystemParams, mc: McConfig) -> PccEstimate:
     return PccEstimate(p_cc_hat, _binomial_se(p_cc_hat, mc.trials))
 
 
-def analytic_zeta(params: SystemParams, threshold) -> float:
+def analytic_zeta(params, threshold) -> float:
     """Closed-form fading-averaged total error at ``threshold``, read as
-    ``McConfig.threshold`` is."""
+    ``McConfig.threshold`` is; ``params`` as in ``policy_threshold``."""
     w = _willie(params)
     return (detection.expected_zeta_star_csi(w) if threshold is None
             else detection.expected_zeta_cdi(threshold, w))
@@ -240,7 +246,7 @@ def analytic_detection(params: SystemParams, mc: McConfig):
     """Closed-form (p_fa, p_md, zeta) at the simulator's ``mc.threshold``."""
     w = _willie(params)
     fa = detection.expected_p_fa_csi(w) if mc.threshold is None else detection.p_fa(mc.threshold, w)
-    zeta = analytic_zeta(params, mc.threshold)
+    zeta = analytic_zeta(w, mc.threshold)
     return fa, zeta - fa, zeta
 
 

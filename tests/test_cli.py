@@ -2,14 +2,16 @@ import argparse
 import os
 import subprocess
 import sys
+import threading
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from covertfade import optimizer, simulation
-from covertfade.cli import main
+from covertfade import detection, optimizer, simulation
+from covertfade.cli import _fmt, main
+from covertfade.errors import DomainError, NumericError
 from covertfade.optimizer import power_for_covertness_suboptimal
 from covertfade.params import SystemParams
 
@@ -135,6 +137,18 @@ class TestDetectSweep:
                         "--n-d-list", "9007199254740993", "--mode", "cdi_approx")
         assert code == 0
         assert [r["n_d"] for r in parse_csv(out)[1]] == ["9007199254740993"]
+
+    def test_each_point_validated_once(self, capsys, monkeypatch):
+        # one WillieParams per (n_d, p_d) point serves both modes' threshold and average
+        built = []
+        for cls in (detection.WillieParams, SystemParams):
+            init = cls.__post_init__
+            monkeypatch.setattr(cls, "__post_init__",
+                                lambda self, init=init: (built.append(type(self)), init(self)))
+        code, _ = run(capsys, "detect-sweep", "--p-d-grid", "0,1e-3,1", "--n-d-list", "1,50",
+                      "--mode", "both")
+        assert code == 0
+        assert built == [SystemParams] + [detection.WillieParams] * 6
 
 
 class TestOptimize:
@@ -340,7 +354,59 @@ class TestSimulate:
             code, err = run_err(capsys, "simulate", "--trials", "1000", "--seed", "1",
                                 "--p-d", "1e308", "--policy", policy)
         assert code == 2
-        assert "p_d=1e+308" in err and "Warning" not in err
+        # Bob's received power overflows too; the detection stage's error is the one printed
+        assert err == ("error: p_d=1e+308 with sigma_w2=0.05 overflows Willie's received "
+                       "power: overflow encountered in multiply\n")
+
+    @pytest.mark.parametrize("exc, code, prefix", [
+        (DomainError, 2, "error"), (NumericError, 3, "numeric failure"),
+    ], ids=["domain", "numeric"])
+    def test_pcc_stage_error_exits_with_its_code(self, exc, code, prefix, capsys, monkeypatch):
+        def failing(params, mc):
+            raise exc("pcc stage failed")
+
+        monkeypatch.setattr(simulation, "estimate_pcc", failing)
+        got, err = run_err(capsys, "simulate", "--trials", "1000", "--seed", "1")
+        assert (got, err) == (code, f"{prefix}: pcc stage failed\n")
+
+    def test_detection_error_wins_over_an_earlier_pcc_error(self, capsys, monkeypatch):
+        pcc_failed = threading.Event()
+
+        def bob(params, mc):
+            pcc_failed.set()
+            raise NumericError("bob")
+
+        def willie(params, mc):
+            assert pcc_failed.wait(10)
+            raise DomainError("willie")
+
+        monkeypatch.setattr(simulation, "estimate_pcc", bob)
+        monkeypatch.setattr(simulation, "estimate_detection", willie)
+        assert run_err(capsys, "simulate", "--trials", "10", "--seed", "1") == (2, "error: willie\n")
+
+    @pytest.mark.parametrize("p_d, code", [("0.02", 0), ("1e308", 2)], ids=["success", "error"])
+    def test_stage_thread_joined_before_return(self, p_d, code, capsys):
+        before = threading.active_count()
+        assert run_err(capsys, "simulate", "--trials", "1000", "--seed", "1", "--p-d", p_d)[0] == code
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("policy", simulation.POLICIES)
+    @pytest.mark.parametrize("seed", [7, 314, 2**64 - 1])
+    def test_stages_share_no_generator(self, policy, seed, capsys):
+        # concurrent stages print what the estimators give one after the other
+        params = SystemParams(p_d=0.02)
+        mc = simulation.McConfig(trials=100_000, seed=seed, threshold=simulation.policy_threshold(
+            params, policy, 0.055))
+        est = simulation.estimate_detection(params, mc)
+        pcc = simulation.estimate_pcc(params, mc)
+        code, out = run(capsys, "simulate", "--trials", "100000", "--seed", str(seed),
+                        "--p-d", "0.02", "--policy", policy, "--fixed-threshold", "0.055")
+        assert code == 0
+        _, rows = parse_csv(out)
+        assert [(r["metric"], r["empirical"], r["stderr"]) for r in rows] == [
+            (name, _fmt(emp), _fmt(se)) for name, emp, se in [
+                ("p_fa", est.p_fa, est.se_fa), ("p_md", est.p_md, est.se_md),
+                ("zeta", est.zeta, est.se_zeta), ("p_cc", pcc.p_cc, pcc.se)]]
 
 
 class TestParameterHandling:
@@ -546,6 +612,16 @@ def test_cli_start_loads_no_scipy_optimize():
     # both numeric searches run on covertfade.solver; scipy.optimize serves the tests only
     code = ("import sys, covertfade.cli; covertfade.cli.build_parser(); "
             "print('scipy.optimize' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+    assert out.stdout.strip() == "False"
+
+
+def test_cli_start_loads_no_thread_pool():
+    # simulate imports ThreadPoolExecutor when it runs; numpy.testing, which
+    # scipy.special loads, may already have imported the concurrent.futures package
+    code = ("import sys, covertfade.cli; covertfade.cli.build_parser(); "
+            "print('concurrent.futures.thread' in sys.modules)")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
     assert out.stdout.strip() == "False"

@@ -14,7 +14,7 @@ streams: P_cc on a worker thread, detection on the calling thread.  The bytes
 are those of running them one after the other, and when both stages fail the
 detection error is the one reported.
 
-Exit codes: 0 success, 2 usage error or unusable file, 3 numeric failure.
+Exit codes: 0 success, 2 usage error, unusable file or no memory, 3 numeric failure.
 Every output path is opened before any work, so an unusable one prints nothing.
 """
 
@@ -25,8 +25,6 @@ import os
 import sys
 from dataclasses import replace
 
-import numpy as np
-
 from . import detection, link, optimizer, simulation
 from .errors import DomainError, NumericError
 from .params import _FIELD_TYPES, SystemParams, check_value, count, parse_params_file
@@ -35,7 +33,7 @@ __all__ = ["main", "build_parser"]
 
 
 def _fmt(value) -> str:
-    if isinstance(value, (bool, np.bool_)):
+    if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, int):
         return str(value)
@@ -165,10 +163,8 @@ def cmd_optimize(args) -> int:
     for eps in args.epsilon_grid:
         prob = replace(params, epsilon=eps)
         for method in methods:
-            if method == "exact":
-                sol = optimizer.solve_p1(prob, force_nd=args.force_nd)
-            else:
-                sol = optimizer.solve_p1_1(prob, force_nd=args.force_nd)
+            solve = optimizer.solve_p1 if method == "exact" else optimizer.solve_p1_1
+            sol = solve(prob, force_nd=args.force_nd)
             diagnostics = "constraint_violated" if sol.constraint_violated else "ok"
             rows.append(
                 (eps, method, sol.p_d_star, sol.n_d_star, sol.throughput,
@@ -234,6 +230,9 @@ def main(argv=None) -> int:
         return args.run(args)
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:  # numpy's, from a run too large for this process
+        print(f"error: not enough memory: {exc}", file=sys.stderr)
         return 2
     except NumericError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)

@@ -71,7 +71,9 @@ _LN_MAX = math.log(np.finfo(float).max)  # ln of the largest double; its exp is 
 @dataclass(frozen=True)
 class WillieParams:
     """Adversary-side scenario: noise variance, observation length, and the
-    transmit power / channel gain of the hypothesis under test."""
+    transmit power / channel gain of the hypothesis under test.  Whatever reads
+    only sigma_w2, n_d and p_d (``p_fa``, the fading averages, the CDI argmin)
+    takes a ``SystemParams`` too: it validates those fields alike."""
 
     sigma_w2: float
     n_d: int

@@ -58,7 +58,7 @@ def _avg_error(n_d: int, p_d: float, params: SystemParams) -> float:
     return csi_average_and_slope(n_d, p_d / params.sigma_w2)[0]
 
 
-def power_for_covertness_exact(n_d: int, params: SystemParams) -> CovertPower:
+def power_for_covertness_exact(n_d: int, params: SystemParams, top: float = None) -> CovertPower:
     """Data power putting the averaged detection error exactly at 1 - epsilon,
     capped at p_max when the uncapped root exceeds it.
 
@@ -67,16 +67,10 @@ def power_for_covertness_exact(n_d: int, params: SystemParams) -> CovertPower:
     power and p_max.  One average at p_max decides the cap; otherwise
     ``solver.newton_bracket`` runs in ln P_D from the closed-form power, on
     the error and its slope, to relative tolerance _CONSTRAINT_RTOL.  The
-    capped case can only make the constraint slack, never violate it.  This
-    is the cold root: ``solve_p1`` starts each count after an uncapped one
-    from that count's root instead.
-    """
-    return _exact_power(check_value("n_d", n_d, "counts"), params)
-
-
-def _exact_power(n_d: int, params: SystemParams, top: float = None) -> CovertPower:
-    """The cold root; or Newton down from ``top``, a root at or above this one,
-    where the gap there is positive (adjacent roots can round together)."""
+    capped case can only make the constraint slack, never violate it.  A
+    ``top`` at or above this root (``solve_p1`` passes the last uncapped
+    count's) starts Newton there, unless adjacent roots round together."""
+    n_d = check_value("n_d", n_d, "counts")
     target = 1.0 - params.epsilon
 
     def gap(u):  # rises through the root in u = ln P_D, with its slope
@@ -104,7 +98,7 @@ def power_for_covertness_suboptimal(n_d: int, params: SystemParams) -> CovertPow
     return _capped(params.epsilon * params.sigma_w2 * low_power_scale(n_d), params)
 
 
-def _search(params: SystemParams, candidates, power_rule, warm_rule=None) -> DesignSolution:
+def _search(params: SystemParams, candidates, power_rule, warm=False) -> DesignSolution:
     """Throughput-maximizing count in ``candidates`` (increasing) with its
     power from ``power_rule(n_d, params)``; ties break toward fewer symbols.
 
@@ -115,16 +109,16 @@ def _search(params: SystemParams, candidates, power_rule, warm_rule=None) -> Des
     count's throughput times n_top / n_d (at a fixed power the throughput is
     linear in n_d), and the search stops once that bound cannot beat the best
     design so far.  The last uncapped power ``top`` bounds the next one too:
-    ``warm_rule(n_d, params, top)``, if given, starts from it.
+    with ``warm``, ``power_rule(n_d, params, top)`` starts from it.
     """
     best = top = None
     n_top = candidates[-1]
     for n_d in candidates:
         try:
-            power = power_rule(n_d, params) if top is None else warm_rule(n_d, params, top)
+            power = power_rule(n_d, params) if top is None else power_rule(n_d, params, top)
         except NumericError as exc:
             raise NumericError(f"n_d={n_d}: {exc}") from exc
-        top = power.value if warm_rule and not power.capped else None
+        top = power.value if warm and not power.capped else None
         value = throughput_at(n_d, power.value, params)
         if best is None or value > best[0]:
             best = (value, n_d, power)
@@ -151,7 +145,7 @@ def _candidates(params: SystemParams, force_nd) -> range:
 def solve_p1(params: SystemParams, force_nd: int = None) -> DesignSolution:
     """Exact design: ``_search`` over ``_candidates`` with the constraint-equality
     power at each count, warm-started after the first uncapped one."""
-    return _search(params, _candidates(params, force_nd), power_for_covertness_exact, _exact_power)
+    return _search(params, _candidates(params, force_nd), power_for_covertness_exact, warm=True)
 
 
 def solve_p1_1(params: SystemParams, force_nd: int = None) -> DesignSolution:

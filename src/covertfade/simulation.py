@@ -108,22 +108,15 @@ def _power_overflow(params: SystemParams):
     return f"p_d={params.p_d!r} with sigma_w2={params.sigma_w2!r} overflows Willie's received power"
 
 
-def _willie(params):
-    """Willie's side of ``params``; a ``WillieParams`` is already that, unchecked again."""
-    if isinstance(params, detection.WillieParams):
-        return params
-    return detection.WillieParams(sigma_w2=params.sigma_w2, n_d=params.n_d, p_d=params.p_d)
-
-
 def policy_threshold(params, policy: str, fixed_threshold=None):
     """Detector threshold of ``policy``, one of ``POLICIES``: None for
     csi_optimal, whose threshold is set per slot from h_w; the CDI argmin or
     its noise-floor approximation; or ``fixed_threshold``.  ``params`` is a
-    ``SystemParams`` or Willie's side of one, a ``detection.WillieParams``."""
+    ``SystemParams`` or a ``detection.WillieParams``, read alike."""
     if policy == "csi_optimal":
         return None
     if policy == "cdi_exact":
-        return detection.threshold_cdi_exact(_willie(params))
+        return detection.threshold_cdi_exact(params)
     if policy == "cdi_approx":
         return detection.threshold_cdi_approx(params.sigma_w2)
     if policy == "fixed":
@@ -216,8 +209,7 @@ def estimate_detection(params: SystemParams, mc: McConfig) -> DetectionEstimate:
     se_fa = _binomial_se(p_fa_hat, n_h0)
     se_md = _binomial_se(p_md_hat, n_h1)
     zeta = p_fa_hat + p_md_hat
-    se_zeta = math.hypot(se_fa, se_md) if n_h1 > 0 else float("nan")
-    return DetectionEstimate(p_fa_hat, p_md_hat, zeta, se_fa, se_md, se_zeta)
+    return DetectionEstimate(p_fa_hat, p_md_hat, zeta, se_fa, se_md, math.hypot(se_fa, se_md))
 
 
 def estimate_pcc(params: SystemParams, mc: McConfig) -> PccEstimate:
@@ -237,16 +229,15 @@ def estimate_pcc(params: SystemParams, mc: McConfig) -> PccEstimate:
 def analytic_zeta(params, threshold) -> float:
     """Closed-form fading-averaged total error at ``threshold``, read as
     ``McConfig.threshold`` is; ``params`` as in ``policy_threshold``."""
-    w = _willie(params)
-    return (detection.expected_zeta_star_csi(w) if threshold is None
-            else detection.expected_zeta_cdi(threshold, w))
+    return (detection.expected_zeta_star_csi(params) if threshold is None
+            else detection.expected_zeta_cdi(threshold, params))
 
 
-def analytic_detection(params: SystemParams, mc: McConfig):
-    """Closed-form (p_fa, p_md, zeta) at the simulator's ``mc.threshold``."""
-    w = _willie(params)
-    fa = detection.expected_p_fa_csi(w) if mc.threshold is None else detection.p_fa(mc.threshold, w)
-    zeta = analytic_zeta(w, mc.threshold)
+def analytic_detection(params, mc: McConfig):
+    """Closed-form (p_fa, p_md, zeta) at ``mc.threshold``, ``params`` as in ``policy_threshold``."""
+    lam = mc.threshold
+    fa = detection.expected_p_fa_csi(params) if lam is None else detection.p_fa(lam, params)
+    zeta = analytic_zeta(params, lam)
     return fa, zeta - fa, zeta
 
 

@@ -369,6 +369,24 @@ class TestSimulate:
         got, err = run_err(capsys, "simulate", "--trials", "1000", "--seed", "1")
         assert (got, err) == (code, f"{prefix}: pcc stage failed\n")
 
+    @pytest.mark.parametrize("stage, argv", [
+        ("estimate_pcc", ()), ("estimate_detection", ()),
+        ("trace_rows", ("--dump-traces", "t.csv", "--trace-slots", "1000000000000")),
+    ], ids=["pcc", "detection", "traces"])
+    def test_oversized_run_exits_2_without_traceback(self, stage, argv, capsys, monkeypatch,
+                                                     tmp_path):
+        # stands in for numpy's allocation failure: a real one could pass
+        # under overcommit and end the process
+        def oversized(*args):
+            raise MemoryError("Unable to allocate 7.28 TiB for an array with shape "
+                              "(1000000000000,) and data type float64")
+
+        monkeypatch.setattr(simulation, stage, oversized)
+        monkeypatch.chdir(tmp_path)
+        assert run_err(capsys, "simulate", "--trials", "1000", "--seed", "1", *argv) == (
+            2, "error: not enough memory: Unable to allocate 7.28 TiB for an array with "
+               "shape (1000000000000,) and data type float64\n")
+
     def test_detection_error_wins_over_an_earlier_pcc_error(self, capsys, monkeypatch):
         pcc_failed = threading.Event()
 

@@ -179,22 +179,32 @@ class TestSharedSearch:
     @pytest.mark.parametrize(
         "solve, rule, calls",
         [(solve_p1, "power_for_covertness_exact", 3),
-         (solve_p1_1, "power_for_covertness_suboptimal", 3)],
+         (solve_p1_1, "power_for_covertness_suboptimal", 3),
+         pytest.param(solve_p1, "power_for_covertness_exact", None, id="uncapped")],
     )
     def test_power_rule_looked_up_at_call_time(self, monkeypatch, solve, rule, calls):
-        # tracers wrap the module attribute, so the solvers must call through it;
-        # every power is capped and every throughput positive, so the
-        # throughput bound cannot stop early
-        seen = []
-        original = getattr(optimizer, rule)
+        # tracers wrap the module attribute, so the solvers must call through it.
+        # Capped: every throughput is positive, so the throughput bound cannot
+        # stop early.  Uncapped (calls None): every root after the first starts
+        # warm from the last one, and still goes through the wrapper.
+        seen, scored = [], []
+        original, score = getattr(optimizer, rule), optimizer.throughput_at
 
-        def counting(n_d, params):
-            seen.append(n_d)
-            return original(n_d, params)
+        def counting(n_d, params, *top):
+            seen.append(top)
+            return original(n_d, params, *top)
+
+        def scoring(n_d, p_d, params):
+            scored.append(n_d)
+            return score(n_d, p_d, params)
 
         monkeypatch.setattr(optimizer, rule, counting)
-        solve(problem(epsilon=0.05, p_max=1e-4, n_d_min=50, n_d_max=52, p_t=1.0))
-        assert len(seen) == calls
+        monkeypatch.setattr(optimizer, "throughput_at", scoring)
+        p_max, n_d_max = (1e-4, 52) if calls else (1.0, 100)
+        solve(problem(epsilon=0.05, p_max=p_max, n_d_min=50, n_d_max=n_d_max, p_t=1.0))
+        assert len(seen) == len(scored) == (calls or len(scored))
+        if calls is None:
+            assert len(seen) > 1 and seen[0] == () and all(seen[1:])
 
 
 def enumerate_designs(params, power_rule=power_for_covertness_exact):

@@ -283,6 +283,20 @@ class TestPolicyThreshold:
         w = detection.WillieParams(sigma_w2=p.sigma_w2, n_d=p.n_d, p_d=p.p_d)
         assert policy_threshold(p, "cdi_exact") == detection.threshold_cdi_exact(w)
 
+    @pytest.mark.parametrize("policy", simulation.POLICIES)
+    @pytest.mark.parametrize("p_d", [0.0, 0.02, 1e6])
+    def test_willie_side_read_from_either_object(self, policy, p_d):
+        # p_d 0 is below the SNR floor; 1e6 is far above the knee
+        p = params(p_d=p_d)
+        w = detection.WillieParams(sigma_w2=p.sigma_w2, n_d=p.n_d, p_d=p.p_d)
+        got = []
+        for scenario in (p, w):
+            lam = policy_threshold(scenario, policy, 0.055)
+            mc = McConfig(trials=10, seed=1, threshold=lam)
+            got.append((lam, simulation.analytic_zeta(scenario, lam),
+                        simulation.analytic_detection(scenario, mc)))
+        assert got[0] == got[1]
+
     @pytest.mark.parametrize("fixed", [None, math.nan, 0.0])
     def test_fixed_needs_a_positive_threshold(self, fixed):
         with pytest.raises(DomainError, match="fixed_threshold"):

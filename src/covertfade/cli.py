@@ -15,7 +15,9 @@ are those of running them one after the other, and when both stages fail the
 detection error is the one reported.
 
 Exit codes: 0 success, 2 usage error, unusable file or no memory, 3 numeric failure.
-Every output path is opened before any work, so an unusable one prints nothing.
+Every output path is opened before any work, so an unusable one prints nothing,
+and ``simulate`` builds its trace file before it writes its result, so a failing
+trace stage prints nothing either.
 """
 
 import argparse
@@ -52,10 +54,13 @@ def _write(path, text="", mode="w") -> None:
         raise DomainError(f"{path}: {exc.strerror or exc}") from None
 
 
-def _emit(rows, header, out_path) -> None:
+def _csv(rows, header) -> str:
     lines = [",".join(header)]
     lines.extend(",".join(_fmt(v) for v in row) for row in rows)
-    text = "\n".join(lines) + "\n"
+    return "\n".join(lines) + "\n"
+
+
+def _emit(text, out_path) -> None:
     if out_path:
         _write(out_path, text)
     else:
@@ -152,7 +157,7 @@ def cmd_detect_sweep(args) -> int:
                 lam = simulation.policy_threshold(
                     point, "csi_optimal" if mode == "csi" else mode)
                 rows.append((p_d, n_d, mode, simulation.analytic_zeta(point, lam)))
-    _emit(rows, ["p_d", "n_d", "mode", "zeta"], args.out)
+    _emit(_csv(rows, ["p_d", "n_d", "mode", "zeta"]), args.out)
     return 0
 
 
@@ -171,9 +176,8 @@ def cmd_optimize(args) -> int:
                  sol.power_capped, diagnostics)
             )
     _emit(
-        rows,
-        ["epsilon", "method", "p_d_star", "n_d_star", "throughput",
-         "power_capped", "diagnostics"],
+        _csv(rows, ["epsilon", "method", "p_d_star", "n_d_star", "throughput",
+                    "power_capped", "diagnostics"]),
         args.out,
     )
     return 0
@@ -209,12 +213,16 @@ def cmd_simulate(args) -> int:
             rows.append((name, emp, ana, float("nan"), "n/a"))
         else:
             rows.append((name, emp, ana, se, abs(emp - ana) <= 3.0 * se))
-    _emit(rows, ["metric", "empirical", "analytic", "stderr", "pass_3sigma"], args.out)
-
+    outputs = [(_csv(rows, ["metric", "empirical", "analytic", "stderr", "pass_3sigma"]),
+                args.out)]
     if args.dump_traces:
         header = ["slot", "hypothesis", "h_b_re", "h_b_im", "h_w_re", "h_w_im",
                   "statistic", "decision", "outage"]
-        _emit(simulation.trace_rows(params, mc, args.trace_slots), header, args.dump_traces)
+        outputs.append((_csv(simulation.trace_rows(params, mc, args.trace_slots), header),
+                        args.dump_traces))
+    # every output is built before any is written, so a failing trace stage prints nothing
+    for text, path in outputs:
+        _emit(text, path)
     return 0
 
 

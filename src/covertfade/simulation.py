@@ -7,18 +7,25 @@ radiometer decides from its realized average power, and outage is declared
 from the realized estimate/error decomposition.
 
 A slot runs in two stages, one per receiver, and each estimator draws only
-the stage its decision reads.  ``draw_channels`` is Bob's side: the fading
-gain h_b and the mean of the n_t pilot observations, from which it forms
-Bob's LMMSE estimate and its error.  ``simulate_slots`` is Willie's side: the
-squared fading gain |h_w|^2 ~ Exp(1), then his average received power over
-n_d samples from ``radiometer_statistic``.  Each stage draws a sufficient
-statistic, one variate per slot: the estimate reads the pilots only through
-their mean, sqrt(p_t) h_b + CN(0, sigma_b2 / n_t); Willie reads h_w only
-through |h_w|^2, at which the radiometer average is exactly a scaled
-Gamma(n_d, 1) variate (the energy-detector law).  The symbol-level routes
-are kept in the tests as their oracles.  Streams 0 and 1 (H0, H1 of
-``estimate_detection``) hold |h_w|^2 then one Gamma variate per slot; stream
-2 (``estimate_pcc``) holds h_b then the pilot-mean noise.  The two estimators
+the stage its decision reads.  ``draw_channels`` is Bob's side: given the
+fading gains h_b it draws the mean of the n_t pilot observations, from which
+it forms Bob's LMMSE estimate and its error.  ``simulate_slots`` is Willie's
+side: the squared fading gain |h_w|^2 ~ Exp(1), then his average received
+power over n_d samples from ``radiometer_statistic``.  Each stage draws
+sufficient statistics: the estimate reads the pilots only through their mean,
+sqrt(p_t) h_b + CN(0, sigma_b2 / n_t); Willie reads h_w only through |h_w|^2,
+at which the radiometer average is exactly a scaled Gamma(n_d, 1) variate
+(the energy-detector law).  Bob's outage reads only |h_b_hat| and
+|h_b_tilde|, which do not change when a slot is rotated by the phase of h_b,
+and the rotated pilot noise is again CN(0, sigma_b2 / n_t) and independent of
+|h_b|; so ``estimate_pcc`` draws the gain as its magnitude |h_b| =
+sqrt(Exp(1)).  The symbol-level routes are kept in the tests as their
+oracles.  Streams 0 and 1 (H0, H1 of ``estimate_detection``) hold, block by
+block, |h_w|^2 then one Gamma variate per slot; stream 2 (``estimate_pcc``)
+holds, block by block, one exponential per slot then the pilot-mean noise,
+3 variates per trial.  Both estimators run over blocks of ``_BLOCK`` trials,
+drawn in order on the stage's one generator, and sum integer hit counts, so
+their memory does not grow with the number of trials.  The two estimators
 share no generator, so ``cli.cmd_simulate`` runs them at the same time, P_cc
 on a worker thread, with the bytes of running them one after the other.
 ``analytic_detection`` and ``analytic_zeta`` give the closed forms.
@@ -27,8 +34,9 @@ A run's threshold is resolved once, by ``policy_threshold``, and carried in
 ``McConfig.threshold`` (None: the per-slot CSI threshold set from h_w).  The
 rows of ``simulate --dump-traces`` come from ``trace_rows``: one H0 batch then
 one H1 batch on the trace stream (stream 9; the estimators use 0-2), each
-batch drawing Bob's stage, a complex h_w (the file prints it), then the
-radiometer at |h_w|^2, with the run's threshold and outage rule per slot.
+batch drawing a complex h_b, Bob's stage at it, a complex h_w (the file
+prints both), then the radiometer at |h_w|^2, with the run's threshold and
+outage rule per slot.
 
 Randomness comes from numpy's counter-based Philox generator keyed by the
 two words (seed, stream), with a 64-bit seed; batch estimators consume one
@@ -65,6 +73,8 @@ __all__ = [
 ]
 
 POLICIES = ("csi_optimal", "cdi_exact", "cdi_approx", "fixed")
+
+_BLOCK = 2**14  # trials per block of either estimator
 
 
 @dataclass(frozen=True)
@@ -133,15 +143,13 @@ def _thresholds(params: SystemParams, lam, h_w2):
     return detection.csi_threshold(s, params.sigma_w2)
 
 
-def draw_channels(params: SystemParams, n_slots: int,
-                  rng: np.random.Generator) -> dict:
-    """Bob's side of a slot batch: the fading gain h_b, then the pilots' mean,
-    and Bob's LMMSE estimate of h_b with its error; arrays keyed h_b, h_b_hat
-    and h_b_tilde.  Nothing grows with n_t."""
-    n_slots = check_value("n_slots", n_slots, "counts")
-    h_b = _cn(rng, n_slots, 1.0)
+def draw_channels(params: SystemParams, h_b, rng: np.random.Generator) -> dict:
+    """Bob's side of a slot batch at the fading gains ``h_b`` (complex, or
+    their magnitudes): the pilots' mean, and Bob's LMMSE estimate of h_b with
+    its error; arrays keyed h_b, h_b_hat and h_b_tilde.  Nothing grows with
+    n_t."""
     amp = math.sqrt(params.p_t)
-    h_hat = _cn(rng, n_slots, params.sigma_b2 / params.n_t)
+    h_hat = _cn(rng, np.size(h_b), params.sigma_b2 / params.n_t)
     h_hat += amp * h_b  # the pilots' mean, then its LMMSE scaling in place
     h_hat *= params.n_t * amp / (params.sigma_b2 + params.n_t * params.p_t)
     return {"h_b": h_b, "h_b_hat": h_hat, "h_b_tilde": h_b - h_hat}
@@ -188,6 +196,23 @@ def _binomial_se(p_hat, n):
     return math.sqrt(max(p_hat * (1.0 - p_hat), 0.0) / n)
 
 
+def _blocks(trials):
+    """Sizes of the ``_BLOCK``-trial blocks, in order, that make up ``trials``."""
+    for start in range(0, trials, _BLOCK):
+        yield min(_BLOCK, trials - start)
+
+
+def _errors(params: SystemParams, hypothesis: str, trials: int, lam, rng) -> int:
+    """Wrong decisions at threshold ``lam`` in ``trials`` slots of ``hypothesis``."""
+    wrong = np.greater if hypothesis == "H0" else np.less_equal
+    hits = 0
+    for n in _blocks(trials):
+        batch = simulate_slots(params, hypothesis, n, rng)
+        thresholds = _thresholds(params, lam, batch["h_w2"])
+        hits += int(np.count_nonzero(wrong(batch["statistic"], thresholds)))
+    return hits
+
+
 def estimate_detection(params: SystemParams, mc: McConfig) -> DetectionEstimate:
     """Empirical false-alarm / missed-detection / total error rates at
     ``mc.threshold`` with binomial standard errors; half the trials run under
@@ -197,12 +222,9 @@ def estimate_detection(params: SystemParams, mc: McConfig) -> DetectionEstimate:
     n_h0 = mc.trials - n_h1
     lam = mc.threshold
 
-    batch0 = simulate_slots(params, "H0", n_h0, _rng(mc.seed, 0))
-    p_fa_hat = float(np.mean(batch0["statistic"] > _thresholds(params, lam, batch0["h_w2"])))
-
+    p_fa_hat = _errors(params, "H0", n_h0, lam, _rng(mc.seed, 0)) / n_h0
     if n_h1 > 0:
-        batch1 = simulate_slots(params, "H1", n_h1, _rng(mc.seed, 1))
-        p_md_hat = float(np.mean(batch1["statistic"] <= _thresholds(params, lam, batch1["h_w2"])))
+        p_md_hat = _errors(params, "H1", n_h1, lam, _rng(mc.seed, 1)) / n_h1
     else:
         p_md_hat = float("nan")
 
@@ -216,13 +238,17 @@ def estimate_pcc(params: SystemParams, mc: McConfig) -> PccEstimate:
     """Empirical connection probability: fraction of transmission slots whose
     realized post-estimation SNR supports the fixed rate.
 
-    Draws Bob's stage alone, on stream 2; Willie's gain is never drawn.  The
-    pilot budget is checked before any draw.
+    Draws Bob's stage alone, on stream 2, at gain magnitudes |h_b| =
+    sqrt(Exp(1)); Willie's gain is never drawn.  The pilot budget is checked
+    before any draw.
     """
     link.estimation_error_var(params)
-    channels = draw_channels(params, mc.trials, _rng(mc.seed, 2))
-    outage = _outage(params, channels["h_b_hat"], channels["h_b_tilde"])
-    p_cc_hat = float(np.mean(~outage))
+    rng = _rng(mc.seed, 2)
+    outages = 0
+    for n in _blocks(mc.trials):
+        b = draw_channels(params, np.sqrt(rng.standard_exponential(n)), rng)
+        outages += int(np.count_nonzero(_outage(params, b["h_b_hat"], b["h_b_tilde"])))
+    p_cc_hat = (mc.trials - outages) / mc.trials
     return PccEstimate(p_cc_hat, _binomial_se(p_cc_hat, mc.trials))
 
 
@@ -251,7 +277,7 @@ def trace_rows(params: SystemParams, mc: McConfig, n_slots: int) -> list:
     for hyp, n in (("H0", n_slots - n_slots // 2), ("H1", n_slots // 2)):
         if n == 0:
             continue
-        b = draw_channels(params, n, rng)
+        b = draw_channels(params, _cn(rng, n, 1.0), rng)
         h_w = _cn(rng, n, 1.0)
         h_w2 = np.abs(h_w) ** 2
         statistic = radiometer_statistic(params, hyp == "H1", h_w2, rng)

@@ -70,6 +70,13 @@ def pilot_estimates(h_b, n_t, p_t, sigma_b2, rng):
     return math.sqrt(p_t) / (sigma_b2 + n_t * p_t) * y.sum(axis=1)
 
 
+def in_blocks(trials, block, draw):
+    """draw(n) for each of the consecutive blocks of ``block`` trials (the
+    last one shorter) that make up ``trials``, in order, concatenated."""
+    sizes = [block] * (trials // block) + ([trials % block] if trials % block else [])
+    return np.concatenate([draw(n) for n in sizes])
+
+
 def zeta_star_csi_ref(gain_power, sigma_w2, n_d):
     """scipy-based minimum total error at received power |h|^2 P (vectorized)."""
     gain_power = np.asarray(gain_power, dtype=float)

@@ -383,9 +383,12 @@ class TestSimulate:
 
         monkeypatch.setattr(simulation, stage, oversized)
         monkeypatch.chdir(tmp_path)
-        assert run_err(capsys, "simulate", "--trials", "1000", "--seed", "1", *argv) == (
+        code = main(["simulate", "--trials", "1000", "--seed", "1", *argv])
+        out, err = capsys.readouterr()
+        assert (code, err) == (
             2, "error: not enough memory: Unable to allocate 7.28 TiB for an array with "
                "shape (1000000000000,) and data type float64\n")
+        assert out == ""  # not even the result ahead of a failing trace stage
 
     def test_detection_error_wins_over_an_earlier_pcc_error(self, capsys, monkeypatch):
         pcc_failed = threading.Event()

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from scipy import stats as stats_mod
 
-from conftest import pilot_estimates, radiometer_statistics_signal
+from conftest import in_blocks, pilot_estimates, radiometer_statistics_signal
 from covertfade import detection, link, simulation
 from covertfade.cli import main
 from covertfade.errors import DomainError
@@ -59,7 +59,8 @@ class TestSimulateSlot:
 
     def test_decomposition_is_exact(self):
         p = params(p_d=0.02)
-        t = draw_channels(p, 1, _rng(5, 0))
+        rng = _rng(5, 0)
+        t = draw_channels(p, _cn(rng, 1, 1.0), rng)
         assert t["h_b"][0] == t["h_b_hat"][0] + t["h_b_tilde"][0]
         w = simulate_slots(p, "H1", 1, _rng(5, 0))
         assert w["statistic"][0] >= 0.0
@@ -74,23 +75,43 @@ class TestSimulateSlot:
 class TestStages:
     @pytest.mark.parametrize("seed, n_t", [(33, 1), (2**40, 4)])
     def test_each_estimator_is_its_own_stage_on_its_own_stream(self, seed, n_t):
+        # Each stage rebuilt from its own stream, one block of _BLOCK trials
+        # after another, at trial counts on both sides of the block edges.
         p = params(p_d=0.05, n_d=50, n_t=n_t)
-        channels = draw_channels(p, 20_000, _rng(seed, 2))
-        outage = _outage(p, channels["h_b_hat"], channels["h_b_tilde"])
-        est = estimate_pcc(p, McConfig(trials=20_000, seed=seed))
-        assert est.p_cc == float(np.mean(~outage))
-        h0 = simulate_slots(p, "H0", 10_000, _rng(seed, 0))
-        h1 = simulate_slots(p, "H1", 10_000, _rng(seed, 1))
-        det = estimate_detection(p, McConfig(trials=20_000, seed=seed))
-        assert det.p_fa == float(np.mean(h0["statistic"] > _thresholds(p, None, h0["h_w2"])))
-        assert det.p_md == float(np.mean(h1["statistic"] <= _thresholds(p, None, h1["h_w2"])))
+        block = simulation._BLOCK
+
+        def outage(rng, n):
+            b = draw_channels(p, np.sqrt(rng.standard_exponential(n)), rng)
+            return _outage(p, b["h_b_hat"], b["h_b_tilde"])
+
+        def wrong(rng, hypothesis, n):
+            w = simulate_slots(p, hypothesis, n, rng)
+            lam = _thresholds(p, None, w["h_w2"])
+            return w["statistic"] > lam if hypothesis == "H0" else w["statistic"] <= lam
+
+        for trials in (1, block - 1, block, block + 1, 2 * block + 3):
+            mc = McConfig(trials=trials, seed=seed)
+            bob, h0, h1 = _rng(seed, 2), _rng(seed, 0), _rng(seed, 1)
+            est = estimate_pcc(p, mc)
+            assert est.p_cc == float(np.mean(~in_blocks(trials, block, lambda n: outage(bob, n))))
+            det = estimate_detection(p, mc)
+            n_h1 = trials // 2
+            assert det.p_fa == float(np.mean(
+                in_blocks(trials - n_h1, block, lambda n: wrong(h0, "H0", n))))
+            if n_h1:
+                assert det.p_md == float(np.mean(
+                    in_blocks(n_h1, block, lambda n: wrong(h1, "H1", n))))
+            else:
+                assert math.isnan(det.p_md)
 
     @pytest.mark.parametrize("estimate, per_trial", [
         (estimate_detection, {"standard_exponential": 1, "standard_gamma": 1}),
-        (estimate_pcc, {"standard_normal": 4})], ids=["estimate_detection", "estimate_pcc"])
+        (estimate_pcc, {"standard_exponential": 1, "standard_normal": 2})],
+        ids=["estimate_detection", "estimate_pcc"])
     def test_each_estimator_draws_only_what_it_reads(self, monkeypatch, estimate, per_trial):
         # Detection reads |h_w|^2 and one Gamma variate per slot; P_cc reads
-        # h_b and the pilot-mean noise, each complex variate two real normals.
+        # |h_b|, the root of one exponential |h_b|^2, and the pilot-mean
+        # noise, a complex variate of two real normals.
         # Every method called is counted, so an unexpected draw shows up.
         drawn = Counter()
 
@@ -148,7 +169,8 @@ class TestStages:
         # each pilot observation.  Compares E|x|^2 and E|x|^4 of both parts.
         p = params(n_t=4, p_t=0.005)
         n = 200_000
-        sim = draw_channels(p, n, _rng(71, 2))
+        rng = _rng(71, 2)
+        sim = draw_channels(p, _cn(rng, n, 1.0), rng)
         rng = np.random.default_rng(72)
         h_b = rng.normal(0.0, math.sqrt(0.5), n) + 1j * rng.normal(0.0, math.sqrt(0.5), n)
         h_hat = pilot_estimates(h_b, p.n_t, p.p_t, p.sigma_b2, rng)
@@ -180,6 +202,22 @@ class TestStages:
         finally:
             tracemalloc.stop()
         assert peak < 5 * 2**20
+
+    @pytest.mark.parametrize("estimate", [estimate_detection, estimate_pcc])
+    def test_memory_does_not_grow_with_trials(self, estimate):
+        # Both stages run in blocks of _BLOCK trials: the peak at 10^6 trials
+        # is the peak at 10^5.
+        p = params(p_d=0.02, n_d=75)
+        peaks = []
+        for trials in (10**5, 10**6):
+            tracemalloc.start()
+            try:
+                estimate(p, McConfig(trials=trials, seed=7))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.2 * peaks[0]
+        assert peaks[1] < 4 * 2**20
 
     def test_cdi_exact_threshold_resolved_once_per_run(self, tmp_path, monkeypatch):
         calls = []
@@ -227,6 +265,24 @@ class TestDrawLaws:
             # sqrt((mu_4 - 1) / n) with fourth central moment mu_4 = 9.
             assert abs(np.mean(sample) - 1.0) <= 5.0 / math.sqrt(n)
             assert abs(np.var(sample) - 1.0) <= 5.0 * math.sqrt(8.0 / n)
+
+    @pytest.mark.parametrize("p_t", [1e-3, 1.0])
+    @pytest.mark.parametrize("n_t", [1, 4])
+    def test_gain_magnitude_gives_the_law_of_the_complex_gain(self, n_t, p_t):
+        # estimate_pcc draws |h_b| = sqrt(Exp(1)) in place of h_b ~ CN(0, 1):
+        # turning a slot by the phase of h_b leaves |h_hat| and |h_tilde| as
+        # they are, and the turned pilot noise keeps its law.
+        p = params(p_d=0.02, n_t=n_t, p_t=p_t)
+        n = 200_000
+        rng_mag, rng_cn = _rng(84, 2), _rng(85, 2)
+        mag = draw_channels(p, np.sqrt(rng_mag.standard_exponential(n)), rng_mag)
+        cn = draw_channels(p, _cn(rng_cn, n, 1.0), rng_cn)
+        for key in ("h_b_hat", "h_b_tilde"):
+            assert stats_mod.ks_2samp(np.abs(mag[key]) ** 2,
+                                      np.abs(cn[key]) ** 2).pvalue > 1e-3, key
+        rates = [float(np.mean(_outage(p, b["h_b_hat"], b["h_b_tilde"]))) for b in (mag, cn)]
+        se = math.sqrt(sum(r * (1.0 - r) for r in rates) / n)
+        assert abs(rates[0] - rates[1]) <= 5.0 * se
 
     @pytest.mark.parametrize("var", [1.0, 0.37, 1e-6])
     def test_cn_block_parts_are_uncorrelated_normals_of_half_the_variance(self, var):
@@ -397,7 +453,8 @@ class TestPilotBudgetFirst:
 class TestEstimationStatistics:
     def test_orthogonality_variances(self):
         p = params(p_d=0.02)
-        batch = draw_channels(p, 200_000, _rng(41, 0))
+        rng = _rng(41, 0)
+        batch = draw_channels(p, _cn(rng, 200_000, 1.0), rng)
         beta = p.sigma_b2 / (p.sigma_b2 + p.n_t * p.p_t)
         assert np.mean(np.abs(batch["h_b_hat"]) ** 2) == pytest.approx(
             1.0 - beta, rel=0.01
@@ -409,7 +466,8 @@ class TestEstimationStatistics:
     def test_estimate_uncorrelated_with_error(self):
         p = params(p_d=0.02)
         n = 200_000
-        batch = draw_channels(p, n, _rng(42, 0))
+        rng = _rng(42, 0)
+        batch = draw_channels(p, _cn(rng, n, 1.0), rng)
         num = np.mean(batch["h_b_hat"] * np.conj(batch["h_b_tilde"]))
         den = math.sqrt(
             np.mean(np.abs(batch["h_b_hat"]) ** 2)
@@ -461,7 +519,7 @@ class TestTraceDump:
         rng = _rng(71, 9)
         batches = {}
         for h, n in (("H0", 4), ("H1", 3)):
-            b = draw_channels(p, n, rng)
+            b = draw_channels(p, _cn(rng, n, 1.0), rng)
             b["h_w"] = _cn(rng, n, 1.0)
             b["h_w2"] = np.abs(b["h_w"]) ** 2
             b["statistic"] = radiometer_statistic(p, h == "H1", b["h_w2"], rng)

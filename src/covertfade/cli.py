@@ -148,15 +148,18 @@ _parser = functools.cache(build_parser)
 def cmd_detect_sweep(args) -> int:
     params = _resolve_params(args)
     modes = ["csi", "cdi_exact"] if args.mode == "both" else [args.mode]
-    rows = []
-    for n_d in args.n_d_list:
-        for p_d in args.p_d_grid:
-            # the point's one validated copy serves every mode; n_d is checked before p_d
-            point = detection.WillieParams(sigma_w2=params.sigma_w2, n_d=n_d, p_d=p_d)
-            for mode in modes:
-                lam = simulation.policy_threshold(
-                    point, "csi_optimal" if mode == "csi" else mode)
-                rows.append((p_d, n_d, mode, simulation.analytic_zeta(point, lam)))
+    # every point is validated, n_d before p_d, before any work; its one copy serves every mode
+    points = [detection.WillieParams(sigma_w2=params.sigma_w2, n_d=n_d, p_d=p_d)
+              for n_d in args.n_d_list for p_d in args.p_d_grid]
+    zetas = {}
+    for mode in modes:
+        if mode == "csi":
+            zetas[mode] = [detection.expected_zeta_star_csi(w) for w in points]
+        else:  # one grid call: the argmins run in lockstep, the averages as one rule
+            lams = None if mode == "cdi_exact" else [
+                detection.threshold_cdi_approx(w.sigma_w2) for w in points]
+            zetas[mode] = detection.cdi_grid(points, lams)[1]
+    rows = [(w.p_d, w.n_d, mode, zetas[mode][i]) for i, w in enumerate(points) for mode in modes]
     _emit(_csv(rows, ["p_d", "n_d", "mode", "zeta"]), args.out)
     return 0
 

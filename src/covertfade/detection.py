@@ -28,9 +28,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special
 
-from .errors import DegenerateHypothesesError, NumericError
+from .errors import DegenerateHypothesesError, DomainError, NumericError
 from .params import check_fields, check_value
-from .solver import newton_bracket
+from .solver import newton_lockstep
 from .special import ln_gamma, reg_lower_gamma, reg_upper_gamma
 
 __all__ = [
@@ -46,6 +46,7 @@ __all__ = [
     "expected_zeta_cdi",
     "threshold_cdi_exact",
     "zeta_star_cdi",
+    "cdi_grid",
     "expected_zeta_star_csi",
     "csi_average_and_slope",
     "expected_p_fa_csi",
@@ -57,11 +58,17 @@ _PANELS_PER_DECADE = 3
 # SNR a in [1e-8, 1e8] (for n_d <= 1e16).
 _TABLE_SPAN = (1e-9, 4e9)
 _TABLE_CACHE = 128  # n_d values; the default design range needs 51
-_CUTS_CACHE = 4  # (lo, hi) pairs; one serves a whole CDI argmin and its average
 # Offsets, in units of 1/sqrt(n_d) in ln(1 + x), of the panel edges around the
 # missed-detection step of a fixed-threshold average.
 _STEP_OFFSETS = np.array([-8.0, -2.0, 0.0, 2.0, 8.0])
 _STEP_OFFSETS.flags.writeable = False
+_GRID_BLOCK = 256  # points per lockstep block: a few MB of flat rule at most
+# scipy's incomplete gamma gives NaN at some arguments from a shape of about 3e305
+_N_D_MAX = 1e305
+# From this count on, low_power_scale sums the Stirling series, whose first
+# omitted term is below 1e-18 there; below it, the log-gamma route keeps 12
+# digits and the printed designs of counts up to 400.
+_STIRLING_FROM = 1000
 # Below this mean SNR the first-order term of every average is < 1e-140.
 _SNR_FLOOR = 1e-300
 _X_MAX = 1e300  # cap on the top panel edge
@@ -131,9 +138,18 @@ def optimal_threshold_csi(w: WillieParams) -> float:
     return float(csi_threshold(w.h_w2 * w.p_d, w.sigma_w2))
 
 
+def _gamma_count(n_d):
+    """``n_d``, if the incomplete gamma functions serve it; else DomainError."""
+    if n_d > _N_D_MAX:
+        raise DomainError(f"n_d={n_d:.6g} is above {_N_D_MAX:g}, beyond which the incomplete"
+                          " gamma functions fail")
+    return n_d
+
+
 def _csi_terms(x, n_d):
     """False-alarm and missed-detection probabilities at the error-minimizing
     threshold, at SNRs x > 0 (arrays); their sum is zeta*_n(x)."""
+    _gamma_count(n_d)
     log_term = np.log1p(x)
     md_arg = n_d * (log_term / x)
     fa = special.gammaincc(n_d, md_arg + n_d * log_term)
@@ -156,8 +172,14 @@ def zeta_star_csi(w: WillieParams) -> float:
 
 
 def low_power_scale(n_d: int) -> float:
-    """Gamma(N) / (N^N e^-N), the inverse low-power slope of zeta_star_csi."""
-    return math.exp(ln_gamma(n_d) - n_d * math.log(n_d) + n_d)
+    """Gamma(N) / (N^N e^-N), the inverse low-power slope of zeta_star_csi:
+    from ``_STIRLING_FROM`` on, sqrt(2 pi / N) e^(1/(12N) - 1/(360N^3)) by
+    the Stirling series, since ln Gamma(N) - N ln N + N cancels (to 2e-3 of
+    the result at N = 1e12) and exp(N) overflows."""
+    if n_d < _STIRLING_FROM:
+        return math.exp(ln_gamma(n_d) - n_d * math.log(n_d) + n_d)
+    n = float(n_d)
+    return math.sqrt(2.0 * math.pi / n) * math.exp((1 / 12 - 1 / (360 * n * n)) / n)
 
 
 def zeta_linear_csi(w: WillieParams) -> float:
@@ -176,22 +198,40 @@ def threshold_cdi_approx(sigma_w2: float) -> float:
     return check_value("sigma_w2", sigma_w2, "positive")
 
 
-@functools.lru_cache(maxsize=_CUTS_CACHE)
-def _cuts(lo, hi):
-    """0 and the log-spaced panel cuts from lo to hi, read-only."""
-    panels = max(1, math.ceil(_PANELS_PER_DECADE * (math.log10(hi) - math.log10(lo))))
-    cuts = np.concatenate(([0.0], np.geomspace(lo, hi, panels + 1)))
-    cuts.flags.writeable = False
-    return cuts
+def _panel_cuts(spans):
+    """0 and the log-spaced panel cuts from lo to hi of each (lo, hi) in
+    ``spans``, concatenated, and the index of the span of each cut.  The cuts
+    are those of np.geomspace(lo, hi, panels + 1), built for all spans at once."""
+    panels = [max(1, math.ceil(_PANELS_PER_DECADE * (math.log10(hi) - math.log10(lo))))
+              for lo, hi in spans]
+    sizes = np.array(panels, dtype=np.intp) + 2
+    first = np.cumsum(sizes) - sizes  # where each span's 0 goes
+    owner = np.repeat(np.arange(sizes.size), sizes)
+    ends = np.array(spans, dtype=float).reshape(-1, 2).T
+    start, stop = np.log10(ends)
+    # the k-th cut is 10^(start + k (stop - start) / panels); k = -1 at the 0
+    k = np.arange(owner.size) - first[owner] - 1.0
+    cuts = np.power(10.0, k * ((stop - start) / panels)[owner] + start[owner])
+    cuts[first] = 0.0
+    cuts[first + 1], cuts[first + sizes - 1] = ends
+    return cuts, owner
 
 
-def _rule(lo, hi, edges=()):
-    """Nodes and weights of the composite 16-node Gauss-Legendre rule on
-    [0, lo] and log-spaced panels from lo to hi, split again at ``edges``."""
-    cuts = np.unique(np.concatenate((_cuts(lo, hi), edges)))
-    half = np.diff(cuts)[:, None] / 2.0
-    mid = (cuts[:-1] + cuts[1:])[:, None] / 2.0
-    return (mid + half * _GL_NODES).ravel(), (half * _GL_WEIGHTS).ravel()
+def _panels(cuts, keys):
+    """Composite 16-node Gauss-Legendre rule on the panels between consecutive
+    distinct ``cuts`` of one key, for cuts sorted by (key, cut): its nodes,
+    weights and the key of each panel."""
+    inner = (keys[1:] == keys[:-1]) & (cuts[1:] != cuts[:-1])
+    left, right = cuts[:-1][inner], cuts[1:][inner]
+    half = ((right - left) / 2.0)[:, None]
+    mid = ((left + right) / 2.0)[:, None]
+    return (mid + half * _GL_NODES).ravel(), (half * _GL_WEIGHTS).ravel(), keys[:-1][inner]
+
+
+def _rule(lo, hi):
+    """Nodes and weights of the composite rule on [0, lo] and log-spaced
+    panels from lo to hi."""
+    return _panels(*_panel_cuts([(lo, hi)]))[:2]
 
 
 def _span(a, n_d):
@@ -214,13 +254,17 @@ def _csi_table(n_d):
     return terms
 
 
-def _average(weights, values, a):
-    """Sum of weights * values / a: the fading average once ``weights`` carry
-    the rule's weights times e^(-x/a); non-finite raises NumericError."""
-    value = float(weights @ values) / a
+def _checked(value, a):
+    """``value``, a fading average at mean SNR a; non-finite raises NumericError."""
     if not math.isfinite(value):
         raise NumericError(f"non-finite fading average {value!r} at mean SNR {a!r}")
     return value
+
+
+def _average(weights, values, a):
+    """Sum of weights * values / a: the fading average once ``weights`` carry
+    the rule's weights times e^(-x/a)."""
+    return _checked(float(weights @ values) / a, a)
 
 
 def _csi_averages(n_d, a, slope=False):
@@ -239,77 +283,183 @@ def _csi_averages(n_d, a, slope=False):
     return (sum(averages), _average(k * (x / a - 1.0), fa + md, a)) if slope else averages
 
 
-def _cdi_rule(lam, w: WillieParams):
-    """Nodes x of the fixed-threshold average at ``lam``, weights times e^(-x/a), a."""
-    a = w.p_d / w.sigma_w2
-    lo, hi = _span(a, w.n_d)
-    # The missed-detection probability steps down at x = lam / sigma_w2 - 1,
-    # over about 1/sqrt(n_d) in ln(1 + x).
-    step = math.log(lam) - math.log(w.sigma_w2) + _STEP_OFFSETS / math.sqrt(w.n_d)
-    step = step[(math.log1p(lo) < step) & (step < math.log1p(hi))]
-    x, weights = _rule(lo, hi, np.expm1(step))
-    return x, weights * np.exp(-x / a), a
+class _CdiGrid:
+    """The fixed-threshold averages of a grid of points (``WillieParams`` or
+    ``SystemParams``), each point's span and panel cuts built once.
+
+    The rule of a point at threshold lam is its panels split again at edges
+    around the missed-detection step, which falls at x = lam / sigma_w2 - 1
+    over about 1/sqrt(n_d) in ln(1 + x).  A round takes one flat rule for all
+    the points it asks about: their cuts and step edges sorted together by
+    (point, x).  The nodes of a point are contiguous and in order, and its
+    sums run over its own nodes in that order, so its values do not depend on
+    the rest of the grid.  Points below the SNR floor take their zero-power
+    limits and build nothing.
+    """
+
+    def __init__(self, points):
+        self.points = points
+        # the points above the SNR floor, by their index in this list
+        self.above = [i for i, w in enumerate(points) if w.p_d / w.sigma_w2 >= _SNR_FLOOR]
+        ws = [points[i] for i in self.above]
+        self.a = np.array([w.p_d / w.sigma_w2 for w in ws])
+        self.n = np.array([float(_gamma_count(w.n_d)) for w in ws])
+        self.ln_s = [math.log(w.sigma_w2) for w in ws]
+        spans = [_span(a, w.n_d) for a, w in zip(self.a.tolist(), ws)]
+        self.ends = np.array([(math.log1p(lo), math.log1p(hi)) for lo, hi in spans])
+        self.scale = np.sqrt(self.n)[:, None]
+        self.floor = -1e3 / self.n  # of t - e^t, where h underflows
+        self.cuts, self.owner = _panel_cuts(spans)
+
+    def rule(self, index, lams):
+        """Nodes x, weights times e^(-x/a), the point of each node, and where
+        each point's nodes start, of the averages of the points ``index`` (an
+        increasing array into ``above``) at thresholds ``lams``."""
+        step = np.array([math.log(lam) - self.ln_s[j] for j, lam in zip(index.tolist(), lams)])
+        step = step[:, None] + _STEP_OFFSETS / self.scale[index]
+        ends = self.ends[index]
+        inside = (ends[:, :1] < step) & (step < ends[:, 1:])
+        keep = np.zeros(self.a.size, dtype=bool)
+        keep[index] = True
+        keep = keep[self.owner]
+        cuts = np.concatenate((self.cuts[keep], np.expm1(step[inside])))
+        keys = np.concatenate((self.owner[keep], index[inside.nonzero()[0]]))
+        order = np.lexsort((cuts, keys))
+        x, weights, panel = _panels(cuts[order], keys[order])
+        owner = np.repeat(panel, _GL_NODES.size)
+        first = np.concatenate(([True], panel[1:] != panel[:-1])).nonzero()[0] * _GL_NODES.size
+        k = np.divide(x, self.a[owner])
+        np.negative(k, out=k)
+        np.exp(k, out=k)
+        k *= weights
+        return x, k, owner, first
+
+    def _averages(self, index, first, *values):
+        """Per array of ``values`` and per point of ``index``, the sum of its
+        nodes' values (from ``first`` on, in node order) / a, to be ``_checked``."""
+        a = self.a[index]
+        return [(np.add.reduceat(v, first) / a).tolist() for v in values]
+
+    def slopes(self, index, u):
+        """For the points ``index`` (into ``above``) at u = ln(lam / sigma_w2): a
+        function with the sign of d/du of the averaged error, and its
+        u-derivative.  That slope is E_x[h(y / (1 + x))] - h(y) at
+        y = n_d lam / sigma_w2, with h(y) = y f(y) for f the Gamma(n_d, 1)
+        density and d/du h = (n_d - y) h.  Up to a common factor
+        h = e^(n_d (t - e^t + 1)) at t = ln(y / n_d); the log of the ratio of
+        the two terms, returned here, is near linear about the root, and -inf
+        where E_x underflows."""
+        index = np.asarray(index, dtype=np.intp)
+        lams = [math.exp(min(self.ln_s[j] + v, _LN_MAX)) for j, v in zip(index.tolist(), u)]
+        x, k, owner, first = self.rule(index, lams)
+        at = np.zeros(self.a.size)
+        at[index] = u
+        t = at[owner]
+        t -= np.log1p(x)
+        np.minimum(t, 50.0, out=t)  # clipped where h underflows anyway
+        e_t = np.expm1(t)
+        n = self.n[owner]
+        h = t - e_t
+        np.maximum(h, self.floor[owner], out=h)
+        h *= n
+        np.exp(h, out=h)
+        e_t *= h
+        np.negative(n, out=n)
+        n *= e_t
+        n *= k
+        means, drifts = self._averages(index, first, k * h, n)
+        f, df = [], []
+        for v, n_d, a, mean, drift in zip(u, self.n[index].tolist(), self.a[index].tolist(),
+                                          means, drifts):
+            if _checked(mean, a) == 0.0:
+                f.append(-math.inf)
+                df.append(0.0)
+                continue
+            e = math.expm1(min(v, 700.0))
+            f.append(math.log(mean) + n_d * (e - v))
+            df.append(_checked(drift, a) / mean + n_d * e)
+        return f, df
+
+    def argmin(self):
+        """The CDI argmin of every point (``threshold_cdi_exact``)."""
+        lams = [w.sigma_w2 for w in self.points]
+        brackets = []
+        for j, i in enumerate(self.above):
+            # ln(1 + a) as a difference of logs, so that a may overflow
+            w = self.points[i]
+            ln_1pa = math.log(w.sigma_w2 + w.p_d) - self.ln_s[j]
+            brackets.append(min(ln_1pa + math.log1p(ln_1pa), _LN_MAX - self.ln_s[j]))
+        if brackets:
+            index = list(range(len(brackets)))
+            f, df = self.slopes(index, [0.0] * len(index))
+            roots = newton_lockstep(self.slopes, list(zip([0.0] * len(index), brackets,
+                                                          [0.0] * len(index), f, df)), 1e-8)
+            for j, u in enumerate(roots):
+                lams[self.above[j]] = math.exp(min(self.ln_s[j] + u, _LN_MAX))
+        return lams
+
+    def average(self, lams):
+        """The fading-averaged total error of every point at its threshold in
+        ``lams`` (``expected_zeta_cdi``)."""
+        zetas = [1.0] * len(self.points)
+        if self.above:
+            index = np.arange(len(self.above))
+            lams_above = [lams[i] for i in self.above]
+            x, k, owner, first = self.rule(index, lams_above)
+            # inf where it overflows: no numpy warning
+            args = np.array([self.points[i].n_d * (float(lams[i]) / self.points[i].sigma_w2)
+                             for i in self.above])
+            k *= special.gammainc(self.n[owner], args[owner] / (1.0 + x))
+            md, = self._averages(index, first, k)
+            for i, lam, a, value in zip(self.above, lams_above, self.a.tolist(), md):
+                zetas[i] = p_fa(lam, self.points[i]) + _checked(value, a)
+        return zetas
+
+
+def cdi_grid(points, lams=None):
+    """Thresholds and fading-averaged total errors over a grid of ``points``
+    (``WillieParams`` or ``SystemParams``): at the thresholds ``lams``, or,
+    where ``lams`` is None, at each point's CDI argmin, the argmins running
+    Newton in lockstep (``solver.newton_lockstep``) over blocks of
+    ``_GRID_BLOCK`` points.  Two lists; a point's values are those of its
+    one-point call."""
+    if lams is not None:
+        lams = [check_value("threshold", lam, "positive") for lam in lams]
+    thresholds, zetas = [], []
+    for start in range(0, len(points), _GRID_BLOCK):
+        grid = _CdiGrid(points[start:start + _GRID_BLOCK])
+        block = grid.argmin() if lams is None else lams[start:start + _GRID_BLOCK]
+        thresholds += block
+        zetas += grid.average(block)
+    return thresholds, zetas
 
 
 def expected_zeta_cdi(lam: float, w: WillieParams) -> float:
     """Total detection error at fixed threshold, averaged over the fading gain."""
-    check_value("threshold", lam, "positive")
-    if w.p_d / w.sigma_w2 < _SNR_FLOOR:
-        return 1.0
-    x, k, a = _cdi_rule(lam, w)
-    arg = w.n_d * (float(lam) / w.sigma_w2)  # inf where it overflows: no numpy warning
-    md = special.gammainc(w.n_d, arg / (1.0 + x))
-    return p_fa(lam, w) + _average(k, md, a)
-
-
-def _cdi_slope(u, w: WillieParams):
-    """A function with the sign of d/du expected_zeta_cdi at lam = sigma_w2 e^u,
-    and its u-derivative.  That slope is E_x[h(y / (1 + x))] - h(y) at
-    y = n_d lam / sigma_w2, with h(y) = y f(y) for f the Gamma(n_d, 1) density
-    and d/du h = (n_d - y) h.  Up to a common factor h = e^(n_d (t - e^t + 1))
-    at t = ln(y / n_d); the log of the ratio of the two terms, returned here,
-    is near linear about the root, and -inf where E_x underflows."""
-    x, k, a = _cdi_rule(math.exp(min(math.log(w.sigma_w2) + u, _LN_MAX)), w)
-    t = np.minimum(u - np.log1p(x), 50.0)  # clipped where h underflows anyway
-    e_t = np.expm1(t)
-    h = np.exp(w.n_d * np.maximum(t - e_t, -1e3 / w.n_d))
-    mean = _average(k, h, a)
-    if mean == 0.0:
-        return -math.inf, 0.0
-    e = math.expm1(min(u, 700.0))
-    return (math.log(mean) + w.n_d * (e - u),
-            _average(k, -w.n_d * (e_t * h), a) / mean + w.n_d * e)
+    return cdi_grid([w], [lam])[1][0]
 
 
 def threshold_cdi_exact(w: WillieParams) -> float:
     """Threshold minimizing the fading-averaged total error, where its slope
-    changes sign (``solver.newton_bracket``).
+    changes sign (``solver.newton_steps``).
 
     At p_d = 0 the hypotheses coincide and every threshold is equally good;
     the noise floor sigma_w2, its low-power limit, is returned there and
     wherever the averaged error is its zero-power limit (below the SNR floor).
     The search runs in u = ln(lam / sigma_w2) on a bracket fixed in advance,
-    to 1e-8 relative in lam (below the largest double), from u = 0.
+    to 1e-8 relative in lam (below the largest double), from u = 0.  Below
+    the noise floor the averaged error only falls: a Gamma density at
+    lam < sigma_w2 shrinks as its scale grows past sigma_w2, so there the
+    missed-detection rate rises more slowly than the false-alarm rate drops.
+    Above, the argmin lies below lam = sigma_w2 (1 + a)(1 + ln(1 + a)) at mean
+    SNR a (at every n_d 1-5000 and p_d / sigma_w2 2e-5-2e9 tried).
     """
-    if w.p_d / w.sigma_w2 < _SNR_FLOOR:
-        return w.sigma_w2
-    # Below the noise floor the averaged error only falls: a Gamma density at
-    # lam < sigma_w2 shrinks as its scale grows past sigma_w2, so there the
-    # missed-detection rate rises more slowly than the false-alarm rate drops.
-    # Above, the argmin lies below lam = sigma_w2 (1 + a)(1 + ln(1 + a)) at
-    # mean SNR a (at every n_d 1-5000 and p_d / sigma_w2 2e-5-2e9 tried);
-    # ln(1 + a) is taken as a difference of logs so that a may overflow.
-    ln_s = math.log(w.sigma_w2)
-    ln_1pa = math.log(w.sigma_w2 + w.p_d) - ln_s
-    hi = min(ln_1pa + math.log1p(ln_1pa), _LN_MAX - ln_s)
-    slope = lambda u: _cdi_slope(u, w)
-    u = newton_bracket(slope, 0.0, hi, 0.0, *slope(0.0), 1e-8)
-    return math.exp(min(ln_s + u, _LN_MAX))
+    return _CdiGrid([w]).argmin()[0]
 
 
 def zeta_star_cdi(w: WillieParams) -> float:
     """Minimum fading-averaged total error with distribution knowledge only."""
-    return expected_zeta_cdi(threshold_cdi_exact(w), w)
+    return cdi_grid([w])[1][0]
 
 
 def expected_zeta_star_csi(w: WillieParams) -> float:

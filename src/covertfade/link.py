@@ -29,7 +29,10 @@ def _connection_prob(p_d: float, params: SystemParams) -> float:
     beta_b = estimation_error_var(params)
     if p_d == 0:
         return 0.0
-    g = math.expm1(params.rate * math.log(2.0))  # 2^R - 1, via exp for non-integer rates
+    try:
+        g = math.expm1(params.rate * math.log(2.0))  # 2^R - 1, via exp for non-integer rates
+    except OverflowError:  # 2^R - 1 beyond the largest double: P_cc is at its limit 0
+        return 0.0
     ok = 1.0 - beta_b
     prefactor = ok / (ok + beta_b * g)
     return prefactor * math.exp(-params.sigma_b2 * g / (ok * p_d))

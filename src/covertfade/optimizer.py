@@ -77,7 +77,10 @@ def power_for_covertness_exact(n_d: int, params: SystemParams, top: float = None
         value, slope = csi_average_and_slope(n_d, math.exp(u) / params.sigma_w2)
         return target - value, -slope
 
-    lo = math.log(power_for_covertness_suboptimal(n_d, params).value)
+    closed_form = power_for_covertness_suboptimal(n_d, params).value
+    if closed_form == 0.0:
+        raise NumericError(f"the closed-form power underflows to 0 (n_d={n_d})")
+    lo = math.log(closed_form)
     if top is not None:
         x = hi = math.log(top)
         start = gap(x)

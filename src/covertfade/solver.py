@@ -1,17 +1,26 @@
-"""The one root finder, shared by the CDI threshold argmin and the covertness root."""
+"""The one root finder, shared by the CDI threshold argmin and the covertness root.
+
+``newton_steps`` is its core: a generator that yields each next iterate and is
+sent back (f, f') there, so one search can run beside others.
+``newton_bracket`` drives one core from a function of one point (the
+covertness root); ``newton_lockstep`` drives one core per problem and asks for
+the (f, f') of every open problem at once (the CDI argmin over a grid of
+points).  A problem's iterates depend on its own (f, f') alone.
+"""
 
 from .errors import NumericError
 
-__all__ = ["newton_bracket"]
+__all__ = ["newton_steps", "newton_bracket", "newton_lockstep"]
 
 
-def newton_bracket(fn, lo, hi, x, f, df, tol):
+def newton_steps(lo, hi, x, f, df, tol):
     """Root in [lo, hi] of f < 0 left of it and > 0 right of it, by safeguarded
-    Newton from x with its known f and f'; ``fn(x)`` gives (f(x), f'(x)).  A step
-    that leaves the bracket or does not halve the last one (a zero, non-finite
-    or wrongly signed f' included) is a bisection.  Ends at a zero of f or a
-    step below ``tol``; where f keeps one sign, within ``tol`` of the end it
-    points to.  Else NumericError naming the bracket and the last iterate."""
+    Newton from x with its known f and f': yields each next iterate, to be sent
+    (f, f') there, and returns the root.  A step that leaves the bracket or
+    does not halve the last one (a zero, non-finite or wrongly signed f'
+    included) is a bisection.  Ends at a zero of f or a step below ``tol``;
+    where f keeps one sign, within ``tol`` of the end it points to.  Else
+    NumericError naming the bracket and the last iterate."""
     last = hi - lo
     for _ in range(100):  # bisection alone closes 1e3 to 1e-8 in 37 steps
         if f == 0.0:
@@ -24,5 +33,37 @@ def newton_bracket(fn, lo, hi, x, f, df, tol):
         if last <= tol:
             return step
         x = step
-        f, df = fn(x)
+        f, df = yield x
     raise NumericError(f"no root to {tol!r} in [{lo!r}, {hi!r}]; last iterate {x!r}")
+
+
+def newton_bracket(fn, lo, hi, x, f, df, tol):
+    """The root of ``newton_steps``, where ``fn(x)`` gives (f(x), f'(x))."""
+    steps = newton_steps(lo, hi, x, f, df, tol)
+    try:
+        x = next(steps)
+        while True:
+            x = steps.send(fn(x))
+    except StopIteration as done:
+        return done.value
+
+
+def newton_lockstep(fn, starts, tol):
+    """The roots of one ``newton_steps`` per (lo, hi, x, f, f') in ``starts``,
+    in rounds: ``fn(index, x)`` gives the lists of f and f' at the iterates
+    ``x`` of the problems ``index`` still open."""
+    roots = [None] * len(starts)
+    steps = {i: newton_steps(*start, tol) for i, start in enumerate(starts)}
+    sent = dict.fromkeys(steps)
+    while steps:
+        iterates = {}
+        for i, core in steps.items():
+            try:
+                iterates[i] = core.send(sent[i])
+            except StopIteration as done:
+                roots[i] = done.value
+        steps = {i: steps[i] for i in iterates}
+        if iterates:
+            index = list(iterates)
+            sent = dict(zip(index, zip(*fn(index, list(iterates.values())))))
+    return roots

@@ -151,6 +151,17 @@ class TestDetectSweep:
         assert built == [SystemParams] + [detection.WillieParams] * 6
 
 
+    def test_huge_count_exits_2_in_short_form(self, capsys):
+        for argv in (["detect-sweep", "--p-d-grid", "1e-3", "--n-d-list", "1e308"],
+                     ["simulate", "--trials", "1000", "--seed", "1", "--n-d", "1e308"]):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                code, err = run_err(capsys, *argv)
+            assert code == 2
+            assert err == ("error: n_d=1e+308 is above 1e+305, beyond which the incomplete"
+                           " gamma functions fail\n")
+
+
 class TestOptimize:
     def test_every_row_uses_minimum_symbols(self, capsys):
         code, out = run(
@@ -202,6 +213,37 @@ class TestOptimize:
         code, err = run_err(capsys, "optimize", "--epsilon-grid", "0.05", "--method", "exact")
         assert code == 3
         assert err.startswith("numeric failure: n_d=50: ") and "closed-form power" in err
+
+    @pytest.mark.parametrize("flag", ["--epsilon-grid", "--sigma-w2"])
+    def test_underflowing_closed_form_power_exits_3(self, flag, capsys):
+        argv = ["optimize", "--epsilon-grid", "0.05", flag, "5e-324", "--method", "exact"]
+        code, err = run_err(capsys, *argv)
+        assert code == 3
+        assert err == ("numeric failure: n_d=50: the closed-form power underflows to 0"
+                       " (n_d=50)\n")
+
+    @pytest.mark.parametrize("command", [
+        ["optimize", "--epsilon-grid", "0.05"],
+        ["simulate", "--trials", "1000", "--seed", "1"],
+    ], ids=["optimize", "simulate"])
+    def test_overflowing_rate_gives_no_connection(self, command, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out = run(capsys, *command, "--rate", "1e20")
+        assert code == 0
+        _, rows = parse_csv(out)
+        if command[0] == "optimize":
+            assert [r["throughput"] for r in rows] == ["0", "0"]
+        else:
+            assert rows[-1]["metric"] == "p_cc" and rows[-1]["analytic"] == "0"
+
+    def test_huge_count_design_runs(self, capsys):
+        # the closed-form power at n_d 1e14 no longer overshoots the root
+        code, out = run(capsys, "optimize", "--epsilon-grid", "0.05", "--n-d-min", "1e14",
+                        "--n-d-max", "1e14")
+        assert code == 0
+        _, rows = parse_csv(out)
+        assert float(rows[1]["p_d_star"]) < float(rows[0]["p_d_star"]) < 1.01 * float(rows[1]["p_d_star"])
 
     def test_golden_bytes(self, capsys):
         # Pinned output: any change that moves a printed digit shows up here.

@@ -189,6 +189,18 @@ class TestZetaLinearCsi:
         assert slope == pytest.approx(fd, rel=1e-3)
 
 
+class TestLowPowerScale:
+    @pytest.mark.parametrize("n_d", [1, 50, 999, 1000, 10**4, 10**8, 10**12, 10**15, 10**300])
+    def test_against_mpmath(self, n_d):
+        import mpmath
+
+        # enough digits that ln Gamma(N) - N ln N + N keeps 30 of its own
+        with mpmath.workdps(40 + len(str(n_d))):
+            n = mpmath.mpf(n_d)
+            want = float(mpmath.exp(mpmath.loggamma(n) - n * mpmath.log(n) + n))
+        assert detection.low_power_scale(n_d) == pytest.approx(want, rel=2e-14 if n_d < 1000 else 1e-15)
+
+
 class TestCdiThreshold:
     def test_approx_returns_noise_floor(self):
         assert threshold_cdi_approx(0.05) == 0.05
@@ -411,22 +423,22 @@ class TestRuleGuard:
     def test_no_table_at_import_and_a_bounded_cache(self):
         code = ("import covertfade.cli; from covertfade import detection as d; "
                 "print(d._table_rule.cache_info().currsize, d._csi_table.cache_info().currsize,"
-                " d._csi_table.cache_info().maxsize, d._cuts.cache_info().currsize,"
-                " d._cuts.cache_info().maxsize)")
+                " d._csi_table.cache_info().maxsize)")
         out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                              check=True, env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
-        assert out.stdout.split() == ["0", "0", "128", "0", "4"]
+        assert out.stdout.split() == ["0", "0", "128"]
 
-    def test_cached_cuts_are_read_only(self):
-        with pytest.raises(ValueError):
-            detection._cuts(1e-3, 1.0)[1] = 0.5
-
-    def test_one_cdi_argmin_and_its_average_build_one_set_of_cuts(self):
-        before = detection._cuts.cache_info()
-        zeta_star_cdi(willie(n_d=37, p_d=0.0123))  # a (lo, hi) no other test uses
-        after = detection._cuts.cache_info()
-        assert after.misses - before.misses == 1
-        assert after.hits - before.hits >= 5
+    def test_one_grid_call_builds_each_points_cuts_once(self, monkeypatch):
+        built = []
+        cuts = detection._panel_cuts
+        monkeypatch.setattr(detection, "_panel_cuts", lambda spans: built.append(spans) or cuts(spans))
+        points = [willie(n_d=n_d, p_d=p_d) for n_d in (1, 37) for p_d in (0.0, 1e-3, 0.0123, 1.0)]
+        lams, _ = detection.cdi_grid(points)  # the argmins and the averages at them
+        assert len(built) == 1
+        assert built[0] == [detection._span(w.p_d / SW2, w.n_d) for w in points if w.p_d > 0]
+        built.clear()
+        detection.cdi_grid(points, lams)
+        assert len(built) == 1
 
     @pytest.mark.parametrize("n_d", [1, 50, 5000])
     def test_false_alarm_and_missed_detection_sum_to_zeta(self, n_d):
@@ -451,7 +463,7 @@ def _lam_with_an_edge_on_a_cut(cuts, n_d):
 
 
 class TestCachedCuts:
-    """The rule on cached panel cuts equals one built from scratch, bit for bit."""
+    """Each point's slice of the flat rule equals a rule built from scratch, bit for bit."""
 
     @pytest.mark.parametrize("p_d", [1e-6, 1e-4, 1e-2, 1.0, 100.0, 1e10])
     @pytest.mark.parametrize("n_d", [1, 10, 50, 200, 5000])
@@ -466,14 +478,86 @@ class TestCachedCuts:
             assert on_cut is not None
         if on_cut is not None:
             lams.append(on_cut)
-        w = willie(n_d=n_d, p_d=p_d)
-        for lam in lams:
-            got, want = detection._cdi_rule(float(lam), w), cdi_rule_ref(float(lam), SW2, n_d, p_d)
-            assert all(np.array_equal(g, r) for g, r in zip(got, want)), lam
-        # Edges exactly on cuts at every p_d, through the rule itself.
+        # one grid of the point at every threshold, beside a point of its own
+        points = [willie(n_d=n_d, p_d=p_d)] * len(lams) + [willie(n_d=n_d + 1, p_d=2 * p_d)]
+        lams = [float(lam) for lam in lams] + [SW2]
+        grid = detection._CdiGrid(points)
+        x, k, owner, first = grid.rule(np.arange(len(points)), lams)
+        assert np.array_equal(first, np.searchsorted(owner, np.arange(len(points))))
+        for j, lam in enumerate(lams[:-1]):
+            want = cdi_rule_ref(lam, SW2, n_d, p_d)
+            assert np.array_equal(x[owner == j], want[0]), lam
+            assert np.array_equal(k[owner == j], want[1]), lam
+        # Edges exactly on cuts at every p_d, through the panels themselves.
         edges = np.concatenate((cuts[1:3], [(cuts[2] + cuts[3]) / 2]))
-        for g, r in zip(detection._rule(lo, hi, edges), rule_ref(lo, hi, edges)):
+        merged = np.sort(np.concatenate((cuts, edges)))
+        got = detection._panels(merged, np.zeros(merged.size, dtype=np.intp))
+        for g, r in zip(got, rule_ref(lo, hi, edges)):
             assert np.array_equal(g, r)
+
+    def test_panel_cuts_are_those_of_geomspace(self):
+        spans = [(1e-9, 4e9), (0.1, 0.2), (1e-300, 1e300), (2e-3, 8.0), (1e-5, 1e-5 * 1.001)]
+        cuts, owner = detection._panel_cuts(spans)
+        for j, span in enumerate(spans):
+            assert np.array_equal(cuts[owner == j], panel_cuts_ref(*span))
+
+
+MIXED_P_D = [0.0, 1e-320, 1e-4, 1.0, 1e10, 1e308]
+MIXED_N_D = [1, 50, 5000]
+
+
+class TestLockstepGrid:
+    """The argmins run in lockstep over a grid, and each point's values are
+    those of its one-point call, bit for bit."""
+
+    @pytest.fixture(scope="class")
+    def singles(self):
+        points = [willie(n_d=n_d, p_d=p_d) for n_d in MIXED_N_D for p_d in MIXED_P_D]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            return points, [threshold_cdi_exact(w) for w in points], [zeta_star_cdi(w) for w in points]
+
+    def test_mixed_batch_raises_no_warning_and_matches_one_point_calls(self, singles):
+        points, lams, zetas = singles
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = detection.cdi_grid(points)
+        assert got == (lams, zetas)
+        assert [expected_zeta_cdi(lam, w) for lam, w in zip(lams, points)] == zetas
+
+    @pytest.mark.parametrize("order", ["reversed", "permuted", "every_third"])
+    def test_permuted_and_sub_sampled_grids(self, singles, order):
+        points, lams, zetas = singles
+        pick = {"reversed": list(range(len(points)))[::-1],
+                "permuted": np.random.default_rng(5).permutation(len(points)).tolist(),
+                "every_third": list(range(1, len(points), 3))}[order]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got_lams, got_zetas = detection.cdi_grid([points[i] for i in pick])
+            fixed = detection.cdi_grid([points[i] for i in pick], [0.7 * lams[i] for i in pick])
+        assert got_lams == [lams[i] for i in pick]
+        assert got_zetas == [zetas[i] for i in pick]
+        assert fixed[1] == [expected_zeta_cdi(0.7 * lams[i], points[i]) for i in pick]
+
+    def test_limits_in_the_batch(self, singles):
+        points, lams, zetas = singles
+        for w, lam, zeta in zip(points, lams, zetas):
+            if w.p_d < 1e-300:
+                assert (lam, zeta) == (SW2, 1.0)
+            elif w.p_d == 1e308:
+                assert zeta == 0.0
+            else:
+                assert 0.0 < zeta < 1.0
+
+    def test_threshold_checked_before_any_work(self):
+        with pytest.raises(DomainError, match="threshold"):
+            detection.cdi_grid([willie(p_d=0.0), willie(p_d=1.0)], [SW2, -1.0])
+
+    def test_non_finite_average_names_its_point(self, monkeypatch):
+        nan_md = lambda n, x: np.where(n > 10, np.nan, 0.5)
+        monkeypatch.setattr(detection, "special", SimpleNamespace(gammainc=nan_md))
+        with pytest.raises(NumericError, match="mean SNR 20.0"):
+            detection.cdi_grid([willie(n_d=1, p_d=0.5), willie(n_d=50, p_d=1.0)], [SW2, SW2])
 
 
 class TestAcrossDomain:

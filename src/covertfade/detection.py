@@ -13,12 +13,20 @@ where lo is a tenth of the smaller of a and the knee 1/sqrt(n_d) of the
 error curve.  The CSI averages share one node set for every a in [1e-8,
 1e8], on which the two gamma terms of zeta*_n are tabulated once per n_d in
 a bounded cache, so each average is a weighted dot product; other a get a
-rule of their own.  The log panels of a rule are built once per (n_d, a),
-in a cache of a few entries, and each threshold of the fixed-threshold
-average only adds panel edges around its missed-detection step: the Newton
-steps of its argmin and the average at the root share one set of panels.
-Below a mean SNR of 1e-300 the averages are their zero-power limits; a
-non-finite table entry or average raises NumericError.
+rule of their own.
+
+The fixed-threshold (CDI) averages run over a grid of points at once
+(``cdi_grid``; the one-point names are fronts over it).  Each point's log
+panels are built once per call, and each threshold only adds panel edges
+around its missed-detection step.  The argmins run Newton in lockstep, one
+``solver.newton_steps`` core per point: a round takes the points still open,
+sorts their panel cuts and step edges together by (point, x) into one flat
+rule, and sums each point's nodes in order with one reduction per segment,
+so a point's values are those of its one-point call.  The average at the
+roots is one more such rule and one gamma call.  Below a mean SNR of 1e-300
+the averages are their zero-power limits; a non-finite table entry or
+average raises NumericError, and a count above 1e305, where scipy's
+incomplete gamma fails, a DomainError.
 """
 
 import functools
@@ -219,19 +227,21 @@ def _panel_cuts(spans):
 
 def _panels(cuts, keys):
     """Composite 16-node Gauss-Legendre rule on the panels between consecutive
-    distinct ``cuts`` of one key, for cuts sorted by (key, cut): its nodes,
-    weights and the key of each panel."""
-    inner = (keys[1:] == keys[:-1]) & (cuts[1:] != cuts[:-1])
+    distinct ``cuts`` of one key, for runs of cuts (one run per key, each
+    rising from 0): its nodes and weights, a row of 16 per panel, and the
+    key of each panel."""
+    inner = cuts[1:] > cuts[:-1]  # not a repeated cut, nor the 0 that starts a run
     left, right = cuts[:-1][inner], cuts[1:][inner]
     half = ((right - left) / 2.0)[:, None]
     mid = ((left + right) / 2.0)[:, None]
-    return (mid + half * _GL_NODES).ravel(), (half * _GL_WEIGHTS).ravel(), keys[:-1][inner]
+    return mid + half * _GL_NODES, half * _GL_WEIGHTS, keys[:-1][inner]
 
 
 def _rule(lo, hi):
     """Nodes and weights of the composite rule on [0, lo] and log-spaced
     panels from lo to hi."""
-    return _panels(*_panel_cuts([(lo, hi)]))[:2]
+    x, weights, _ = _panels(*_panel_cuts([(lo, hi)]))
+    return x.ravel(), weights.ravel()
 
 
 def _span(a, n_d):
@@ -307,38 +317,41 @@ class _CdiGrid:
         self.ln_s = [math.log(w.sigma_w2) for w in ws]
         spans = [_span(a, w.n_d) for a, w in zip(self.a.tolist(), ws)]
         self.ends = np.array([(math.log1p(lo), math.log1p(hi)) for lo, hi in spans])
-        self.scale = np.sqrt(self.n)[:, None]
+        self.offsets = _STEP_OFFSETS / np.sqrt(self.n)[:, None]  # of the step edges
         self.floor = -1e3 / self.n  # of t - e^t, where h underflows
         self.cuts, self.owner = _panel_cuts(spans)
 
     def rule(self, index, lams):
-        """Nodes x, weights times e^(-x/a), the point of each node, and where
-        each point's nodes start, of the averages of the points ``index`` (an
-        increasing array into ``above``) at thresholds ``lams``."""
+        """Nodes x and weights times e^(-x/a), a row per panel, the point of
+        each panel, and where each point's nodes start, of the averages of the
+        points ``index`` (an increasing array into ``above``) at thresholds
+        ``lams``."""
         step = np.array([math.log(lam) - self.ln_s[j] for j, lam in zip(index.tolist(), lams)])
-        step = step[:, None] + _STEP_OFFSETS / self.scale[index]
+        step = step[:, None] + self.offsets[index]
         ends = self.ends[index]
         inside = (ends[:, :1] < step) & (step < ends[:, 1:])
-        keep = np.zeros(self.a.size, dtype=bool)
-        keep[index] = True
-        keep = keep[self.owner]
-        cuts = np.concatenate((self.cuts[keep], np.expm1(step[inside])))
-        keys = np.concatenate((self.owner[keep], index[inside.nonzero()[0]]))
+        cuts, keys = self.cuts, self.owner
+        if index.size < self.a.size:
+            keep = np.zeros(self.a.size, dtype=bool)
+            keep[index] = True
+            keep = keep[keys]
+            cuts, keys = cuts[keep], keys[keep]
+        cuts = np.concatenate((cuts, np.expm1(step[inside])))
+        keys = np.concatenate((keys, index[inside.nonzero()[0]]))
         order = np.lexsort((cuts, keys))
         x, weights, panel = _panels(cuts[order], keys[order])
-        owner = np.repeat(panel, _GL_NODES.size)
-        first = np.concatenate(([True], panel[1:] != panel[:-1])).nonzero()[0] * _GL_NODES.size
-        k = np.divide(x, self.a[owner])
+        first = np.searchsorted(panel, index) * _GL_NODES.size
+        k = np.divide(x, self.a[panel][:, None])
         np.negative(k, out=k)
         np.exp(k, out=k)
         k *= weights
-        return x, k, owner, first
+        return x, k, panel, first
 
     def _averages(self, index, first, *values):
         """Per array of ``values`` and per point of ``index``, the sum of its
         nodes' values (from ``first`` on, in node order) / a, to be ``_checked``."""
         a = self.a[index]
-        return [(np.add.reduceat(v, first) / a).tolist() for v in values]
+        return [(np.add.reduceat(v.ravel(), first) / a).tolist() for v in values]
 
     def slopes(self, index, u):
         """For the points ``index`` (into ``above``) at u = ln(lam / sigma_w2): a
@@ -351,23 +364,22 @@ class _CdiGrid:
         where E_x underflows."""
         index = np.asarray(index, dtype=np.intp)
         lams = [math.exp(min(self.ln_s[j] + v, _LN_MAX)) for j, v in zip(index.tolist(), u)]
-        x, k, owner, first = self.rule(index, lams)
+        x, k, panel, first = self.rule(index, lams)
         at = np.zeros(self.a.size)
         at[index] = u
-        t = at[owner]
-        t -= np.log1p(x)
+        t = at[panel][:, None] - np.log1p(x)
         np.minimum(t, 50.0, out=t)  # clipped where h underflows anyway
         e_t = np.expm1(t)
-        n = self.n[owner]
+        n = self.n[panel][:, None]
         h = t - e_t
-        np.maximum(h, self.floor[owner], out=h)
+        np.maximum(h, self.floor[panel][:, None], out=h)
         h *= n
         np.exp(h, out=h)
         e_t *= h
-        np.negative(n, out=n)
-        n *= e_t
-        n *= k
-        means, drifts = self._averages(index, first, k * h, n)
+        e_t *= -n
+        e_t *= k
+        h *= k
+        means, drifts = self._averages(index, first, h, e_t)
         f, df = [], []
         for v, n_d, a, mean, drift in zip(u, self.n[index].tolist(), self.a[index].tolist(),
                                           means, drifts):
@@ -405,11 +417,11 @@ class _CdiGrid:
         if self.above:
             index = np.arange(len(self.above))
             lams_above = [lams[i] for i in self.above]
-            x, k, owner, first = self.rule(index, lams_above)
+            x, k, panel, first = self.rule(index, lams_above)
             # inf where it overflows: no numpy warning
             args = np.array([self.points[i].n_d * (float(lams[i]) / self.points[i].sigma_w2)
                              for i in self.above])
-            k *= special.gammainc(self.n[owner], args[owner] / (1.0 + x))
+            k *= special.gammainc(self.n[panel][:, None], args[panel][:, None] / (1.0 + x))
             md, = self._averages(index, first, k)
             for i, lam, a, value in zip(self.above, lams_above, self.a.tolist(), md):
                 zetas[i] = p_fa(lam, self.points[i]) + _checked(value, a)

@@ -482,18 +482,18 @@ class TestCachedCuts:
         points = [willie(n_d=n_d, p_d=p_d)] * len(lams) + [willie(n_d=n_d + 1, p_d=2 * p_d)]
         lams = [float(lam) for lam in lams] + [SW2]
         grid = detection._CdiGrid(points)
-        x, k, owner, first = grid.rule(np.arange(len(points)), lams)
-        assert np.array_equal(first, np.searchsorted(owner, np.arange(len(points))))
+        x, k, panel, first = grid.rule(np.arange(len(points)), lams)
+        assert np.array_equal(first, 16 * np.searchsorted(panel, np.arange(len(points))))
         for j, lam in enumerate(lams[:-1]):
             want = cdi_rule_ref(lam, SW2, n_d, p_d)
-            assert np.array_equal(x[owner == j], want[0]), lam
-            assert np.array_equal(k[owner == j], want[1]), lam
+            assert np.array_equal(x[panel == j].ravel(), want[0]), lam
+            assert np.array_equal(k[panel == j].ravel(), want[1]), lam
         # Edges exactly on cuts at every p_d, through the panels themselves.
         edges = np.concatenate((cuts[1:3], [(cuts[2] + cuts[3]) / 2]))
         merged = np.sort(np.concatenate((cuts, edges)))
         got = detection._panels(merged, np.zeros(merged.size, dtype=np.intp))
         for g, r in zip(got, rule_ref(lo, hi, edges)):
-            assert np.array_equal(g, r)
+            assert np.array_equal(g.ravel(), r)
 
     def test_panel_cuts_are_those_of_geomspace(self):
         spans = [(1e-9, 4e9), (0.1, 0.2), (1e-300, 1e300), (2e-3, 8.0), (1e-5, 1e-5 * 1.001)]

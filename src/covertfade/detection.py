@@ -330,14 +330,11 @@ class _CdiGrid:
         step = step[:, None] + self.offsets[index]
         ends = self.ends[index]
         inside = (ends[:, :1] < step) & (step < ends[:, 1:])
-        cuts, keys = self.cuts, self.owner
-        if index.size < self.a.size:
-            keep = np.zeros(self.a.size, dtype=bool)
-            keep[index] = True
-            keep = keep[keys]
-            cuts, keys = cuts[keep], keys[keep]
-        cuts = np.concatenate((cuts, np.expm1(step[inside])))
-        keys = np.concatenate((keys, index[inside.nonzero()[0]]))
+        keep = np.zeros(self.a.size, dtype=bool)
+        keep[index] = True
+        keep = keep[self.owner]
+        cuts = np.concatenate((self.cuts[keep], np.expm1(step[inside])))
+        keys = np.concatenate((self.owner[keep], index[inside.nonzero()[0]]))
         order = np.lexsort((cuts, keys))
         x, weights, panel = _panels(cuts[order], keys[order])
         first = np.searchsorted(panel, index) * _GL_NODES.size
@@ -402,11 +399,9 @@ class _CdiGrid:
             ln_1pa = math.log(w.sigma_w2 + w.p_d) - self.ln_s[j]
             brackets.append(min(ln_1pa + math.log1p(ln_1pa), _LN_MAX - self.ln_s[j]))
         if brackets:
-            index = list(range(len(brackets)))
-            f, df = self.slopes(index, [0.0] * len(index))
-            roots = newton_lockstep(self.slopes, list(zip([0.0] * len(index), brackets,
-                                                          [0.0] * len(index), f, df)), 1e-8)
-            for j, u in enumerate(roots):
+            f, df = self.slopes(range(len(brackets)), [0.0] * len(brackets))
+            starts = [(0.0, hi, 0.0, f0, df0) for hi, f0, df0 in zip(brackets, f, df)]
+            for j, u in enumerate(newton_lockstep(self.slopes, starts, 1e-8)):
                 lams[self.above[j]] = math.exp(min(self.ln_s[j] + u, _LN_MAX))
         return lams
 
@@ -419,8 +414,8 @@ class _CdiGrid:
             lams_above = [lams[i] for i in self.above]
             x, k, panel, first = self.rule(index, lams_above)
             # inf where it overflows: no numpy warning
-            args = np.array([self.points[i].n_d * (float(lams[i]) / self.points[i].sigma_w2)
-                             for i in self.above])
+            args = np.array([self.points[i].n_d * (float(lam) / self.points[i].sigma_w2)
+                             for i, lam in zip(self.above, lams_above)])
             k *= special.gammainc(self.n[panel][:, None], args[panel][:, None] / (1.0 + x))
             md, = self._averages(index, first, k)
             for i, lam, a, value in zip(self.above, lams_above, self.a.tolist(), md):

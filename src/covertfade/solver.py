@@ -57,13 +57,12 @@ def newton_lockstep(fn, starts, tol):
     sent = dict.fromkeys(steps)
     while steps:
         iterates = {}
-        for i, core in steps.items():
+        for i, core in list(steps.items()):
             try:
                 iterates[i] = core.send(sent[i])
             except StopIteration as done:
                 roots[i] = done.value
-        steps = {i: steps[i] for i in iterates}
+                del steps[i]
         if iterates:
-            index = list(iterates)
-            sent = dict(zip(index, zip(*fn(index, list(iterates.values())))))
+            sent = dict(zip(iterates, zip(*fn(list(iterates), list(iterates.values())))))
     return roots

@@ -70,7 +70,9 @@ _TABLE_CACHE = 128  # n_d values; the default design range needs 51
 # missed-detection step of a fixed-threshold average.
 _STEP_OFFSETS = np.array([-8.0, -2.0, 0.0, 2.0, 8.0])
 _STEP_OFFSETS.flags.writeable = False
-_GRID_BLOCK = 256  # points per lockstep block: a few MB of flat rule at most
+# Points per lockstep block: a flat rule array holds 256 points' nodes, under
+# 1 MB at a few hundred nodes a point and 30 MB at the widest span (1e300 / lo).
+_GRID_BLOCK = 256
 # scipy's incomplete gamma gives NaN at some arguments from a shape of about 3e305
 _N_D_MAX = 1e305
 # From this count on, low_power_scale sums the Stirling series, whose first

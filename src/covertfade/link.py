@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, NumericError
 from .params import SystemParams, check_value, overflow_check
 
 __all__ = [
@@ -35,6 +35,11 @@ def _connection_prob(p_d: float, params: SystemParams) -> float:
         return 0.0
     ok = 1.0 - beta_b
     prefactor = ok / (ok + beta_b * g)
+    if ok * p_d == 0.0:  # the received data power underflows: P_cc is at its limit 0
+        if params.sigma_b2 * g == 0.0:
+            raise NumericError(f"P_cc's exponent is 0/0 in doubles (p_d={p_d!r}, "
+                               f"beta_b={beta_b!r})")
+        return 0.0
     return prefactor * math.exp(-params.sigma_b2 * g / (ok * p_d))
 
 
@@ -55,7 +60,8 @@ def snr_bob(h_hat2, h_tilde2, params: SystemParams):
 
 def throughput_at(n_d: int, p_d: float, params: SystemParams) -> float:
     """``throughput`` at the design (n_d, p_d), unchecked and without a copy."""
-    return n_d * params.rate * _connection_prob(p_d, params)
+    p_cc = _connection_prob(p_d, params)
+    return n_d * params.rate * p_cc if p_cc else 0.0  # 0, not inf * 0, past n_d * rate's range
 
 
 def throughput(params: SystemParams) -> float:

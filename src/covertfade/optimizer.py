@@ -4,10 +4,12 @@ power P_D and the block length N_D, for the budget ``epsilon``, the power cap
 fields of the scenario are ignored; candidates are scored without copies.
 
 Both solvers are one search over the admissible symbol counts in increasing
-order, stopped once a throughput bound proves that no larger count can do
-better, and differ only in the power rule.  Exact solver: the data power
-meeting the fading-averaged covertness constraint with equality (safeguarded
-Newton in ln P_D, below and from the last uncapped count's root).  Closed-form
+order, and differ only in the power rule.  A throughput bound from the last
+visited count lets the search jump past every count that cannot beat the best
+design so far, at most doubling the count per jump, and stop once no larger
+count can.  Exact solver: the data power meeting the fading-averaged
+covertness constraint with equality (safeguarded Newton in ln P_D, below and
+from the last uncapped count's root).  Closed-form
 solver: the inverted linearized constraint.  Either solver can be pinned to
 one admissible count (``force_nd``).  Either power is capped at ``p_max``, and
 a capped design is checked against the fading-averaged constraint.
@@ -102,21 +104,23 @@ def power_for_covertness_suboptimal(n_d: int, params: SystemParams) -> CovertPow
 
 
 def _search(params: SystemParams, candidates, power_rule, warm=False) -> DesignSolution:
-    """Throughput-maximizing count in ``candidates`` (increasing) with its
-    power from ``power_rule(n_d, params)``; ties break toward fewer symbols.
+    """Throughput-maximizing count in ``candidates`` (a range of step 1) with
+    its power from ``power_rule(n_d, params)``; ties break toward fewer symbols.
 
     Both power rules are nonincreasing in n_d: with CSI the radiometer is the
     likelihood-ratio test, so its averaged error cannot rise with n_d, and the
-    closed-form power falls with n_d.  Every later count therefore delivers
-    at most the last count's throughput at the current power, which is this
-    count's throughput times n_top / n_d (at a fixed power the throughput is
-    linear in n_d), and the search stops once that bound cannot beat the best
-    design so far.  The last uncapped power ``top`` bounds the next one too:
-    with ``warm``, ``power_rule(n_d, params, top)`` starts from it.
+    closed-form power falls with n_d.  At a fixed power the throughput is
+    linear in n_d, so after count k with throughput ``value`` every later
+    count m delivers at most value * m / k.  The search stops once that bound
+    at the last count cannot beat the best design so far; otherwise it jumps
+    to the smallest m whose bound can, but never past 2k: a huge range is
+    crossed in doublings, not in one jump to counts where the fading average
+    loses its digits.  The last uncapped power ``top`` bounds every later
+    one: with ``warm``, ``power_rule(n_d, params, top)`` starts from it.
     """
     best = top = None
-    n_top = candidates[-1]
-    for n_d in candidates:
+    n_d, n_top = candidates[0], candidates[-1]
+    while True:
         try:
             power = power_rule(n_d, params) if top is None else power_rule(n_d, params, top)
         except NumericError as exc:
@@ -127,6 +131,9 @@ def _search(params: SystemParams, candidates, power_rule, warm=False) -> DesignS
             best = (value, n_d, power)
         if value * (n_top / n_d) <= best[0]:
             break
+        # counts up to ``reach`` cannot beat the best; the slack covers rounding
+        reach = n_d * (best[0] / value) * (1.0 - 1e-12)
+        n_d = min(2 * n_d if reach >= 2 * n_d else max(n_d + 1, math.floor(reach) + 1), n_top)
 
     value, n_d, power = best
     violated = power.capped and (

@@ -237,6 +237,33 @@ class TestOptimize:
         else:
             assert rows[-1]["metric"] == "p_cc" and rows[-1]["analytic"] == "0"
 
+    def test_overflowing_rate_and_count_give_no_throughput(self, capsys):
+        # n_d * R overflows where P_cc is 0: the throughput is 0, not nan, and
+        # the search stops at the first count
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out = run(capsys, "optimize", "--epsilon-grid", "0.05", "--rate", "1e300",
+                            "--n-d-min", "1e9", "--n-d-max", "2e9")
+        assert code == 0
+        _, rows = parse_csv(out)
+        assert [(r["n_d_star"], r["throughput"]) for r in rows] == [("1000000000", "0")] * 2
+
+    def test_underflowing_received_power_gives_no_connection(self, capsys):
+        # (1 - beta_b) p_d underflows to 0 at beta_b 2/3: P_cc is its limit 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out = run(capsys, "simulate", "--trials", "1000", "--seed", "1",
+                            "--p-d", "5e-324", "--sigma-b2", "1", "--p-t", "0.5")
+        assert code == 0
+        _, rows = parse_csv(out)
+        assert rows[-1]["metric"] == "p_cc" and rows[-1]["analytic"] == "0"
+        # where sigma_b2 (2^R - 1) underflows too, the exponent is 0/0
+        code = main(["simulate", "--trials", "1000", "--seed", "1", "--p-d", "5e-324",
+                     "--sigma-b2", "5e-324", "--p-t", "5e-324", "--rate", "0.5"])
+        out, err = capsys.readouterr()
+        assert (code, out) == (3, "")
+        assert err.startswith("numeric failure: ") and err.count("\n") == 1
+
     def test_huge_count_design_runs(self, capsys):
         # the closed-form power at n_d 1e14 no longer overshoots the root
         code, out = run(capsys, "optimize", "--epsilon-grid", "0.05", "--n-d-min", "1e14",
@@ -287,6 +314,19 @@ class TestOptimize:
             capsys, "optimize", "--epsilon-grid", "0.05,0.2", "--n-d-min", "1",
             "--n-d-max", "400", "--method", "both",
         )
+        assert code == 0
+        assert out == (DATA / "optimize_wide_nd.csv").read_text()
+
+    def test_golden_bytes_huge_symbol_range(self, capsys):
+        # The search jumps past dominated counts, at most doubling the count,
+        # so a range up to 1e308 visits counts up to about 6.0e6 only and
+        # prints the designs of the 1..400 range.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out = run(
+                capsys, "optimize", "--epsilon-grid", "0.05,0.2", "--n-d-min", "1",
+                "--n-d-max", "1e308", "--method", "both",
+            )
         assert code == 0
         assert out == (DATA / "optimize_wide_nd.csv").read_text()
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import throughput_derivative_sign
-from covertfade.errors import DomainError
+from covertfade.errors import DomainError, NumericError
 from covertfade.link import (
     covert_connection_prob,
     estimation_error_var,
@@ -61,6 +61,21 @@ class TestConnectionProbability:
     def test_no_power_is_outage(self):
         assert covert_connection_prob(link(p_d=0.0)) == 0.0
 
+    def test_underflowing_received_power_is_outage(self):
+        # (1 - beta_b) p_d rounds to 0 for a subnormal p_d once beta_b > 0.5:
+        # the exponent's limit is -inf, so P_cc is 0
+        l = link(p_d=5e-324, sigma_b2=1.0, p_t=0.5)
+        assert (1.0 - estimation_error_var(l)) * l.p_d == 0.0
+        assert covert_connection_prob(l) == 0.0
+        assert throughput(l) == 0.0
+
+    def test_underflowing_exponent_numerator_and_denominator_raise(self):
+        # beta_b 0.5 and sigma_b2 (2^0.5 - 1) below half the least subnormal:
+        # the exponent is 0/0 in doubles
+        l = link(p_d=5e-324, sigma_b2=5e-324, p_t=5e-324, rate=0.5)
+        with pytest.raises(NumericError, match="0/0"):
+            covert_connection_prob(l)
+
     def test_monte_carlo_oracle(self):
         l = link(p_d=0.05)
         beta_b = estimation_error_var(l)
@@ -102,6 +117,8 @@ class TestSnr:
 class TestThroughput:
     def test_zero_connection(self):
         assert throughput(link(p_d=0.0, n_d=50)) == 0.0
+        # 2^R - 1 overflows, so P_cc is 0, while n_d * R overflows to inf
+        assert throughput(link(rate=1e300, n_d=10**9)) == 0.0
 
     def test_counts_data_symbols_only(self):
         l = link(p_d=1e12, rate=1.0, p_t=PERFECT_P_T, n_d=50)  # P_cc -> prefactor only

@@ -264,24 +264,105 @@ class TestThroughputBound:
 
     @pytest.mark.parametrize("eps", [0.01, 0.05, 0.2])
     def test_exact_power_nonincreasing_in_n_d(self, eps):
-        prob = problem(epsilon=eps, n_d_min=1, n_d_max=400)
-        powers = [power_for_covertness_exact(n_d, prob).value for n_d in range(1, 401)]
+        # every count up to 400, then a geometric set up to 1e7, past the
+        # largest count (about 6.0e6) that a search up to n_d 1e308 visits
+        counts = sorted(set(range(1, 401)) | {round(n) for n in np.geomspace(400, 1e7, 80)})
+        prob = problem(epsilon=eps, n_d_min=1, n_d_max=10**7)
+        powers = [power_for_covertness_exact(n_d, prob).value for n_d in counts]
         assert all(b <= a for a, b in zip(powers, powers[1:]))
 
-    def test_search_stops_before_the_last_count(self, monkeypatch):
-        # every visited count is scored once; after the first, its root is warm
-        seen = []
+    @pytest.mark.parametrize("solve", [solve_p1, solve_p1_1])
+    @pytest.mark.parametrize("epsilon, n_d_min, n_d_max", [
+        (0.05, 50, 100), (0.2, 1, 400), (0.05, 1, 10**308), (0.2, 1, 10**308)],
+        ids=["reference", "interior", "huge-0.05", "huge-0.2"])
+    def test_search_jumps_past_dominated_counts(self, monkeypatch, solve, epsilon,
+                                                n_d_min, n_d_max):
+        # each visited count is scored once; the next one is at most twice it,
+        # and every count jumped over delivers at most the best so far even at
+        # the last visited count's power
+        visits = []
         original = optimizer.throughput_at
 
-        def counting(n_d, p_d, params):
-            seen.append(n_d)
-            return original(n_d, p_d, params)
+        def scoring(n_d, p_d, params):
+            visits.append((n_d, p_d, original(n_d, p_d, params)))
+            return visits[-1][2]
 
-        monkeypatch.setattr(optimizer, "throughput_at", counting)
-        sol = solve_p1(problem(epsilon=0.05))
-        assert sol.n_d_star == 50
-        assert seen == list(range(50, 50 + len(seen)))
-        assert 1 <= len(seen) < 51
+        monkeypatch.setattr(optimizer, "throughput_at", scoring)
+        prob = problem(epsilon=epsilon, n_d_min=n_d_min, n_d_max=n_d_max)
+        sol = solve(prob)
+        counts = [n for n, _, _ in visits]
+        assert counts[0] == n_d_min and sol.n_d_star in counts
+        assert all(k < m <= 2 * k for k, m in zip(counts, counts[1:]))
+        best = -math.inf
+        for (k, p_k, value), m in zip(visits, counts[1:]):
+            best = max(best, value)
+            skipped = range(k + 1, m) if m - k <= 1000 else (k + 1, m - 1)
+            assert all(link.throughput_at(n, p_k, prob) <= best for n in skipped)
+        assert max(counts) < 10**7
+        if n_d_max == 100:
+            assert counts[:2] == [50, 51] and len(counts) < 10
+
+    def test_fewer_visits_on_the_reference_grid(self, monkeypatch):
+        # one root (exact) or one closed-form power per visited count
+        roots, visits = [], []
+        root, score = optimizer.power_for_covertness_exact, optimizer.throughput_at
+        monkeypatch.setattr(optimizer, "power_for_covertness_exact",
+                            lambda *args: roots.append(args[0]) or root(*args))
+        monkeypatch.setattr(optimizer, "throughput_at",
+                            lambda n_d, p_d, params: visits.append(n_d) or score(n_d, p_d, params))
+        for eps in np.linspace(0.01, 0.2, 20):
+            assert solve_p1(problem(epsilon=float(eps))).n_d_star == 50
+        assert roots == visits and len(roots) <= 107  # 317 stepping by one count
+        visits.clear()
+        for eps in np.linspace(0.01, 0.2, 20):
+            assert solve_p1_1(problem(epsilon=float(eps))).n_d_star == 50
+        assert len(visits) <= 102  # 306 stepping by one count
+
+
+def seeded_scenarios(count=12, seed=20261019):
+    """Random scenarios: uncapped, and capped up to a count in mid-range
+    (p_max 2e-3 or 5e-3 with a unit pilot), over ranges of 50..400 counts."""
+    rng = np.random.default_rng(seed)
+    for i in range(count):
+        p_max, p_t = [(1.0, None), (2e-3, 1.0), (5e-3, 1.0)][i % 3]
+        n_d_min = int(rng.choice([1, 5, 50]))
+        yield problem(epsilon=float(rng.uniform(0.05, 0.5)), p_max=p_max, p_t=p_t,
+                      sigma_b2=float(10 ** rng.uniform(-2.5, -1)), n_d_min=n_d_min,
+                      n_d_max=n_d_min + int(rng.integers(50, 400)))
+
+
+SEEDED = list(seeded_scenarios())
+
+
+class TestSeededScenarios:
+    @pytest.mark.parametrize("prob", SEEDED, ids=[f"seeded-{i}" for i in range(len(SEEDED))])
+    def test_search_equals_full_enumeration(self, monkeypatch, prob):
+        # The closed-form power depends on the count alone, so its search must
+        # give the enumeration's bytes.  A warm root may differ from the cold
+        # one in its last digits (within the root tolerance, here and one count
+        # by one count alike), so the jumps are checked bit for bit with every
+        # root cold, and the warm search for its count and to the tolerance.
+        assert design(solve_p1_1(prob)) == enumerate_designs(prob, power_for_covertness_suboptimal)
+        expected = enumerate_designs(prob)
+        warm = design(solve_p1(prob))
+        assert warm[0] == expected[0] and warm[3:] == expected[3:]
+        assert warm[1:3] == pytest.approx(expected[1:3], rel=2 * optimizer._CONSTRAINT_RTOL)
+        cold = optimizer.power_for_covertness_exact
+        monkeypatch.setattr(optimizer, "power_for_covertness_exact",
+                            lambda n_d, params, top=None: cold(n_d, params))
+        assert design(solve_p1(prob)) == expected
+
+    def test_grid_covers_interior_and_capped_then_uncapped_optima(self):
+        kinds = set()
+        for prob in SEEDED:
+            n_d = solve_p1(prob).n_d_star
+            capped = [power_for_covertness_exact(n, prob).capped
+                      for n in (prob.n_d_min, n_d, prob.n_d_max)]
+            kinds.add(("interior" if prob.n_d_min < n_d < prob.n_d_max else "end",
+                       "capped-then-uncapped" if capped[0] and not capped[2] else
+                       "all-capped" if capped[2] else "uncapped"))
+        assert {("interior", "uncapped"), ("interior", "capped-then-uncapped"),
+                ("end", "all-capped")} <= kinds
 
 
 class TestWarmStart:
@@ -309,7 +390,7 @@ class TestWarmStart:
             # every count is uncapped, so only the first decides the cap
             a_max = math.exp(math.log(prob.p_max)) / SW2
             assert {n for n, a in calls[start:] if a == a_max} == {prob.n_d_min}
-        assert len(calls) <= 992  # 1,567 with a cold root at every count
+        assert len(calls) <= 437  # 992 stepping by one count, 1,567 with a cold root at each
 
     def test_no_cap_decision_after_the_first_uncapped_count(self, monkeypatch):
         prob = problem(epsilon=0.2, p_max=2e-3, p_t=1.0, n_d_min=1, n_d_max=400)

@@ -12,9 +12,11 @@ judged by ``params.check_value``, so ``50.0`` runs as 50 and ``50.5`` exits 2;
 ``simulate`` runs its two Monte Carlo stages at the same time, each on its own
 streams: P_cc on a worker thread, detection on the calling thread.  The bytes
 are those of running them one after the other, and when both stages fail the
-detection error is the one reported.
+detection error is the one reported.  An interrupt (SIGINT) stops both stages
+within one block and exits 130 with nothing printed.
 
-Exit codes: 0 success, 2 usage error, unusable file or no memory, 3 numeric failure.
+Exit codes: 0 success, 2 usage error, unusable file or no memory, 3 numeric
+failure, 130 ``simulate`` interrupted.
 Every output path is opened before any work, so an unusable one prints nothing,
 and ``simulate`` builds its trace file before it writes its result, so a failing
 trace stage prints nothing either.
@@ -25,6 +27,7 @@ import functools
 import math
 import os
 import sys
+import threading
 from dataclasses import replace
 
 from . import detection, link, optimizer, simulation
@@ -193,14 +196,22 @@ def cmd_simulate(args) -> int:
     mc = replace(mc, threshold=simulation.policy_threshold(
         params, args.policy, args.fixed_threshold))
     # P_cc, the longer stage, runs on the worker (numpy releases the GIL in
-    # both).  Leaving the block joins it, so a detection error propagates
-    # before the P_cc result, or its error, is read.
+    # both).  The worker is joined before this returns; a detection error or
+    # an interrupt first sets ``stop``, so P_cc ends at its next block and the
+    # detection error propagates before the P_cc result, or its error, is read.
     from concurrent.futures import ThreadPoolExecutor  # loaded here, not at CLI start
 
-    with ThreadPoolExecutor(max_workers=1) as pool:
-        pcc_stage = pool.submit(simulation.estimate_pcc, params, mc)
+    stop = threading.Event()
+    pool = ThreadPoolExecutor(max_workers=1)
+    try:
+        pcc_stage = pool.submit(simulation.estimate_pcc, params, mc, stop=stop)
         est = simulation.estimate_detection(params, mc)
-    pcc = pcc_stage.result()
+        pcc = pcc_stage.result()
+    except KeyboardInterrupt:
+        return 130  # 128 + SIGINT, with nothing printed
+    finally:
+        stop.set()
+        pool.shutdown()
 
     fa, md, zeta = simulation.analytic_detection(params, mc)
     pcc_analytic = link.covert_connection_prob(params)

@@ -123,20 +123,38 @@ def p_md(lam: float, w: WillieParams) -> float:
     return reg_lower_gamma(w.n_d, x) if x < math.inf else 1.0
 
 
-def csi_threshold(s, sigma_w2):
+def csi_threshold(s, sigma_w2, out=None):
     """Error-minimizing threshold at received signal power ``s`` = |h_w|^2 P_D,
-    elementwise over arrays.
+    elementwise over arrays, written into ``out`` (a float array of s's shape,
+    not s itself) if given.
 
-    Where s = 0 the hypotheses coincide and every threshold is equally good;
-    the noise floor sigma_w2 is returned there.  It is also returned where
-    sigma_w2 (s + sigma_w2) / s overflows: s is then far below the last bit of
-    sigma_w2, and the threshold sigma_w2 + s/2 + O(s^2) rounds to sigma_w2.
+    The threshold sigma_w2 (s + sigma_w2) / s log1p(s / sigma_w2) is formed in
+    place; where every s > 0 and every threshold is finite that is all.
+    Otherwise, where s = 0 the hypotheses coincide and every threshold is
+    equally good; the noise floor sigma_w2 is returned there.  It is also
+    returned where the formula overflows below s = eps sigma_w2: s is then far
+    below the last bit of sigma_w2, and the threshold sigma_w2 + s/2 + O(s^2)
+    rounds to sigma_w2.  Where it overflows at larger s (s / sigma_w2 or
+    sigma_w2 (s + sigma_w2) beyond the largest double), the threshold is
+    sigma_w2 (1 + sigma_w2 / s) ln(1 + s / sigma_w2), the logarithm taken as
+    ln s - ln sigma_w2 + log1p(sigma_w2 / s) where s / sigma_w2 overflows.
     """
     s = np.asarray(s, dtype=float)
+    lam = np.empty_like(s) if out is None else out
     with np.errstate(all="ignore"):
-        lam = sigma_w2 * (s + sigma_w2) / s * np.log1p(s / sigma_w2)
-    keep = (s > 0) & (np.isfinite(lam) | (s >= np.finfo(float).eps * sigma_w2))
-    return np.where(keep, lam, sigma_w2)
+        log = np.log1p(s / sigma_w2)
+        np.add(s, sigma_w2, out=lam)
+        lam *= sigma_w2
+        lam /= s
+        lam *= log
+        if s.size == 0 or (s.min() > 0 and lam.max() < math.inf):
+            return lam
+        big = s >= np.finfo(float).eps * sigma_w2
+        log = np.where(np.isinf(log), np.log(s) - math.log(sigma_w2) + np.log1p(sigma_w2 / s), log)
+        np.copyto(lam, sigma_w2 * (1.0 + sigma_w2 / s) * log,
+                  where=big & ~np.isfinite(lam) & (s < math.inf))
+        np.copyto(lam, sigma_w2, where=~((s > 0) & (np.isfinite(lam) | big)))
+    return lam
 
 
 def optimal_threshold_csi(w: WillieParams) -> float:

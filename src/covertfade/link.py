@@ -49,13 +49,17 @@ def covert_connection_prob(params: SystemParams) -> float:
     return _connection_prob(params.p_d, params)
 
 
-def snr_bob(h_hat2, h_tilde2, params: SystemParams):
+def snr_bob(h_hat2, h_tilde2, params: SystemParams, out=None):
     """Effective SNR with the estimation error acting as extra noise,
-    elementwise over arrays of squared magnitudes."""
+    elementwise over arrays of squared magnitudes; written into ``out``, which
+    may be h_hat2, if given."""
     if np.any(h_hat2 < 0) or np.any(h_tilde2 < 0):
         raise DomainError("squared magnitudes must be nonnegative")
     with overflow_check(f"p_d={params.p_d!r} overflows Bob's received power"):
-        return h_hat2 * params.p_d / (h_tilde2 * params.p_d + params.sigma_b2)
+        signal = np.multiply(h_hat2, params.p_d, out=out)
+        noise = h_tilde2 * params.p_d
+        noise += params.sigma_b2
+        return np.divide(signal, noise, out=out)
 
 
 def throughput_at(n_d: int, p_d: float, params: SystemParams) -> float:

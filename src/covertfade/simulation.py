@@ -25,9 +25,19 @@ block, |h_w|^2 then one Gamma variate per slot; stream 2 (``estimate_pcc``)
 holds, block by block, one exponential per slot then the pilot-mean noise,
 3 variates per trial.  Both estimators run over blocks of ``_BLOCK`` trials,
 drawn in order on the stage's one generator, and sum integer hit counts, so
-their memory does not grow with the number of trials.  The two estimators
-share no generator, so ``cli.cmd_simulate`` runs them at the same time, P_cc
-on a worker thread, with the bytes of running them one after the other.
+their memory does not grow with the number of trials.  Each stage's block
+arithmetic is written once, in private kernels that the estimators,
+``trace_rows`` and the public stage functions all call: ``_radiometer`` and
+``_thresholds`` (Willie), ``_estimate`` and ``_outage`` (Bob).  An estimator
+allocates its block arrays once per run, draws each block's variates into
+them with ``out=`` (the same values) and decides in place: Willie's side in
+the floating-point operations, and order, of its allocating form, so bit for
+bit; Bob's |h_b_hat|^2 and |h_b - h_b_hat|^2 as re^2 + im^2 of real parts.
+Once its ``threading.Event`` ``stop`` is set, an estimator raises
+KeyboardInterrupt before its next block.  The two estimators share no
+generator, so ``cli.cmd_simulate`` runs them at the same time, P_cc on a
+worker thread, with the bytes of running them one after the other; on an
+interrupt it sets the worker's stop event.
 ``analytic_detection`` and ``analytic_zeta`` give the closed forms.
 
 A run's threshold is resolved once, by ``policy_threshold``, and carried in
@@ -103,8 +113,8 @@ class PccEstimate(NamedTuple):
     se: float
 
 
-def _cn(rng, size, var):
-    z = rng.standard_normal(2 * size)
+def _cn(rng, size, var, out=None):
+    z = rng.standard_normal(2 * size, out=out)
     z *= math.sqrt(var / 2.0)
     return z.view(np.complex128)
 
@@ -134,13 +144,33 @@ def policy_threshold(params, policy: str, fixed_threshold=None):
     raise DomainError(f"policy must be one of {POLICIES}, got {policy!r}")
 
 
-def _thresholds(params: SystemParams, lam, h_w2):
-    """The run's scalar threshold, or per-slot CSI thresholds from |h_w|^2."""
+def _thresholds(params: SystemParams, lam, h_w2, s=None, out=None):
+    """The run's scalar threshold, or per-slot CSI thresholds from |h_w|^2:
+    the signal power h_w2 p_d goes to ``s`` (which may be h_w2) and the
+    thresholds to ``out``, each allocated if None."""
     if lam is not None:
         return lam
     with overflow_check(_power_overflow(params)):
-        s = h_w2 * params.p_d
-    return detection.csi_threshold(s, params.sigma_w2)
+        s = np.multiply(h_w2, params.p_d, out=s)
+    return detection.csi_threshold(s, params.sigma_w2, out)
+
+
+def _estimate(params: SystemParams, h_b, rng, z=None, work=None):
+    """Bob's LMMSE estimate of the gains ``h_b`` (complex, or their
+    magnitudes), formed in place on the pilot-mean noise CN(0, sigma_b2 / n_t)
+    drawn into ``z`` (2n doubles): the pilots' mean, then its LMMSE scaling.
+    ``work`` (h_b's shape) holds sqrt(p_t) h_b of real gains; z and work are
+    allocated if None.  Returns the estimate as n complex values."""
+    amp = math.sqrt(params.p_t)
+    h_hat = _cn(rng, np.size(h_b), params.sigma_b2 / params.n_t, z)
+    if np.iscomplexobj(h_b):
+        h_hat += amp * h_b
+    else:  # real gains move the real parts only
+        re = h_hat.real
+        re += np.multiply(h_b, amp, out=work)
+    parts = h_hat.view(np.float64)
+    parts *= params.n_t * amp / (params.sigma_b2 + params.n_t * params.p_t)
+    return h_hat
 
 
 def draw_channels(params: SystemParams, h_b, rng: np.random.Generator) -> dict:
@@ -148,11 +178,21 @@ def draw_channels(params: SystemParams, h_b, rng: np.random.Generator) -> dict:
     their magnitudes): the pilots' mean, and Bob's LMMSE estimate of h_b with
     its error; arrays keyed h_b, h_b_hat and h_b_tilde.  Nothing grows with
     n_t."""
-    amp = math.sqrt(params.p_t)
-    h_hat = _cn(rng, np.size(h_b), params.sigma_b2 / params.n_t)
-    h_hat += amp * h_b  # the pilots' mean, then its LMMSE scaling in place
-    h_hat *= params.n_t * amp / (params.sigma_b2 + params.n_t * params.p_t)
+    h_hat = _estimate(params, h_b, rng)
     return {"h_b": h_b, "h_b_hat": h_hat, "h_b_tilde": h_b - h_hat}
+
+
+def _radiometer(params: SystemParams, transmit: bool, h_w2, g, work=None):
+    """``radiometer_statistic`` v g / n_d in place in ``g``, one Gamma(n_d, 1)
+    variate per gain of ``h_w2``; an array v goes to ``work`` (or a new one)."""
+    with overflow_check(_power_overflow(params)):
+        v = params.sigma_w2
+        if transmit and params.p_d > 0:
+            v = np.multiply(h_w2, params.p_d, out=work)
+            v += params.sigma_w2
+        g *= v
+        g /= params.n_d
+    return g
 
 
 def radiometer_statistic(params: SystemParams, transmit: bool, h_w2,
@@ -167,17 +207,31 @@ def radiometer_statistic(params: SystemParams, transmit: bool, h_w2,
     from that law, one Gamma variate per slot, so time and memory do not
     grow with n_d.
     """
-    with overflow_check(_power_overflow(params)):
-        v = params.sigma_w2
-        if transmit and params.p_d > 0:
-            v = h_w2 * params.p_d + params.sigma_w2
-        return v * rng.standard_gamma(params.n_d, np.shape(h_w2)) / params.n_d
+    return _radiometer(params, transmit, h_w2, rng.standard_gamma(params.n_d, np.shape(h_w2)))
 
 
-def _outage(params: SystemParams, h_hat, h_tilde):
-    """Slots whose realized post-estimation SNR cannot support the rate."""
-    snr = link.snr_bob(np.abs(h_hat) ** 2, np.abs(h_tilde) ** 2, params)
-    return np.log2(1.0 + snr) <= params.rate
+def _outage(params: SystemParams, h_b, h_hat, out=None, work=None):
+    """Slots at the gains ``h_b`` (complex, or their magnitudes) whose realized
+    post-estimation SNR, at Bob's estimates ``h_hat``, cannot support the
+    rate: log2(1 + snr) <= R, into ``out``.  |h_hat|^2 and |h_b - h_hat|^2
+    are formed as re^2 + im^2 from the real and imaginary parts, in ``work``
+    (three float arrays of h_b's shape); out and work are allocated if None."""
+    if work is None:
+        work = np.empty((3,) + np.shape(h_b))
+    hat2, tilde2, im2 = work
+    np.multiply(h_hat.imag, h_hat.imag, out=im2)
+    np.multiply(h_hat.real, h_hat.real, out=hat2)
+    hat2 += im2
+    np.subtract(h_b.real, h_hat.real, out=tilde2)
+    tilde2 *= tilde2
+    if np.iscomplexobj(h_b):
+        np.subtract(h_b.imag, h_hat.imag, out=im2)
+        im2 *= im2
+    tilde2 += im2  # of real gains, the error's imaginary part is -Im h_hat
+    snr = link.snr_bob(hat2, tilde2, params, out=hat2)
+    snr += 1.0
+    np.log2(snr, out=snr)
+    return np.less_equal(snr, params.rate, out=out)
 
 
 def simulate_slots(params: SystemParams, hypothesis: str, n_slots: int,
@@ -196,35 +250,47 @@ def _binomial_se(p_hat, n):
     return math.sqrt(max(p_hat * (1.0 - p_hat), 0.0) / n)
 
 
-def _blocks(trials):
-    """Sizes of the ``_BLOCK``-trial blocks, in order, that make up ``trials``."""
+def _blocks(trials, stop):
+    """Sizes of the ``_BLOCK``-trial blocks, in order, that make up ``trials``;
+    KeyboardInterrupt before the next block once ``stop`` (an Event, or None)
+    is set."""
     for start in range(0, trials, _BLOCK):
+        if stop is not None and stop.is_set():
+            raise KeyboardInterrupt("Monte Carlo stage stopped")
         yield min(_BLOCK, trials - start)
 
 
-def _errors(params: SystemParams, hypothesis: str, trials: int, lam, rng) -> int:
-    """Wrong decisions at threshold ``lam`` in ``trials`` slots of ``hypothesis``."""
+def _errors(params: SystemParams, hypothesis: str, trials: int, lam, rng, arrays, stop) -> int:
+    """Wrong decisions at threshold ``lam`` in ``trials`` slots of ``hypothesis``,
+    each block drawn into and decided in ``arrays`` (three float rows and a
+    bool row of at least one block)."""
     wrong = np.greater if hypothesis == "H0" else np.less_equal
     hits = 0
-    for n in _blocks(trials):
-        batch = simulate_slots(params, hypothesis, n, rng)
-        thresholds = _thresholds(params, lam, batch["h_w2"])
-        hits += int(np.count_nonzero(wrong(batch["statistic"], thresholds)))
+    for n in _blocks(trials, stop):
+        h_w2, g, work = arrays[0][:, :n]
+        rng.standard_exponential(out=h_w2)
+        statistic = _radiometer(params, hypothesis == "H1", h_w2,
+                                rng.standard_gamma(params.n_d, out=g), work)
+        thresholds = _thresholds(params, lam, h_w2, s=h_w2, out=work)
+        hits += int(np.count_nonzero(wrong(statistic, thresholds, out=arrays[1][:n])))
     return hits
 
 
-def estimate_detection(params: SystemParams, mc: McConfig) -> DetectionEstimate:
+def estimate_detection(params: SystemParams, mc: McConfig, stop=None) -> DetectionEstimate:
     """Empirical false-alarm / missed-detection / total error rates at
     ``mc.threshold`` with binomial standard errors; half the trials run under
-    each hypothesis.  The pilot budget is checked before any draw."""
+    each hypothesis.  The pilot budget is checked before any draw.  Once the
+    Event ``stop`` is set, the next block raises KeyboardInterrupt."""
     link.estimation_error_var(params)
     n_h1 = mc.trials // 2
     n_h0 = mc.trials - n_h1
     lam = mc.threshold
+    size = min(_BLOCK, n_h0)
+    arrays = np.empty((3, size)), np.empty(size, dtype=bool)
 
-    p_fa_hat = _errors(params, "H0", n_h0, lam, _rng(mc.seed, 0)) / n_h0
+    p_fa_hat = _errors(params, "H0", n_h0, lam, _rng(mc.seed, 0), arrays, stop) / n_h0
     if n_h1 > 0:
-        p_md_hat = _errors(params, "H1", n_h1, lam, _rng(mc.seed, 1)) / n_h1
+        p_md_hat = _errors(params, "H1", n_h1, lam, _rng(mc.seed, 1), arrays, stop) / n_h1
     else:
         p_md_hat = float("nan")
 
@@ -234,20 +300,26 @@ def estimate_detection(params: SystemParams, mc: McConfig) -> DetectionEstimate:
     return DetectionEstimate(p_fa_hat, p_md_hat, zeta, se_fa, se_md, math.hypot(se_fa, se_md))
 
 
-def estimate_pcc(params: SystemParams, mc: McConfig) -> PccEstimate:
+def estimate_pcc(params: SystemParams, mc: McConfig, stop=None) -> PccEstimate:
     """Empirical connection probability: fraction of transmission slots whose
     realized post-estimation SNR supports the fixed rate.
 
     Draws Bob's stage alone, on stream 2, at gain magnitudes |h_b| =
     sqrt(Exp(1)); Willie's gain is never drawn.  The pilot budget is checked
-    before any draw.
+    before any draw.  Once the Event ``stop`` is set, the next block raises
+    KeyboardInterrupt.
     """
     link.estimation_error_var(params)
     rng = _rng(mc.seed, 2)
+    size = min(_BLOCK, mc.trials)
+    gains, z, work, flags = (np.empty(size), np.empty(2 * size), np.empty((3, size)),
+                             np.empty(size, dtype=bool))
     outages = 0
-    for n in _blocks(mc.trials):
-        b = draw_channels(params, np.sqrt(rng.standard_exponential(n)), rng)
-        outages += int(np.count_nonzero(_outage(params, b["h_b_hat"], b["h_b_tilde"])))
+    for n in _blocks(mc.trials, stop):
+        h_b = rng.standard_exponential(out=gains[:n])
+        np.sqrt(h_b, out=h_b)
+        h_hat = _estimate(params, h_b, rng, z[:2 * n], work[0, :n])
+        outages += int(np.count_nonzero(_outage(params, h_b, h_hat, flags[:n], work[:, :n])))
     p_cc_hat = (mc.trials - outages) / mc.trials
     return PccEstimate(p_cc_hat, _binomial_se(p_cc_hat, mc.trials))
 
@@ -283,7 +355,7 @@ def trace_rows(params: SystemParams, mc: McConfig, n_slots: int) -> list:
         statistic = radiometer_statistic(params, hyp == "H1", h_w2, rng)
         decision = np.where(statistic > _thresholds(params, mc.threshold, h_w2), "H1", "H0")
         outage = [""] * n if hyp == "H0" else (
-            _outage(params, b["h_b_hat"], b["h_b_tilde"]).astype(int).tolist())
+            _outage(params, b["h_b"], b["h_b_hat"]).astype(int).tolist())
         rows[hyp] = list(zip([hyp] * n, b["h_b"].real.tolist(), b["h_b"].imag.tolist(),
                              h_w.real.tolist(), h_w.imag.tolist(),
                              statistic.tolist(), decision.tolist(), outage))

@@ -1,8 +1,10 @@
+import _thread
 import argparse
 import os
 import subprocess
 import sys
 import threading
+import time
 import warnings
 from pathlib import Path
 
@@ -444,7 +446,7 @@ class TestSimulate:
         (DomainError, 2, "error"), (NumericError, 3, "numeric failure"),
     ], ids=["domain", "numeric"])
     def test_pcc_stage_error_exits_with_its_code(self, exc, code, prefix, capsys, monkeypatch):
-        def failing(params, mc):
+        def failing(params, mc, stop=None):
             raise exc("pcc stage failed")
 
         monkeypatch.setattr(simulation, "estimate_pcc", failing)
@@ -459,7 +461,7 @@ class TestSimulate:
                                                      tmp_path):
         # stands in for numpy's allocation failure: a real one could pass
         # under overcommit and end the process
-        def oversized(*args):
+        def oversized(*args, **kwargs):
             raise MemoryError("Unable to allocate 7.28 TiB for an array with shape "
                               "(1000000000000,) and data type float64")
 
@@ -475,7 +477,7 @@ class TestSimulate:
     def test_detection_error_wins_over_an_earlier_pcc_error(self, capsys, monkeypatch):
         pcc_failed = threading.Event()
 
-        def bob(params, mc):
+        def bob(params, mc, stop=None):
             pcc_failed.set()
             raise NumericError("bob")
 
@@ -492,6 +494,64 @@ class TestSimulate:
         before = threading.active_count()
         assert run_err(capsys, "simulate", "--trials", "1000", "--seed", "1", "--p-d", p_d)[0] == code
         assert threading.active_count() == before
+
+    def test_interrupt_stops_both_stages_within_a_block_and_exits_130(self, capsys,
+                                                                         monkeypatch):
+        # A slow detection stage interrupts the main thread as SIGINT does
+        # once P_cc, at 10^10 trials on its worker, has run a few blocks.
+        blocks, after_stop, stops = [], [], []
+        pcc, outage = simulation.estimate_pcc, simulation._outage
+
+        def watched_pcc(params, mc, stop=None):
+            stops.append(stop)
+            return pcc(params, mc, stop=stop)
+
+        def counted_outage(*args, **kwargs):
+            blocks.append(1)
+            if stops[0].is_set():
+                after_stop.append(1)
+            assert len(blocks) < 2000, "P_cc was not stopped"
+            return outage(*args, **kwargs)
+
+        def slow_detection(params, mc):
+            deadline = time.monotonic() + 10
+            while len(blocks) < 3 and time.monotonic() < deadline:
+                time.sleep(0.001)
+            _thread.interrupt_main()
+            while time.monotonic() < deadline:
+                time.sleep(0.001)
+            raise AssertionError("no interrupt")
+
+        monkeypatch.setattr(simulation, "estimate_pcc", watched_pcc)
+        monkeypatch.setattr(simulation, "_outage", counted_outage)
+        monkeypatch.setattr(simulation, "estimate_detection", slow_detection)
+        before = threading.active_count()
+        code = main(["simulate", "--trials", "1e10", "--seed", "1"])
+        assert (code, capsys.readouterr()) == (130, ("", ""))
+        assert stops[0].is_set() and len(after_stop) <= 1 and len(blocks) < 2000
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("p_d, sigma_w2", [("1e200", "1e-200"), ("1e150", "1e-160")])
+    def test_csi_threshold_beyond_the_largest_ratio_detects(self, p_d, sigma_w2, capsys):
+        # s / sigma_w2 overflows in the CSI threshold; every slot is still
+        # decided right, as the closed form says.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out = run(capsys, "simulate", "--trials", "1000", "--seed", "1",
+                            "--p-d", p_d, "--sigma-w2", sigma_w2)
+        assert code == 0
+        rows = {r["metric"]: r for r in parse_csv(out)[1]}
+        for name in ("p_fa", "p_md", "zeta"):
+            assert (rows[name]["empirical"], rows[name]["analytic"]) == ("0", "0")
+
+    def test_csi_threshold_beyond_the_largest_noise_power_matches(self, capsys):
+        # sigma_w2 (s + sigma_w2) overflows in the CSI threshold
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out = run(capsys, "simulate", "--trials", "20000", "--seed", "1",
+                            "--p-d", "1e200", "--sigma-w2", "1e200")
+        assert code == 0
+        assert [r["pass_3sigma"] for r in parse_csv(out)[1]] == ["true"] * 4
 
     @pytest.mark.parametrize("policy", simulation.POLICIES)
     @pytest.mark.parametrize("seed", [7, 314, 2**64 - 1])

@@ -141,6 +141,29 @@ class TestCsiThreshold:
         fast = s > 1e-310  # no overflow: the unmasked path
         assert np.array_equal(lam[fast], detection.csi_threshold(s[fast], SW2))
 
+    @pytest.mark.parametrize("s, sigma_w2", [
+        (1e150, 1e-150), (1e200, 1e-200), (1e300, 1e-300),  # s / sigma_w2 = 1e300, 1e400, 1e600
+        (1e200, 1e200), (3e300, 1e300),  # sigma_w2 (s + sigma_w2) overflows
+    ])
+    def test_overflowing_formula_gives_the_finite_threshold(self, s, sigma_w2):
+        mp = pytest.importorskip("mpmath")
+        with mp.workdps(40):
+            ref = mp.mpf(sigma_w2) * (1 + mp.mpf(sigma_w2) / s) * mp.log1p(mp.mpf(s) / sigma_w2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            lam = detection.csi_threshold([s, 0.5 * s], sigma_w2)
+            one = optimal_threshold_csi(willie(sigma_w2=sigma_w2, p_d=s, h_w2=1.0))
+        assert lam[0] == pytest.approx(float(ref), rel=1e-14)
+        assert one == lam[0]
+        assert math.isfinite(lam[1]) and lam[1] < lam[0]
+
+    def test_writes_into_out(self):
+        s = np.array([0.0, 1e-3, 0.05, 1e200])
+        out = np.empty(4)
+        assert detection.csi_threshold(s, SW2, out) is out
+        assert np.array_equal(out, detection.csi_threshold(s, SW2))
+        assert out[0] == SW2 and np.isfinite(out).all()
+
     def test_degenerate_rejected(self):
         with pytest.raises(DegenerateHypothesesError):
             optimal_threshold_csi(willie(p_d=0.0, h_w2=1.0))

@@ -1,4 +1,5 @@
 import math
+import threading
 import tracemalloc
 import warnings
 from collections import Counter
@@ -30,6 +31,36 @@ from covertfade.simulation import (
 
 def params(**kw):
     return SystemParams(**kw)
+
+
+def allocating_outage(p, rng, n):
+    """Outage flags of n slots drawn as ``estimate_pcc`` draws them, on the
+    allocating route: complex estimate and error, magnitudes by np.abs."""
+    h_b = np.sqrt(rng.standard_exponential(n))
+    amp = math.sqrt(p.p_t)
+    h_hat = rng.standard_normal(2 * n)
+    h_hat *= math.sqrt(p.sigma_b2 / p.n_t / 2.0)
+    h_hat = h_hat.view(np.complex128)
+    h_hat += amp * h_b
+    h_hat *= p.n_t * amp / (p.sigma_b2 + p.n_t * p.p_t)
+    snr = link.snr_bob(np.abs(h_hat) ** 2, np.abs(h_b - h_hat) ** 2, p)
+    return np.log2(1.0 + snr) <= p.rate
+
+
+def allocating_wrong(p, hypothesis, lam, rng, n):
+    """Wrong decisions in n slots of ``hypothesis`` drawn as
+    ``estimate_detection`` draws them, on the allocating route: the
+    radiometer's law, then the CSI threshold formula and its mask."""
+    h_w2 = rng.standard_exponential(n)
+    v = h_w2 * p.p_d + p.sigma_w2 if hypothesis == "H1" and p.p_d > 0 else p.sigma_w2
+    statistic = v * rng.standard_gamma(p.n_d, n) / p.n_d
+    if lam is None:
+        s = h_w2 * p.p_d
+        with np.errstate(all="ignore"):
+            raw = p.sigma_w2 * (s + p.sigma_w2) / s * np.log1p(s / p.sigma_w2)
+        keep = (s > 0) & (np.isfinite(raw) | (s >= np.finfo(float).eps * p.sigma_w2))
+        lam = np.where(keep, raw, p.sigma_w2)
+    return statistic > lam if hypothesis == "H0" else statistic <= lam
 
 
 class TestSimulateSlot:
@@ -75,34 +106,45 @@ class TestSimulateSlot:
 class TestStages:
     @pytest.mark.parametrize("seed, n_t", [(33, 1), (2**40, 4)])
     def test_each_estimator_is_its_own_stage_on_its_own_stream(self, seed, n_t):
-        # Each stage rebuilt from its own stream, one block of _BLOCK trials
-        # after another, at trial counts on both sides of the block edges.
-        p = params(p_d=0.05, n_d=50, n_t=n_t)
+        # Each stage rebuilt from its own stream on the allocating route, one
+        # block of _BLOCK trials after another, at trial counts on both sides
+        # of the block edges: the in-place estimators give the same counts.
+        # p_d 5e-324 takes every CSI threshold down the masked path.
         block = simulation._BLOCK
+        for scenario, policy in [
+            (dict(p_d=0.05), "csi_optimal"), (dict(p_d=0.05), "fixed"),
+            (dict(p_d=0.05), "cdi_exact"), (dict(p_d=0.0), "csi_optimal"),
+            (dict(p_d=5e-324), "csi_optimal"), (dict(p_d=0.05, p_t=0.5), "csi_optimal"),
+        ]:
+            p = params(n_d=50, n_t=n_t, **scenario)
+            lam = policy_threshold(p, policy, 0.055)
+            for trials in (1, block - 1, block, block + 1, 2 * block + 3):
+                mc = McConfig(trials=trials, seed=seed, threshold=lam)
+                bob, h0, h1 = _rng(seed, 2), _rng(seed, 0), _rng(seed, 1)
+                est = estimate_pcc(p, mc)
+                assert est.p_cc == float(np.mean(
+                    ~in_blocks(trials, block, lambda n: allocating_outage(p, bob, n))))
+                det = estimate_detection(p, mc)
+                n_h1 = trials // 2
+                assert det.p_fa == float(np.mean(in_blocks(
+                    trials - n_h1, block, lambda n: allocating_wrong(p, "H0", lam, h0, n))))
+                if n_h1:
+                    assert det.p_md == float(np.mean(in_blocks(
+                        n_h1, block, lambda n: allocating_wrong(p, "H1", lam, h1, n))))
+                else:
+                    assert math.isnan(det.p_md)
 
-        def outage(rng, n):
-            b = draw_channels(p, np.sqrt(rng.standard_exponential(n)), rng)
-            return _outage(p, b["h_b_hat"], b["h_b_tilde"])
-
-        def wrong(rng, hypothesis, n):
-            w = simulate_slots(p, hypothesis, n, rng)
-            lam = _thresholds(p, None, w["h_w2"])
-            return w["statistic"] > lam if hypothesis == "H0" else w["statistic"] <= lam
-
-        for trials in (1, block - 1, block, block + 1, 2 * block + 3):
-            mc = McConfig(trials=trials, seed=seed)
-            bob, h0, h1 = _rng(seed, 2), _rng(seed, 0), _rng(seed, 1)
-            est = estimate_pcc(p, mc)
-            assert est.p_cc == float(np.mean(~in_blocks(trials, block, lambda n: outage(bob, n))))
-            det = estimate_detection(p, mc)
-            n_h1 = trials // 2
-            assert det.p_fa == float(np.mean(
-                in_blocks(trials - n_h1, block, lambda n: wrong(h0, "H0", n))))
-            if n_h1:
-                assert det.p_md == float(np.mean(
-                    in_blocks(n_h1, block, lambda n: wrong(h1, "H1", n))))
-            else:
-                assert math.isnan(det.p_md)
+    def test_outage_counts_match_the_allocating_route_over_seeds(self):
+        # Bob's magnitudes are re^2 + im^2 here and hypot^2 on the allocating
+        # route; they round apart, but no count moves.
+        for seed in range(20):
+            p = params(p_d=0.02, n_t=4, p_t=0.5) if seed % 2 else params(p_d=0.02)
+            trials = 100_000
+            rng = _rng(seed, 2)
+            outages = int(np.count_nonzero(in_blocks(
+                trials, simulation._BLOCK, lambda n: allocating_outage(p, rng, n))))
+            assert estimate_pcc(p, McConfig(trials=trials, seed=seed)).p_cc == (
+                (trials - outages) / trials), seed
 
     @pytest.mark.parametrize("estimate, per_trial", [
         (estimate_detection, {"standard_exponential": 1, "standard_gamma": 1}),
@@ -280,7 +322,7 @@ class TestDrawLaws:
         for key in ("h_b_hat", "h_b_tilde"):
             assert stats_mod.ks_2samp(np.abs(mag[key]) ** 2,
                                       np.abs(cn[key]) ** 2).pvalue > 1e-3, key
-        rates = [float(np.mean(_outage(p, b["h_b_hat"], b["h_b_tilde"]))) for b in (mag, cn)]
+        rates = [float(np.mean(_outage(p, b["h_b"], b["h_b_hat"]))) for b in (mag, cn)]
         se = math.sqrt(sum(r * (1.0 - r) for r in rates) / n)
         assert abs(rates[0] - rates[1]) <= 5.0 * se
 
@@ -450,6 +492,33 @@ class TestPilotBudgetFirst:
             estimate(params(n_t=1e308, p_t=1e10), McConfig(trials=100_000, seed=1))
 
 
+class TestEstimatorAlone:
+    @pytest.mark.parametrize("threshold", [None, 0.055], ids=["csi", "fixed"])
+    def test_overflowing_power_names_willie(self, threshold):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError) as exc:
+                estimate_detection(params(p_d=1e308), McConfig(trials=1000, seed=1,
+                                                               threshold=threshold))
+        assert str(exc.value) == ("p_d=1e+308 with sigma_w2=0.05 overflows Willie's received "
+                                  "power: overflow encountered in multiply")
+
+    def test_overflowing_power_names_bob(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError) as exc:
+                estimate_pcc(params(p_d=1e308), McConfig(trials=1000, seed=1))
+        assert str(exc.value) == ("p_d=1e+308 overflows Bob's received power: "
+                                  "overflow encountered in multiply")
+
+    @pytest.mark.parametrize("estimate", [estimate_detection, estimate_pcc])
+    def test_set_stop_event_ends_the_run_before_its_next_block(self, estimate):
+        stop = threading.Event()
+        stop.set()
+        with pytest.raises(KeyboardInterrupt):
+            estimate(params(), McConfig(trials=10**12, seed=1), stop=stop)
+
+
 class TestEstimationStatistics:
     def test_orthogonality_variances(self):
         p = params(p_d=0.02)
@@ -537,7 +606,7 @@ class TestTraceDump:
             if hyp == "H0":
                 assert outage == ""
             else:
-                assert outage == str(int(_outage(p, b["h_b_hat"], b["h_b_tilde"])[j]))
+                assert outage == str(int(_outage(p, b["h_b"], b["h_b_hat"])[j]))
 
     def test_subnormal_power_runs_without_warnings(self, tmp_path, capsys):
         with warnings.catch_warnings():

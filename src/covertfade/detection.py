@@ -123,10 +123,11 @@ def p_md(lam: float, w: WillieParams) -> float:
     return reg_lower_gamma(w.n_d, x) if x < math.inf else 1.0
 
 
-def csi_threshold(s, sigma_w2, out=None):
+def csi_threshold(s, sigma_w2, out=None, work=None):
     """Error-minimizing threshold at received signal power ``s`` = |h_w|^2 P_D,
-    elementwise over arrays, written into ``out`` (a float array of s's shape,
-    not s itself) if given.
+    elementwise over arrays.  ``out`` receives the thresholds and ``work`` the
+    logarithm below; each is a float array of s's shape other than s,
+    allocated if None.
 
     The threshold sigma_w2 (s + sigma_w2) / s log1p(s / sigma_w2) is formed in
     place; where every s > 0 and every threshold is finite that is all.
@@ -142,7 +143,8 @@ def csi_threshold(s, sigma_w2, out=None):
     s = np.asarray(s, dtype=float)
     lam = np.empty_like(s) if out is None else out
     with np.errstate(all="ignore"):
-        log = np.log1p(s / sigma_w2)
+        log = np.divide(s, sigma_w2, out=np.empty_like(s) if work is None else work)
+        np.log1p(log, out=log)
         np.add(s, sigma_w2, out=lam)
         lam *= sigma_w2
         lam /= s

@@ -144,15 +144,16 @@ def policy_threshold(params, policy: str, fixed_threshold=None):
     raise DomainError(f"policy must be one of {POLICIES}, got {policy!r}")
 
 
-def _thresholds(params: SystemParams, lam, h_w2, s=None, out=None):
+def _thresholds(params: SystemParams, lam, h_w2, s=None, out=None, work=None):
     """The run's scalar threshold, or per-slot CSI thresholds from |h_w|^2:
-    the signal power h_w2 p_d goes to ``s`` (which may be h_w2) and the
-    thresholds to ``out``, each allocated if None."""
+    the signal power h_w2 p_d goes to ``s`` (which may be h_w2), the
+    thresholds to ``out`` and ``csi_threshold``'s scratch to ``work``, each
+    allocated if None."""
     if lam is not None:
         return lam
     with overflow_check(_power_overflow(params)):
         s = np.multiply(h_w2, params.p_d, out=s)
-    return detection.csi_threshold(s, params.sigma_w2, out)
+    return detection.csi_threshold(s, params.sigma_w2, out, work)
 
 
 def _estimate(params: SystemParams, h_b, rng, z=None, work=None):
@@ -228,7 +229,7 @@ def _outage(params: SystemParams, h_b, h_hat, out=None, work=None):
         np.subtract(h_b.imag, h_hat.imag, out=im2)
         im2 *= im2
     tilde2 += im2  # of real gains, the error's imaginary part is -Im h_hat
-    snr = link.snr_bob(hat2, tilde2, params, out=hat2)
+    snr = link.snr_bob(hat2, tilde2, params, out=hat2, work=im2)
     snr += 1.0
     np.log2(snr, out=snr)
     return np.less_equal(snr, params.rate, out=out)
@@ -262,16 +263,16 @@ def _blocks(trials, stop):
 
 def _errors(params: SystemParams, hypothesis: str, trials: int, lam, rng, arrays, stop) -> int:
     """Wrong decisions at threshold ``lam`` in ``trials`` slots of ``hypothesis``,
-    each block drawn into and decided in ``arrays`` (three float rows and a
+    each block drawn into and decided in ``arrays`` (four float rows and a
     bool row of at least one block)."""
     wrong = np.greater if hypothesis == "H0" else np.less_equal
     hits = 0
     for n in _blocks(trials, stop):
-        h_w2, g, work = arrays[0][:, :n]
+        h_w2, g, work, log = arrays[0][:, :n]
         rng.standard_exponential(out=h_w2)
         statistic = _radiometer(params, hypothesis == "H1", h_w2,
                                 rng.standard_gamma(params.n_d, out=g), work)
-        thresholds = _thresholds(params, lam, h_w2, s=h_w2, out=work)
+        thresholds = _thresholds(params, lam, h_w2, s=h_w2, out=work, work=log)
         hits += int(np.count_nonzero(wrong(statistic, thresholds, out=arrays[1][:n])))
     return hits
 
@@ -286,7 +287,7 @@ def estimate_detection(params: SystemParams, mc: McConfig, stop=None) -> Detecti
     n_h0 = mc.trials - n_h1
     lam = mc.threshold
     size = min(_BLOCK, n_h0)
-    arrays = np.empty((3, size)), np.empty(size, dtype=bool)
+    arrays = np.empty((4, size)), np.empty(size, dtype=bool)
 
     p_fa_hat = _errors(params, "H0", n_h0, lam, _rng(mc.seed, 0), arrays, stop) / n_h0
     if n_h1 > 0:

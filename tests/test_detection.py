@@ -160,7 +160,7 @@ class TestCsiThreshold:
     def test_writes_into_out(self):
         s = np.array([0.0, 1e-3, 0.05, 1e200])
         out = np.empty(4)
-        assert detection.csi_threshold(s, SW2, out) is out
+        assert detection.csi_threshold(s, SW2, out, np.empty(4)) is out
         assert np.array_equal(out, detection.csi_threshold(s, SW2))
         assert out[0] == SW2 and np.isfinite(out).all()
 

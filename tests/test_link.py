@@ -113,6 +113,13 @@ class TestSnr:
         expected = [snr_bob(a, b, l) for a, b in zip(h_hat2, h_tilde2)]
         assert np.array_equal(snr_bob(h_hat2, h_tilde2, l), expected)
 
+    def test_in_place_into_its_inputs(self):
+        l = link(p_d=0.05)
+        h_hat2, h_tilde2 = np.array([0.0, 1.0, 2.5]), np.array([0.3, 0.01, 0.2])
+        expected = snr_bob(h_hat2, h_tilde2, l)
+        assert snr_bob(h_hat2, h_tilde2, l, out=h_hat2, work=h_tilde2) is h_hat2
+        assert np.array_equal(h_hat2, expected)
+
 
 class TestThroughput:
     def test_zero_connection(self):

@@ -22,8 +22,12 @@ around its missed-detection step.  The argmins run Newton in lockstep, one
 ``solver.newton_steps`` core per point: a round takes the points still open,
 sorts their panel cuts and step edges together by (point, x) into one flat
 rule, and sums each point's nodes in order with one reduction per segment,
-so a point's values are those of its one-point call.  The average at the
-roots is one more such rule and one gamma call.  Below a mean SNR of 1e-300
+so a point's values are those of its one-point call.  Each point's Newton
+starts at a closed-form estimate of its root (``_argmin_start``), so most
+points take three rounds.  The average at the roots is one more such rule:
+its missed-detection term is taken by parts against the bump z f(z) of the
+Gamma(n_d, 1) density f, so a point takes one incomplete gamma beside its
+false-alarm rate, not one per node.  Below a mean SNR of 1e-300
 the averages are their zero-power limits; a non-finite table entry or
 average raises NumericError, and a count above 1e305, where scipy's
 incomplete gamma fails, a DomainError.
@@ -79,6 +83,14 @@ _N_D_MAX = 1e305
 # omitted term is below 1e-18 there; below it, the log-gamma route keeps 12
 # digits and the printed designs of counts up to 400.
 _STIRLING_FROM = 1000
+# B_2k / (2k (2k - 1)), k = 1..5: the Stirling series of ln Gamma(n) less
+# (n - 1/2) ln n - n + ln(2 pi) / 2.  From _EXACT_BELOW on, its first omitted
+# term is below 1e-17.
+_STIRLING = (1 / 12, -1 / 360, 1 / 1260, -1 / 1680, 1 / 1188)
+_EXACT_BELOW = 20
+# 1/k!, k = 2..7: the series of e^t - 1 - t, used below |t| = _SERIES_BELOW
+_TAYLOR = tuple(1 / math.factorial(k) for k in range(2, 8))
+_SERIES_BELOW = 1e-2
 # Below this mean SNR the first-order term of every average is < 1e-140.
 _SNR_FLOOR = 1e-300
 _X_MAX = 1e300  # cap on the top panel edge
@@ -212,6 +224,32 @@ def low_power_scale(n_d: int) -> float:
     return math.sqrt(2.0 * math.pi / n) * math.exp((1 / 12 - 1 / (360 * n * n)) / n)
 
 
+@functools.cache
+def _ln_peak_exact(n):
+    """c(n) (``_ln_peak``) of an integer n >= 1, in 40-digit arithmetic."""
+    import decimal  # loaded at the first such count, not at CLI start
+
+    with decimal.localcontext() as ctx:
+        ctx.prec = 40
+        d = decimal.Decimal(n)
+        return float(d * d.ln() - d - decimal.Decimal(math.factorial(n - 1)).ln())
+
+
+def _ln_peak(n):
+    """c(n) = n ln n - n - ln Gamma(n) = -ln low_power_scale(n), the log of
+    the peak h(n) of h(z) = z f(z) for f the Gamma(n, 1) density, to about
+    an ulp: exact below ``_EXACT_BELOW``, and from there on
+    ln(n / 2 pi) / 2 less the Stirling series, which cancels no digits."""
+    if n < _EXACT_BELOW:
+        return _ln_peak_exact(int(n))
+    n = float(n)
+    r = 1.0 / (n * n)
+    series = _STIRLING[-1]
+    for coef in _STIRLING[-2::-1]:
+        series = coef + r * series
+    return 0.5 * math.log(n / math.tau) - series / n
+
+
 def zeta_linear_csi(w: WillieParams) -> float:
     """First-order (low-power) approximation of zeta_star_csi.
 
@@ -315,6 +353,31 @@ def _csi_averages(n_d, a, slope=False):
     return (sum(averages), _average(k * (x / a - 1.0), fa + md, a)) if slope else averages
 
 
+def _argmin_start(n, a, ln_a, ln_1pa, peak):
+    """An estimate of the CDI argmin u = ln(lam / sigma_w2) at count n and mean
+    SNR a (ln a and ln(1 + a) given, so that a may overflow), ``peak`` = c(n).
+
+    At high a the fading density barely changes across the bump h, so the
+    slope's average E_x[h(y / (1 + x))] is about the density of ln(1 + x) at
+    u times the bump's integral low_power_scale(n) = e^-c(n).  Its zero is then
+    the root of u - expm1(u) / a - ln a - c(n) = n (u - expm1 u), taken by at
+    most four Newton steps from the root of n u^2 / 2 = ln a + c(n).  At low a
+    (the bump wider than the density) the argmin is near ln(1 + a), less as
+    a sqrt(n) grows; the larger estimate is returned."""
+    low = ln_1pa / (1.0 + 0.5 * a * math.sqrt(n))
+    d = ln_a + peak
+    if d <= 0.0:  # a below the bump's integral: no density-matching root
+        return low
+    u = math.sqrt(2.0 * d / n)
+    for _ in range(4):
+        e = math.expm1(u)
+        slope = n * e + 1.0 - (e + 1.0) / a
+        if not 0.0 < slope < math.inf:
+            break
+        u -= (n * (e - u) + u - e / a - d) / slope
+    return max(u, low)
+
+
 class _CdiGrid:
     """The fixed-threshold averages of a grid of points (``WillieParams`` or
     ``SystemParams``), each point's span and panel cuts built once.
@@ -327,6 +390,11 @@ class _CdiGrid:
     sums run over its own nodes in that order, so its values do not depend on
     the rest of the grid.  Points below the SNR floor take their zero-power
     limits and build nothing.
+
+    Both the argmin's slope and the average integrate the bump h(z) = z f(z),
+    for f the Gamma(n_d, 1) density, at z = y / (1 + x), y = n_d lam / sigma_w2.
+    In t = ln(z / n_d) = u - ln(1 + x), u = ln(lam / sigma_w2), it is
+    h = e^(n_d (t - e^t + 1) + c(n_d)) (``_ln_peak``).
     """
 
     def __init__(self, points):
@@ -338,9 +406,12 @@ class _CdiGrid:
         self.n = np.array([float(_gamma_count(w.n_d)) for w in ws])
         self.ln_s = [math.log(w.sigma_w2) for w in ws]
         spans = [_span(a, w.n_d) for a, w in zip(self.a.tolist(), ws)]
+        self.top = np.array([hi for _, hi in spans])
         self.ends = np.array([(math.log1p(lo), math.log1p(hi)) for lo, hi in spans])
         self.offsets = _STEP_OFFSETS / np.sqrt(self.n)[:, None]  # of the step edges
-        self.floor = -1e3 / self.n  # of t - e^t, where h underflows
+        self.floor = -2e3 / self.n  # of t - e^t + 1, where h underflows, e^c(n_d) included
+        peaks = {n: _ln_peak(n) for n in set(self.n.tolist())}
+        self.peak = np.array([peaks[n] for n in self.n.tolist()])
         self.cuts, self.owner = _panel_cuts(spans)
 
     def rule(self, index, lams):
@@ -366,42 +437,51 @@ class _CdiGrid:
         k *= weights
         return x, k, panel, first
 
-    def _averages(self, index, first, *values):
-        """Per array of ``values`` and per point of ``index``, the sum of its
-        nodes' values (from ``first`` on, in node order) / a, to be ``_checked``."""
-        a = self.a[index]
-        return [(np.add.reduceat(v.ravel(), first) / a).tolist() for v in values]
+    def _log_bump(self, index, u, x, panel):
+        """At the nodes x of the points ``panel``, for the points ``index`` at
+        ``u``: t (clipped where h underflows anyway), e^t - 1, n_d and
+        ln h - c(n_d) = n_d (t - e^t + 1), floored where h underflows."""
+        at = np.zeros(self.a.size)
+        at[index] = u
+        t = at[panel][:, None] - np.log1p(x)
+        np.minimum(t, 50.0, out=t)
+        e_t = np.expm1(t)
+        n = self.n[panel][:, None]
+        log_h = t - e_t
+        # That difference is off by about 2 eps / |t| of itself, and is 0 below
+        # |t| = 4e-16, yet at a large n_d the whole bump lies within |t| < 1e-2:
+        # below _SERIES_BELOW it is -t^2 (1/2! + t/3! + ... + t^5/7!), to 5e-17.
+        near = np.abs(t) < _SERIES_BELOW
+        if near.any():
+            s = t[near]
+            series = _TAYLOR[-1]
+            for coef in _TAYLOR[-2::-1]:
+                series = coef + s * series
+            log_h[near] = -s * s * series
+        np.maximum(log_h, self.floor[panel][:, None], out=log_h)
+        log_h *= n
+        return t, e_t, n, log_h
 
     def slopes(self, index, u):
         """For the points ``index`` (into ``above``) at u = ln(lam / sigma_w2): a
         function with the sign of d/du of the averaged error, and its
-        u-derivative.  That slope is E_x[h(y / (1 + x))] - h(y) at
-        y = n_d lam / sigma_w2, with h(y) = y f(y) for f the Gamma(n_d, 1)
-        density and d/du h = (n_d - y) h.  Up to a common factor
-        h = e^(n_d (t - e^t + 1)) at t = ln(y / n_d); the log of the ratio of
-        the two terms, returned here, is near linear about the root, and -inf
-        where E_x underflows."""
+        u-derivative.  That slope is E_x[h(y / (1 + x))] - h(y), and
+        d/du h = (n_d - y) h.  Up to the common factor e^c(n_d), the log of
+        the ratio of the two terms, returned here, is near linear about the
+        root, and -inf where E_x underflows."""
         index = np.asarray(index, dtype=np.intp)
         lams = [math.exp(min(self.ln_s[j] + v, _LN_MAX)) for j, v in zip(index.tolist(), u)]
         x, k, panel, first = self.rule(index, lams)
-        at = np.zeros(self.a.size)
-        at[index] = u
-        t = at[panel][:, None] - np.log1p(x)
-        np.minimum(t, 50.0, out=t)  # clipped where h underflows anyway
-        e_t = np.expm1(t)
-        n = self.n[panel][:, None]
-        h = t - e_t
-        np.maximum(h, self.floor[panel][:, None], out=h)
-        h *= n
+        _, e_t, n, h = self._log_bump(index, u, x, panel)
         np.exp(h, out=h)
         e_t *= h
         e_t *= -n
         e_t *= k
         h *= k
-        means, drifts = self._averages(index, first, h, e_t)
+        a = self.a[index]
+        means, drifts = [(np.add.reduceat(v.ravel(), first) / a).tolist() for v in (h, e_t)]
         f, df = [], []
-        for v, n_d, a, mean, drift in zip(u, self.n[index].tolist(), self.a[index].tolist(),
-                                          means, drifts):
+        for v, n_d, a, mean, drift in zip(u, self.n[index].tolist(), a.tolist(), means, drifts):
             if _checked(mean, a) == 0.0:
                 f.append(-math.inf)
                 df.append(0.0)
@@ -412,36 +492,67 @@ class _CdiGrid:
         return f, df
 
     def argmin(self):
-        """The CDI argmin of every point (``threshold_cdi_exact``)."""
+        """The CDI argmin of every point (``threshold_cdi_exact``): Newton on
+        [0, hi] from ``_argmin_start``."""
         lams = [w.sigma_w2 for w in self.points]
-        brackets = []
-        for j, i in enumerate(self.above):
-            # ln(1 + a) as a difference of logs, so that a may overflow
+        brackets, guesses = [], []
+        for j, (i, n, a, peak) in enumerate(zip(self.above, self.n.tolist(), self.a.tolist(),
+                                                self.peak.tolist())):
+            # ln a and ln(1 + a) as differences of logs, so that a may overflow
             w = self.points[i]
             ln_1pa = math.log(w.sigma_w2 + w.p_d) - self.ln_s[j]
-            brackets.append(min(ln_1pa + math.log1p(ln_1pa), _LN_MAX - self.ln_s[j]))
+            hi = min(ln_1pa + math.log1p(ln_1pa), _LN_MAX - self.ln_s[j])
+            ln_a = math.log(w.p_d) - self.ln_s[j]
+            brackets.append(hi)
+            guesses.append(min(_argmin_start(n, a, ln_a, ln_1pa, peak), hi))
         if brackets:
-            f, df = self.slopes(range(len(brackets)), [0.0] * len(brackets))
-            starts = [(0.0, hi, 0.0, f0, df0) for hi, f0, df0 in zip(brackets, f, df)]
+            f, df = self.slopes(range(len(brackets)), guesses)
+            starts = [(0.0, hi, u, f0, df0) for hi, u, f0, df0 in zip(brackets, guesses, f, df)]
             for j, u in enumerate(newton_lockstep(self.slopes, starts, 1e-8)):
                 lams[self.above[j]] = math.exp(min(self.ln_s[j] + u, _LN_MAX))
         return lams
 
     def average(self, lams):
         """The fading-averaged total error of every point at its threshold in
-        ``lams`` (``expected_zeta_cdi``)."""
+        ``lams`` (``expected_zeta_cdi``).
+
+        The missed-detection term E_x[P(n_d, y / (1 + x))] over the rule's
+        [0, X] is taken by parts, F(x) = 1 - e^(-x/a) against the bump:
+        F(X) P(n_d, y / (1 + X)) plus the integral of F(x) h(y / (1 + x)) / (1 + x).
+        The bump's centre x_c = lam / sigma_w2 - 1 (kept in [0, X]) takes
+        F(x_c) times the bump's whole mass on [0, X], P(n_d, y) - P(n_d, y / (1 + X)),
+        with P(n_d, y) = 1 - p_fa, so that only F(x) - F(x_c) is integrated:
+        a bump narrower than the rule resolves (n_d beyond about 1e30) then
+        still counts in full.  One incomplete gamma per point, beside p_fa."""
         zetas = [1.0] * len(self.points)
         if self.above:
             index = np.arange(len(self.above))
             lams_above = [lams[i] for i in self.above]
+            # u = ln(lam / sigma_w2) from the rounded ratio that p_fa reads, else a
+            # difference of logs where the ratio overflows or underflows
+            u = []
+            for i, lam, ln_s in zip(self.above, lams_above, self.ln_s):
+                ratio = lam / self.points[i].sigma_w2
+                u.append(math.log(ratio) if 0.0 < ratio < math.inf else math.log(lam) - ln_s)
+            u = np.array(u)
             x, k, panel, first = self.rule(index, lams_above)
-            # inf where it overflows: no numpy warning
-            args = np.array([self.points[i].n_d * (float(lam) / self.points[i].sigma_w2)
-                             for i, lam in zip(self.above, lams_above)])
-            k *= special.gammainc(self.n[panel][:, None], args[panel][:, None] / (1.0 + x))
-            md, = self._averages(index, first, k)
-            for i, lam, a, value in zip(self.above, lams_above, self.a.tolist(), md):
-                zetas[i] = p_fa(lam, self.points[i]) + _checked(value, a)
+            t, _, _, log_h = self._log_bump(index, u, x, panel)
+            log_h += t  # h / (1 + x) = e^(ln h + t - u)
+            log_h += (self.peak - u)[panel][:, None]
+            np.exp(log_h, out=log_h)
+            centre = np.clip(np.expm1(np.minimum(u, _LN_MAX)), 0.0, self.top)
+            # the weights times F(x) - F(x_c) = e^(-x_c/a) - e^(-x/a)
+            k *= np.expm1((x - centre[panel][:, None]) / self.a[panel][:, None])
+            log_h *= k
+            parts = np.add.reduceat(log_h.ravel(), first).tolist()
+            with np.errstate(over="ignore"):  # inf where it overflows: P = 1
+                top = special.gammainc(self.n, self.n * np.exp(u - self.ends[:, 1])).tolist()
+            f_top = (-np.expm1(-self.top / self.a)).tolist()
+            f_centre = (-np.expm1(-centre / self.a)).tolist()
+            for i, lam, a, f_x, p_x, f_c, part in zip(self.above, lams_above, self.a.tolist(),
+                                                      f_top, top, f_centre, parts):
+                fa = p_fa(lam, self.points[i])
+                zetas[i] = fa + _checked(f_x * p_x + f_c * (1.0 - fa - p_x) + part, a)
         return zetas
 
 
@@ -475,9 +586,12 @@ def threshold_cdi_exact(w: WillieParams) -> float:
     At p_d = 0 the hypotheses coincide and every threshold is equally good;
     the noise floor sigma_w2, its low-power limit, is returned there and
     wherever the averaged error is its zero-power limit (below the SNR floor).
-    The search runs in u = ln(lam / sigma_w2) on a bracket fixed in advance,
-    to 1e-8 relative in lam (below the largest double), from u = 0.  Below
-    the noise floor the averaged error only falls: a Gamma density at
+    The search runs in u = ln(lam / sigma_w2) on a bracket [0, hi] fixed in
+    advance, to 1e-8 relative in lam (below the largest double).  It starts at
+    an estimate of the root (``_argmin_start``: the density-matching root at
+    high mean SNR, near ln(1 + a) at low), the one point evaluated before the
+    Newton steps; the end u = 0 needs none.  Below the noise floor the
+    averaged error only falls: a Gamma density at
     lam < sigma_w2 shrinks as its scale grows past sigma_w2, so there the
     missed-detection rate rises more slowly than the false-alarm rate drops.
     Above, the argmin lies below lam = sigma_w2 (1 + a)(1 + ln(1 + a)) at mean

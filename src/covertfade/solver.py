@@ -8,6 +8,8 @@ the (f, f') of every open problem at once (the CDI argmin over a grid of
 points).  A problem's iterates depend on its own (f, f') alone.
 """
 
+import math
+
 from .errors import NumericError
 
 __all__ = ["newton_steps", "newton_bracket", "newton_lockstep"]
@@ -18,15 +20,18 @@ def newton_steps(lo, hi, x, f, df, tol):
     Newton from x with its known f and f': yields each next iterate, to be sent
     (f, f') there, and returns the root.  A step that leaves the bracket or
     does not halve the last one (a zero, non-finite or wrongly signed f'
-    included) is a bisection.  Ends at a zero of f or a step below ``tol``;
-    where f keeps one sign, within ``tol`` of the end it points to.  Else
-    NumericError naming the bracket and the last iterate."""
+    included) is a bisection.  Ends at a zero of f, at a Newton step that
+    rounds to x, or at a step below ``tol``; where f keeps one sign, within
+    ``tol`` of the end it points to.  Else NumericError naming the bracket
+    and the last iterate."""
     last = hi - lo
     for _ in range(100):  # bisection alone closes 1e3 to 1e-8 in 37 steps
         if f == 0.0:
             return x
         lo, hi = (x, hi) if f < 0.0 else (lo, x)
         step = x - f / df if df else lo  # lo: not inside, so a bisection
+        if step == x and 0.0 < df < math.inf:  # a Newton step below the last bit of x
+            return x
         if not (lo < step < hi and abs(step - x) <= 0.5 * last):
             step = 0.5 * (lo + hi)
         last = abs(step - x)

@@ -130,6 +130,30 @@ def cdi_rule_ref(lam, sigma_w2, n_d, p_d):
     return x, weights * np.exp(-x / a), a
 
 
+def md_by_parts_ref(n_d, a, ratio, dps=30):
+    """Missed-detection term of the fixed-threshold average at mean SNR a and
+    threshold ratio lam / sigma_w2 (the double the library reads), over the
+    rule's [0, X], X = min(40a, 1e300), in ``dps``-digit mpmath: by parts in
+    s = ln(1 + x), F(X) P(n_d, y / (1 + X)) + the integral over [0, ln(1 + X)]
+    of F(e^s - 1) h, with h = e^(n (t - expm1 t) + c), t = ln(ratio) - s and
+    c = n ln n - n - ln Gamma(n) from mpmath's loggamma; P(n_d, y / (1 + X))
+    is h's integral up to t = ln(ratio) - ln(1 + X)."""
+    import mpmath as mp
+
+    with mp.workdps(dps):
+        n, a, u = mp.mpf(n_d), mp.mpf(a), mp.log(mp.mpf(ratio))
+        top = min(40 * a, mp.mpf(1e300))
+        s_top = mp.log1p(top)
+        c = n * mp.log(n) - n - mp.loggamma(n)
+        bump = lambda t: mp.exp(n * (t - mp.expm1(t)) + c)
+        edges = [u + k / mp.sqrt(n) for k in (-32, -8, -2, 0, 2, 8, 32)]
+        inner = mp.quad(lambda s: -mp.expm1(-mp.expm1(s) / a) * bump(u - s),
+                        [0] + [e for e in edges if 0 < e < s_top] + [s_top])
+        t_top = u - s_top
+        p_top = mp.quad(bump, [-mp.inf] + [e - u for e in edges if e - u < t_top] + [t_top])
+        return float(-mp.expm1(-top / a) * p_top + inner)
+
+
 def _load_bench_oracle():
     path = Path(__file__).resolve().parent.parent / "bench" / "oracle.py"
     spec = importlib.util.spec_from_file_location("bench_oracle", path)

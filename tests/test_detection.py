@@ -14,6 +14,7 @@ from conftest import (
     cdi_rule_ref,
     expected_zeta_cdi_grid,
     gain_average_quad,
+    md_by_parts_ref,
     oracle,
     panel_cuts_ref,
     radiometer_statistics,
@@ -581,6 +582,67 @@ class TestLockstepGrid:
         monkeypatch.setattr(detection, "special", SimpleNamespace(gammainc=nan_md))
         with pytest.raises(NumericError, match="mean SNR 20.0"):
             detection.cdi_grid([willie(n_d=1, p_d=0.5), willie(n_d=50, p_d=1.0)], [SW2, SW2])
+
+
+class TestByPartsAverage:
+    """The missed-detection average by parts, the bump's log peak c(n_d), and
+    the argmins' start."""
+
+    @pytest.mark.parametrize("n_d", [1, 10, 50, 400, 5000, 10**6, 10**12])
+    def test_missed_detection_against_mpmath(self, n_d):
+        cases = [(p_d, threshold_cdi_exact(willie(n_d=n_d, p_d=p_d)))
+                 for p_d in (1e-4, 1e-2, 1.0, 1e3)] + [(1e-2, SW2)]
+        for p_d, lam in cases:
+            w = willie(n_d=n_d, p_d=p_d)
+            zeta = expected_zeta_cdi(lam, w)
+            # the term as read back from the total, to the last bit of the total
+            want = md_by_parts_ref(n_d, p_d / SW2, lam / SW2)
+            assert zeta - p_fa(lam, w) == pytest.approx(want, rel=1e-13, abs=math.ulp(zeta)), lam
+
+    @pytest.mark.parametrize("n_d", [10**30, 10**300], ids=["1e30", "1e300"])
+    def test_bump_narrower_than_the_rule_still_counts(self, n_d):
+        # The step at x = 0.5 is 1/sqrt(n_d) wide, below what the rule's
+        # nodes resolve there; the average is Pr(x < 0.5) at a = 2.
+        w = willie(n_d=n_d, p_d=0.1)
+        assert p_fa(1.5 * SW2, w) == 0.0
+        assert expected_zeta_cdi(1.5 * SW2, w) == pytest.approx(-math.expm1(-0.25), rel=1e-14)
+
+    def test_log_peak_against_mpmath(self):
+        import mpmath
+
+        counts = list(range(1, 64)) + [10**k for k in range(2, 301)] + [12345, 2**53 + 1]
+        for n_d in counts:
+            n_d = float(n_d)  # as the grid holds it
+            with mpmath.workdps(40 + int(math.log10(n_d))):
+                n = mpmath.mpf(n_d)
+                want = n * mpmath.log(n) - n - mpmath.loggamma(n)
+                err = abs(detection._ln_peak(n_d) - want)
+            # 4e-16 absolute, or relative where |c| > 1: doubles are 5.7e-14
+            # apart at c(1e300) = 344.5
+            assert err <= 4e-16 * max(1.0, abs(want)), n_d
+
+    def test_argmins_from_the_start_match_a_start_at_zero(self, monkeypatch):
+        points = [willie(n_d=n_d, p_d=p_d) for n_d in (1, 2, 10, 50, 200, 1000, 5000)
+                  for p_d in np.geomspace(1e-6, 1e10, 17).tolist()]
+        lams, zetas = detection.cdi_grid(points)
+        monkeypatch.setattr(detection, "_argmin_start", lambda *args: 0.0)
+        ref_lams, ref_zetas = detection.cdi_grid(points)
+        for w, lam, ref, zeta, ref_zeta in zip(points, lams, ref_lams, zetas, ref_zetas):
+            # The slope at the root is about a, its rounding about 1e-16: below
+            # a = 1e-2 each root is only set to about 1e-16 / a.
+            a = w.p_d / SW2
+            assert abs(lam - ref) <= max(1e-13, 1e-15 / a) * ref, (w.n_d, w.p_d)
+            assert zeta == pytest.approx(ref_zeta, rel=1e-13, abs=0), (w.n_d, w.p_d)
+
+    def test_sweep_grid_takes_at_most_five_rounds(self, monkeypatch):
+        rounds = []
+        slopes = detection._CdiGrid.slopes
+        monkeypatch.setattr(detection._CdiGrid, "slopes",
+                            lambda grid, index, u: rounds.append(len(u)) or slopes(grid, index, u))
+        for n_d in range(10, 202):
+            rounds.clear()
+            detection.cdi_grid([willie(n_d=n_d, p_d=p_d) for p_d in (1e-4, 1e-3, 1e-2, 0.1, 1.0)])
+            assert len(rounds) <= 5, n_d
 
 
 class TestAcrossDomain:

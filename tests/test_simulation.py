@@ -574,25 +574,34 @@ class TestTraceDump:
         assert len(lines) == 12  # header + 10 rows + trailing newline
         assert b"\r" not in path.read_bytes()
 
-    @pytest.mark.parametrize("policy", ["csi_optimal", "fixed"])
-    def test_rows_are_an_h0_then_h1_batch_on_the_trace_stream(self, tmp_path, policy):
+    @pytest.mark.parametrize("policy, slots, extra", [
+        pytest.param("csi_optimal", 7, {}, id="csi_optimal"),
+        pytest.param("fixed", 7, {}, id="fixed"),
+        # a rate at which the H1 rows hold both connected and outage slots
+        pytest.param("csi_optimal", 16, {"rate": 2.0}, id="mixed_outage"),
+    ])
+    def test_rows_are_an_h0_then_h1_batch_on_the_trace_stream(self, tmp_path, policy, slots,
+                                                              extra):
         argv = ["--seed", "71", "--p-d", "0.02", "--policy", policy,
-                "--fixed-threshold", "0.055", "--trace-slots", "7"]
+                "--fixed-threshold", "0.055", "--trace-slots", str(slots)]
+        for name, value in extra.items():
+            argv += [f"--{name}", repr(value)]
         path = _dump_traces(tmp_path, "a.csv", *argv)
         assert _dump_traces(tmp_path, "b.csv", *argv).read_bytes() == path.read_bytes()
         rows = path.read_text().splitlines()[1:]
-        assert [r.split(",")[1] for r in rows] == ["H0", "H1"] * 3 + ["H0"]
+        assert [r.split(",")[1] for r in rows] == ["H0", "H1"] * (slots // 2) + ["H0"] * (slots % 2)
 
-        p = params(p_d=0.02)
+        p = params(p_d=0.02, **extra)
         lam = policy_threshold(p, policy, 0.055)
         rng = _rng(71, 9)
         batches = {}
-        for h, n in (("H0", 4), ("H1", 3)):
+        for h, n in (("H0", slots - slots // 2), ("H1", slots // 2)):
             b = draw_channels(p, _cn(rng, n, 1.0), rng)
             b["h_w"] = _cn(rng, n, 1.0)
             b["h_w2"] = np.abs(b["h_w"]) ** 2
             b["statistic"] = radiometer_statistic(p, h == "H1", b["h_w2"], rng)
             batches[h] = b
+        outages = []
         for i, row in enumerate(rows):
             slot, hyp, *values, decision, outage = row.split(",")
             b = batches[hyp]
@@ -606,7 +615,13 @@ class TestTraceDump:
             if hyp == "H0":
                 assert outage == ""
             else:
-                assert outage == str(int(_outage(p, b["h_b"], b["h_b_hat"])[j]))
+                # Bob's post-estimation SNR from the gain and its estimate alone
+                h_b, h_hat = b["h_b"][j], b["h_b_hat"][j]
+                snr = p.p_d * np.abs(h_hat) ** 2 / (p.p_d * np.abs(h_b - h_hat) ** 2 + p.sigma_b2)
+                assert outage == str(int(np.log2(1.0 + snr) <= p.rate))
+                outages.append(outage)
+        if extra:
+            assert set(outages) == {"0", "1"}
 
     def test_subnormal_power_runs_without_warnings(self, tmp_path, capsys):
         with warnings.catch_warnings():

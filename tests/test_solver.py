@@ -72,6 +72,12 @@ class TestNewtonBracket:
         root, calls = solve(lambda u: math.floor(u), lambda u: 0.0, -1.0, 1.0)
         assert root == 0.0 and calls == [0.0]
 
+    def test_newton_step_below_the_last_bit_ends_the_search(self):
+        # f(1) = 2^-60 > 0: the step to the root 1 - 2^-60 rounds back to 1,
+        # which is the root to the last bit, not a reason to bisect.
+        root, calls = solve(lambda u: u - 1.0 + 2.0**-60, lambda u: 1.0, 0.0, 2.0, x=1.0)
+        assert root == 1.0 and calls == []
+
     def test_unreachable_tolerance_names_the_bracket_and_last_iterate(self):
         # bisection alone needs about 1,000 halvings to close 1e300 to 1e-8
         with pytest.raises(NumericError, match=r"in \[0\.0, .*\].*last iterate"):

@@ -43,7 +43,7 @@ from scipy import special
 from .errors import DegenerateHypothesesError, DomainError, NumericError
 from .params import check_fields, check_value
 from .solver import newton_lockstep
-from .special import ln_gamma, reg_lower_gamma, reg_upper_gamma
+from .special import reg_lower_gamma, reg_upper_gamma
 
 __all__ = [
     "WillieParams",
@@ -79,10 +79,6 @@ _STEP_OFFSETS.flags.writeable = False
 _GRID_BLOCK = 256
 # scipy's incomplete gamma gives NaN at some arguments from a shape of about 3e305
 _N_D_MAX = 1e305
-# From this count on, low_power_scale sums the Stirling series, whose first
-# omitted term is below 1e-18 there; below it, the log-gamma route keeps 12
-# digits and the printed designs of counts up to 400.
-_STIRLING_FROM = 1000
 # B_2k / (2k (2k - 1)), k = 1..5: the Stirling series of ln Gamma(n) less
 # (n - 1/2) ln n - n + ln(2 pi) / 2.  From _EXACT_BELOW on, its first omitted
 # term is below 1e-17.
@@ -215,13 +211,9 @@ def zeta_star_csi(w: WillieParams) -> float:
 
 def low_power_scale(n_d: int) -> float:
     """Gamma(N) / (N^N e^-N), the inverse low-power slope of zeta_star_csi:
-    from ``_STIRLING_FROM`` on, sqrt(2 pi / N) e^(1/(12N) - 1/(360N^3)) by
-    the Stirling series, since ln Gamma(N) - N ln N + N cancels (to 2e-3 of
-    the result at N = 1e12) and exp(N) overflows."""
-    if n_d < _STIRLING_FROM:
-        return math.exp(ln_gamma(n_d) - n_d * math.log(n_d) + n_d)
-    n = float(n_d)
-    return math.sqrt(2.0 * math.pi / n) * math.exp((1 / 12 - 1 / (360 * n * n)) / n)
+    e^-c(N) at the log peak c (``_ln_peak``), since ln Gamma(N) - N ln N + N
+    cancels digits and exp(N) overflows."""
+    return math.exp(-_ln_peak(n_d))
 
 
 @functools.cache

@@ -6,47 +6,48 @@ observations (so the LMMSE formula itself is exercised), the adversary's
 radiometer decides from its realized average power, and outage is declared
 from the realized estimate/error decomposition.
 
-A slot runs in two stages, one per receiver, and each estimator draws only
-the stage its decision reads.  ``draw_channels`` is Bob's side: given the
-fading gains h_b it draws the mean of the n_t pilot observations, from which
-it forms Bob's LMMSE estimate and its error.  ``simulate_slots`` is Willie's
-side: the squared fading gain |h_w|^2 ~ Exp(1), then his average received
-power over n_d samples from ``radiometer_statistic``.  Each stage draws
-sufficient statistics: the estimate reads the pilots only through their mean,
-sqrt(p_t) h_b + CN(0, sigma_b2 / n_t); Willie reads h_w only through |h_w|^2,
-at which the radiometer average is exactly a scaled Gamma(n_d, 1) variate
-(the energy-detector law).  Bob's outage reads only |h_b_hat| and
-|h_b_tilde|, which do not change when a slot is rotated by the phase of h_b,
-and the rotated pilot noise is again CN(0, sigma_b2 / n_t) and independent of
-|h_b|; so ``estimate_pcc`` draws the gain as its magnitude |h_b| =
-sqrt(Exp(1)).  The symbol-level routes are kept in the tests as their
-oracles.  Streams 0 and 1 (H0, H1 of ``estimate_detection``) hold, block by
-block, |h_w|^2 then one Gamma variate per slot; stream 2 (``estimate_pcc``)
-holds, block by block, one exponential per slot then the pilot-mean noise,
-3 variates per trial.  Both estimators run over blocks of ``_BLOCK`` trials,
-drawn in order on the stage's one generator, and sum integer hit counts, so
-their memory does not grow with the number of trials.  Each stage's block
-arithmetic is written once, in private kernels that the estimators,
-``trace_rows`` and the public stage functions all call: ``_radiometer`` and
-``_thresholds`` (Willie), ``_estimate`` and ``_outage`` (Bob).  An estimator
-allocates its block arrays once per run, draws each block's variates into
-them with ``out=`` (the same values) and decides in place: Willie's side in
-the floating-point operations, and order, of its allocating form, so bit for
-bit; Bob's |h_b_hat|^2 and |h_b - h_b_hat|^2 as re^2 + im^2 of real parts.
-Once its ``threading.Event`` ``stop`` is set, an estimator raises
-KeyboardInterrupt before its next block.  The two estimators share no
-generator, so ``cli.cmd_simulate`` runs them at the same time, P_cc on a
-worker thread, with the bytes of running them one after the other; on an
-interrupt it sets the worker's stop event.
-``analytic_detection`` and ``analytic_zeta`` give the closed forms.
+A slot runs in two stages, one per receiver, and each stage is written once,
+in private kernels that the estimators and ``trace_rows`` share.  Willie's
+stage is ``_radiometer``, his average received power over n_d samples at
+|h_w|^2, and ``_thresholds``, the run's threshold or the per-slot CSI
+threshold.  Bob's stage is ``_estimate``, his LMMSE estimate of h_b from the
+mean of the n_t pilot observations, and ``_outage``, whether the realized
+post-estimation SNR supports the rate.  Each stage draws sufficient
+statistics: the estimate reads the pilots only through their mean,
+sqrt(p_t) h_b + CN(0, sigma_b2 / n_t); Willie reads h_w only through
+|h_w|^2, at which the radiometer average is exactly a scaled Gamma(n_d, 1)
+variate (the energy-detector law); so nothing grows with n_t or n_d.  Bob's
+outage reads only |h_b_hat| and |h_b - h_b_hat|, which do not change when a
+slot is rotated by the phase of h_b, and the rotated pilot noise is again
+CN(0, sigma_b2 / n_t) and independent of |h_b|; so ``estimate_pcc`` draws the
+gain as its magnitude |h_b| = sqrt(Exp(1)).  The symbol-level routes are kept
+in the tests as their oracles.
+
+Each estimator draws only the stage its decision reads.  Streams 0 and 1
+(H0, H1 of ``estimate_detection``) hold, block by block, |h_w|^2 ~ Exp(1)
+then one Gamma variate per slot; stream 2 (``estimate_pcc``) holds, block by
+block, one exponential per slot then the pilot-mean noise, 3 variates per
+trial.  Both estimators run over blocks of ``_BLOCK`` trials, drawn in order
+on the stage's one generator, and sum integer hit counts, so their memory
+does not grow with the number of trials.  An estimator allocates its block
+arrays once per run, draws each block's variates into them with ``out=``
+(the same values) and decides in place: Willie's side in the floating-point
+operations, and order, of its allocating form, so bit for bit; Bob's
+|h_b_hat|^2 and |h_b - h_b_hat|^2 as re^2 + im^2 of real parts.  Once its
+``threading.Event`` ``stop`` is set, an estimator raises KeyboardInterrupt
+before its next block.  The two estimators share no generator, so
+``cli.cmd_simulate`` runs them at the same time, P_cc on a worker thread,
+with the bytes of running them one after the other; on an interrupt it sets
+the worker's stop event.  ``analytic_detection`` and ``analytic_zeta`` give
+the closed forms.
 
 A run's threshold is resolved once, by ``policy_threshold``, and carried in
 ``McConfig.threshold`` (None: the per-slot CSI threshold set from h_w).  The
 rows of ``simulate --dump-traces`` come from ``trace_rows``: one H0 batch then
 one H1 batch on the trace stream (stream 9; the estimators use 0-2), each
-batch drawing a complex h_b, Bob's stage at it, a complex h_w (the file
-prints both), then the radiometer at |h_w|^2, with the run's threshold and
-outage rule per slot.
+batch drawing a complex h_b, the pilot-mean noise of Bob's estimate, a
+complex h_w (the file prints both), then one Gamma variate per slot for the
+radiometer at |h_w|^2, with the run's threshold and outage rule per slot.
 
 Randomness comes from numpy's counter-based Philox generator keyed by the
 two words (seed, stream), with a 64-bit seed; batch estimators consume one
@@ -72,9 +73,6 @@ __all__ = [
     "DetectionEstimate",
     "PccEstimate",
     "policy_threshold",
-    "draw_channels",
-    "radiometer_statistic",
-    "simulate_slots",
     "estimate_detection",
     "estimate_pcc",
     "analytic_detection",
@@ -174,18 +172,11 @@ def _estimate(params: SystemParams, h_b, rng, z=None, work=None):
     return h_hat
 
 
-def draw_channels(params: SystemParams, h_b, rng: np.random.Generator) -> dict:
-    """Bob's side of a slot batch at the fading gains ``h_b`` (complex, or
-    their magnitudes): the pilots' mean, and Bob's LMMSE estimate of h_b with
-    its error; arrays keyed h_b, h_b_hat and h_b_tilde.  Nothing grows with
-    n_t."""
-    h_hat = _estimate(params, h_b, rng)
-    return {"h_b": h_b, "h_b_hat": h_hat, "h_b_tilde": h_b - h_hat}
-
-
 def _radiometer(params: SystemParams, transmit: bool, h_w2, g, work=None):
-    """``radiometer_statistic`` v g / n_d in place in ``g``, one Gamma(n_d, 1)
-    variate per gain of ``h_w2``; an array v goes to ``work`` (or a new one)."""
+    """Willie's average received power over n_d samples at the squared gains
+    ``h_w2``, v g / n_d in place in ``g``, one Gamma(n_d, 1) variate per gain:
+    the samples are CN(0, v), v = |h_w|^2 p_d + sigma_w2 when ``transmit`` and
+    p_d > 0 and sigma_w2 otherwise.  An array v goes to ``work`` (or a new one)."""
     with overflow_check(_power_overflow(params)):
         v = params.sigma_w2
         if transmit and params.p_d > 0:
@@ -194,21 +185,6 @@ def _radiometer(params: SystemParams, transmit: bool, h_w2, g, work=None):
         g *= v
         g /= params.n_d
     return g
-
-
-def radiometer_statistic(params: SystemParams, transmit: bool, h_w2,
-                         rng: np.random.Generator):
-    """Radiometer stage: Willie's average received power over n_d samples in
-    each slot whose squared channel gain |h_w|^2 is the matching entry of
-    ``h_w2`` (a scalar or an array of any shape; one statistic per gain).
-
-    Each sample is y ~ CN(0, v), with v = |h_w|^2 p_d + sigma_w2 when
-    ``transmit`` and p_d > 0 and v = sigma_w2 otherwise, so the average of
-    |y|^2 over n_d samples is exactly v Gamma(n_d, 1) / n_d.  It is drawn
-    from that law, one Gamma variate per slot, so time and memory do not
-    grow with n_d.
-    """
-    return _radiometer(params, transmit, h_w2, rng.standard_gamma(params.n_d, np.shape(h_w2)))
 
 
 def _outage(params: SystemParams, h_b, h_hat, out=None, work=None):
@@ -233,16 +209,6 @@ def _outage(params: SystemParams, h_b, h_hat, out=None, work=None):
     snr += 1.0
     np.log2(snr, out=snr)
     return np.less_equal(snr, params.rate, out=out)
-
-
-def simulate_slots(params: SystemParams, hypothesis: str, n_slots: int,
-                   rng: np.random.Generator) -> dict:
-    """Willie's side of a slot batch: |h_w|^2 ~ Exp(1), the law of |CN(0, 1)|^2,
-    then the radiometer stage; arrays keyed h_w2 and statistic."""
-    if hypothesis not in ("H0", "H1"):
-        raise DomainError("hypothesis must be 'H0' or 'H1'")
-    h_w2 = rng.standard_exponential(check_value("n_slots", n_slots, "counts"))
-    return {"h_w2": h_w2, "statistic": radiometer_statistic(params, hypothesis == "H1", h_w2, rng)}
 
 
 def _binomial_se(p_hat, n):
@@ -350,14 +316,14 @@ def trace_rows(params: SystemParams, mc: McConfig, n_slots: int) -> list:
     for hyp, n in (("H0", n_slots - n_slots // 2), ("H1", n_slots // 2)):
         if n == 0:
             continue
-        b = draw_channels(params, _cn(rng, n, 1.0), rng)
+        h_b = _cn(rng, n, 1.0)
+        h_hat = _estimate(params, h_b, rng)
         h_w = _cn(rng, n, 1.0)
         h_w2 = np.abs(h_w) ** 2
-        statistic = radiometer_statistic(params, hyp == "H1", h_w2, rng)
+        statistic = _radiometer(params, hyp == "H1", h_w2, rng.standard_gamma(params.n_d, n))
         decision = np.where(statistic > _thresholds(params, mc.threshold, h_w2), "H1", "H0")
-        outage = [""] * n if hyp == "H0" else (
-            _outage(params, b["h_b"], b["h_b_hat"]).astype(int).tolist())
-        rows[hyp] = list(zip([hyp] * n, b["h_b"].real.tolist(), b["h_b"].imag.tolist(),
+        outage = [""] * n if hyp == "H0" else _outage(params, h_b, h_hat).astype(int).tolist()
+        rows[hyp] = list(zip([hyp] * n, h_b.real.tolist(), h_b.imag.tolist(),
                              h_w.real.tolist(), h_w.imag.tolist(),
                              statistic.tolist(), decision.tolist(), outage))
     return [(i,) + rows["H1" if i % 2 else "H0"][i // 2] for i in range(n_slots)]

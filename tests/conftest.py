@@ -20,7 +20,7 @@ from scipy.special import gammaincc as sp_gammaincc
 from scipy.special import gammaln as sp_gammaln
 
 
-def radiometer_statistics(n_d, variance, trials, seed, chunk=100_000):
+def symbol_level_radiometer(n_d, variance, trials, seed, chunk=100_000):
     """Average received power over n_d noise-only samples of the given
     complex variance, drawn at the raw-normal level."""
     rng = np.random.default_rng(seed)
@@ -36,8 +36,8 @@ def radiometer_statistics(n_d, variance, trials, seed, chunk=100_000):
     return out
 
 
-def radiometer_statistics_signal(n_d, p_d, h_w, sigma_w2, trials, seed,
-                                 chunk=100_000):
+def symbol_level_radiometer_signal(n_d, p_d, h_w, sigma_w2, trials, seed,
+                                   chunk=100_000):
     """Same statistic under transmission: y = sqrt(P) h x + n with x ~ CN(0,1),
     built symbol by symbol rather than through the chi-square shortcut."""
     rng = np.random.default_rng(seed)

@@ -17,11 +17,11 @@ from conftest import (
     md_by_parts_ref,
     oracle,
     panel_cuts_ref,
-    radiometer_statistics,
-    radiometer_statistics_signal,
     rule_ref,
     sample_exponential_gains,
     snr_integral_quad,
+    symbol_level_radiometer,
+    symbol_level_radiometer_signal,
     zeta_star_csi_ref,
 )
 from covertfade import detection
@@ -55,7 +55,7 @@ class TestErrorProbabilities:
         assert p_fa(SW2, willie(n_d=1)) == pytest.approx(math.exp(-1.0), rel=1e-12)
 
     def test_p_fa_monte_carlo_oracle(self):
-        stats = radiometer_statistics(n_d=50, variance=SW2, trials=1_000_000, seed=101)
+        stats = symbol_level_radiometer(n_d=50, variance=SW2, trials=1_000_000, seed=101)
         empirical = float(np.mean(stats > SW2))
         assert p_fa(SW2, willie()) == pytest.approx(empirical, abs=0.002)
 
@@ -71,7 +71,7 @@ class TestErrorProbabilities:
     def test_p_md_monte_carlo_oracle(self):
         w = willie(p_d=0.01, h_w2=1.0)
         lam = optimal_threshold_csi(w)
-        stats = radiometer_statistics_signal(
+        stats = symbol_level_radiometer_signal(
             n_d=50, p_d=0.01, h_w=1.0, sigma_w2=SW2, trials=1_000_000, seed=102
         )
         empirical = float(np.mean(stats <= lam))
@@ -183,8 +183,8 @@ class TestZetaStarCsi:
     def test_monte_carlo_oracle(self):
         w = willie(p_d=0.02, h_w2=1.0)
         lam = optimal_threshold_csi(w)
-        h0 = radiometer_statistics(50, SW2, 1_000_000, seed=103)
-        h1 = radiometer_statistics_signal(50, 0.02, 1.0, SW2, 1_000_000, seed=104)
+        h0 = symbol_level_radiometer(50, SW2, 1_000_000, seed=103)
+        h1 = symbol_level_radiometer_signal(50, 0.02, 1.0, SW2, 1_000_000, seed=104)
         empirical = float(np.mean(h0 > lam)) + float(np.mean(h1 <= lam))
         assert zeta_star_csi(w) == pytest.approx(empirical, abs=0.003)
 
@@ -214,15 +214,20 @@ class TestZetaLinearCsi:
 
 
 class TestLowPowerScale:
-    @pytest.mark.parametrize("n_d", [1, 50, 999, 1000, 10**4, 10**8, 10**12, 10**15, 10**300])
+    @pytest.mark.parametrize("n_d", [1, 50, 367, 912, 999, 1000, 10**4, 10**8, 10**12, 10**15,
+                                     10**300])
     def test_against_mpmath(self, n_d):
         import mpmath
 
-        # enough digits that ln Gamma(N) - N ln N + N keeps 30 of its own
+        # enough digits that c(N) = N ln N - N - ln Gamma(N) keeps 30 of its own
         with mpmath.workdps(40 + len(str(n_d))):
             n = mpmath.mpf(n_d)
-            want = float(mpmath.exp(mpmath.loggamma(n) - n * mpmath.log(n) + n))
-        assert detection.low_power_scale(n_d) == pytest.approx(want, rel=2e-14 if n_d < 1000 else 1e-15)
+            c = n * mpmath.log(n) - n - mpmath.loggamma(n)
+            want = float(mpmath.exp(-c))
+        # e^-c carries c's absolute error as a relative one: 5e-16, or relative
+        # to c where |c| > 1
+        rel = 5e-16 * max(1.0, abs(float(c)))
+        assert detection.low_power_scale(n_d) == pytest.approx(want, rel=rel, abs=0.0)
 
 
 class TestCdiThreshold:

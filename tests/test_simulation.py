@@ -9,21 +9,21 @@ import numpy as np
 import pytest
 from scipy import stats as stats_mod
 
-from conftest import in_blocks, pilot_estimates, radiometer_statistics_signal
+from conftest import in_blocks, pilot_estimates, symbol_level_radiometer_signal
 from covertfade import detection, link, simulation
 from covertfade.cli import main
 from covertfade.errors import DomainError
 from covertfade.params import SystemParams
 from covertfade.simulation import (
     McConfig,
-    draw_channels,
     estimate_detection,
     estimate_pcc,
     policy_threshold,
-    radiometer_statistic,
-    simulate_slots,
+    trace_rows,
     _cn,
+    _estimate,
     _outage,
+    _radiometer,
     _rng,
     _thresholds,
 )
@@ -64,43 +64,37 @@ def allocating_wrong(p, hypothesis, lam, rng, n):
 
 
 class TestSimulateSlot:
+    # Willie's stage as the detection estimator draws it: |h_w|^2 ~ Exp(1),
+    # then one Gamma(n_d, 1) variate per slot for the radiometer.
     def test_noise_only_statistic_mean(self):
         p = params(p_d=0.02, n_d=50)
-        batch = simulate_slots(p, "H0", 100_000, _rng(11, 0))
-        assert np.mean(batch["statistic"]) == pytest.approx(p.sigma_w2, rel=0.01)
+        rng = _rng(11, 0)
+        h_w2 = rng.standard_exponential(100_000)
+        statistic = _radiometer(p, False, h_w2, rng.standard_gamma(p.n_d, h_w2.size))
+        assert np.mean(statistic) == pytest.approx(p.sigma_w2, rel=0.01)
 
     def test_silent_transmission_matches_noise_law(self):
         p = params(p_d=0.0, n_d=50)
-        h1 = simulate_slots(p, "H1", 100_000, _rng(12, 0))
-        h0 = simulate_slots(p, "H0", 100_000, _rng(13, 0))
-        assert np.mean(h1["statistic"]) == pytest.approx(
-            np.mean(h0["statistic"]), rel=0.01
-        )
-        assert np.var(h1["statistic"]) == pytest.approx(
-            np.var(h0["statistic"]), rel=0.05
-        )
+        stats = {}
+        for transmit, seed in ((True, 12), (False, 13)):
+            rng = _rng(seed, 0)
+            h_w2 = rng.standard_exponential(100_000)
+            stats[transmit] = _radiometer(p, transmit, h_w2, rng.standard_gamma(p.n_d, h_w2.size))
+        assert np.mean(stats[True]) == pytest.approx(np.mean(stats[False]), rel=0.01)
+        assert np.var(stats[True]) == pytest.approx(np.var(stats[False]), rel=0.05)
 
     def test_fixed_seed_reproduces_trace(self):
         p = params(p_d=0.02, n_d=50)
-        a = simulate_slots(p, "H1", 1, _rng(99, 0))
-        b = simulate_slots(p, "H1", 1, _rng(99, 0))
-        assert a.keys() == b.keys()
-        for key in a:
-            assert np.array_equal(a[key], b[key]), key
+        mc = McConfig(trials=2, seed=99)
+        assert trace_rows(p, mc, 2) == trace_rows(p, mc, 2)
 
-    def test_decomposition_is_exact(self):
+    def test_statistic_is_nonnegative_and_csi_threshold_above_the_floor(self):
         p = params(p_d=0.02)
         rng = _rng(5, 0)
-        t = draw_channels(p, _cn(rng, 1, 1.0), rng)
-        assert t["h_b"][0] == t["h_b_hat"][0] + t["h_b_tilde"][0]
-        w = simulate_slots(p, "H1", 1, _rng(5, 0))
-        assert w["statistic"][0] >= 0.0
-        lam = _thresholds(p, None, w["h_w2"])
+        h_w2 = rng.standard_exponential(1)
+        assert _radiometer(p, True, h_w2, rng.standard_gamma(p.n_d, 1))[0] >= 0.0
+        lam = _thresholds(p, None, h_w2)
         assert np.isfinite(lam[0]) and lam[0] >= p.sigma_w2
-
-    def test_bad_hypothesis(self):
-        with pytest.raises(DomainError):
-            simulate_slots(params(), "H2", 1, _rng(1, 0))
 
 
 class TestStages:
@@ -185,8 +179,9 @@ class TestStages:
         p = params(p_d=0.05, n_d=n_d)
         h_w = 0.8 - 0.6j
         n = 100_000
-        stats = radiometer_statistic(p, transmit, np.full(n, abs(h_w) ** 2), _rng(61, 0))
-        ref = radiometer_statistics_signal(
+        stats = _radiometer(p, transmit, np.full(n, abs(h_w) ** 2),
+                            _rng(61, 0).standard_gamma(n_d, n))
+        ref = symbol_level_radiometer_signal(
             n_d, p.p_d if transmit else 0.0, h_w, p.sigma_w2, n, seed=62,
             chunk=min(100_000, 5_000_000 // n_d),
         )
@@ -195,33 +190,24 @@ class TestStages:
         assert np.var(stats) == pytest.approx(np.var(ref), rel=0.03)
         assert stats_mod.ks_2samp(stats, ref).pvalue > 1e-3
 
-    @pytest.mark.parametrize("transmit", [True, False])
-    def test_radiometer_gives_one_statistic_per_gain_of_any_shape(self, transmit):
-        p = params(p_d=0.05, n_d=50)
-        gains = np.arange(1.0, 7.0)
-        flat = radiometer_statistic(p, transmit, gains, _rng(63, 0))
-        grid = radiometer_statistic(p, transmit, gains.reshape(2, 3), _rng(63, 0))
-        one = radiometer_statistic(p, transmit, 1.0, _rng(63, 0))
-        assert flat.shape == (6,) and grid.shape == (2, 3) and np.shape(one) == ()
-        assert np.array_equal(grid.ravel(), flat)
-        assert one == flat[0]
-
     def test_pilot_mean_matches_symbol_level_oracle(self):
         # The simulator draws the mean of the n_t pilots; the oracle draws
         # each pilot observation.  Compares E|x|^2 and E|x|^4 of both parts.
         p = params(n_t=4, p_t=0.005)
         n = 200_000
         rng = _rng(71, 2)
-        sim = draw_channels(p, _cn(rng, n, 1.0), rng)
+        h_b = _cn(rng, n, 1.0)
+        h_hat = _estimate(p, h_b, rng)
+        sim = {"estimate": h_hat, "error": h_b - h_hat}
         rng = np.random.default_rng(72)
         h_b = rng.normal(0.0, math.sqrt(0.5), n) + 1j * rng.normal(0.0, math.sqrt(0.5), n)
         h_hat = pilot_estimates(h_b, p.n_t, p.p_t, p.sigma_b2, rng)
-        for key, ref in (("h_b_hat", h_hat), ("h_b_tilde", h_b - h_hat)):
+        for key, ref in (("estimate", h_hat), ("error", h_b - h_hat)):
             for power in (2, 4):
                 a, b = np.abs(sim[key]) ** power, np.abs(ref) ** power
                 se = math.sqrt((np.var(a) + np.var(b)) / n)
                 assert abs(np.mean(a) - np.mean(b)) <= 4.0 * se, (key, power)
-        assert np.mean(np.abs(sim["h_b_tilde"]) ** 2) == pytest.approx(
+        assert np.mean(np.abs(sim["error"]) ** 2) == pytest.approx(
             link.estimation_error_var(p), rel=0.02)
 
     def test_channel_memory_does_not_grow_with_n_t(self):
@@ -297,7 +283,7 @@ class TestStages:
 
 class TestDrawLaws:
     def test_exponential_gain_is_the_law_of_a_cn_squared_magnitude(self):
-        # simulate_slots draws |h_w|^2 ~ Exp(1); trace_rows draws h_w by _cn.
+        # estimate_detection draws |h_w|^2 ~ Exp(1); trace_rows draws h_w by _cn.
         n = 200_000
         exp = _rng(81, 0).standard_exponential(n)
         cn2 = np.abs(_cn(_rng(82, 0), n, 1.0)) ** 2
@@ -317,12 +303,12 @@ class TestDrawLaws:
         p = params(p_d=0.02, n_t=n_t, p_t=p_t)
         n = 200_000
         rng_mag, rng_cn = _rng(84, 2), _rng(85, 2)
-        mag = draw_channels(p, np.sqrt(rng_mag.standard_exponential(n)), rng_mag)
-        cn = draw_channels(p, _cn(rng_cn, n, 1.0), rng_cn)
-        for key in ("h_b_hat", "h_b_tilde"):
-            assert stats_mod.ks_2samp(np.abs(mag[key]) ** 2,
-                                      np.abs(cn[key]) ** 2).pvalue > 1e-3, key
-        rates = [float(np.mean(_outage(p, b["h_b"], b["h_b_hat"]))) for b in (mag, cn)]
+        gains = np.sqrt(rng_mag.standard_exponential(n)), _cn(rng_cn, n, 1.0)
+        hats = _estimate(p, gains[0], rng_mag), _estimate(p, gains[1], rng_cn)
+        errors = [h_b - h_hat for h_b, h_hat in zip(gains, hats)]
+        for key, (mag, cn) in (("estimate", hats), ("error", errors)):
+            assert stats_mod.ks_2samp(np.abs(mag) ** 2, np.abs(cn) ** 2).pvalue > 1e-3, key
+        rates = [float(np.mean(_outage(p, h_b, h_hat))) for h_b, h_hat in zip(gains, hats)]
         se = math.sqrt(sum(r * (1.0 - r) for r in rates) / n)
         assert abs(rates[0] - rates[1]) <= 5.0 * se
 
@@ -523,35 +509,33 @@ class TestEstimationStatistics:
     def test_orthogonality_variances(self):
         p = params(p_d=0.02)
         rng = _rng(41, 0)
-        batch = draw_channels(p, _cn(rng, 200_000, 1.0), rng)
+        h_b = _cn(rng, 200_000, 1.0)
+        h_hat = _estimate(p, h_b, rng)
         beta = p.sigma_b2 / (p.sigma_b2 + p.n_t * p.p_t)
-        assert np.mean(np.abs(batch["h_b_hat"]) ** 2) == pytest.approx(
-            1.0 - beta, rel=0.01
-        )
-        assert np.mean(np.abs(batch["h_b_tilde"]) ** 2) == pytest.approx(
-            beta, rel=0.01
-        )
+        assert np.mean(np.abs(h_hat) ** 2) == pytest.approx(1.0 - beta, rel=0.01)
+        assert np.mean(np.abs(h_b - h_hat) ** 2) == pytest.approx(beta, rel=0.01)
 
     def test_estimate_uncorrelated_with_error(self):
         p = params(p_d=0.02)
         n = 200_000
         rng = _rng(42, 0)
-        batch = draw_channels(p, _cn(rng, n, 1.0), rng)
-        num = np.mean(batch["h_b_hat"] * np.conj(batch["h_b_tilde"]))
-        den = math.sqrt(
-            np.mean(np.abs(batch["h_b_hat"]) ** 2)
-            * np.mean(np.abs(batch["h_b_tilde"]) ** 2)
-        )
+        h_b = _cn(rng, n, 1.0)
+        h_hat = _estimate(p, h_b, rng)
+        h_tilde = h_b - h_hat
+        num = np.mean(h_hat * np.conj(h_tilde))
+        den = math.sqrt(np.mean(np.abs(h_hat) ** 2) * np.mean(np.abs(h_tilde) ** 2))
         assert abs(num) / den <= 3.0 / math.sqrt(n)
 
     def test_false_alarm_grid_matches_closed_form(self):
         p = params(p_d=0.02, n_d=50)
         n = 200_000
-        batch = simulate_slots(p, "H0", n, _rng(43, 0))
+        rng = _rng(43, 0)
+        h_w2 = rng.standard_exponential(n)
+        statistic = _radiometer(p, False, h_w2, rng.standard_gamma(p.n_d, n))
         w = detection.WillieParams(sigma_w2=p.sigma_w2, n_d=50)
         for lam in np.linspace(0.5 * p.sigma_w2, 2.0 * p.sigma_w2, 10):
             analytic = detection.p_fa(float(lam), w)
-            empirical = float(np.mean(batch["statistic"] > lam))
+            empirical = float(np.mean(statistic > lam))
             se = math.sqrt(max(analytic * (1 - analytic), 1e-12) / n)
             assert abs(empirical - analytic) <= 3.5 * se
 
@@ -596,32 +580,44 @@ class TestTraceDump:
         rng = _rng(71, 9)
         batches = {}
         for h, n in (("H0", slots - slots // 2), ("H1", slots // 2)):
-            b = draw_channels(p, _cn(rng, n, 1.0), rng)
-            b["h_w"] = _cn(rng, n, 1.0)
-            b["h_w2"] = np.abs(b["h_w"]) ** 2
-            b["statistic"] = radiometer_statistic(p, h == "H1", b["h_w2"], rng)
-            batches[h] = b
+            h_b = _cn(rng, n, 1.0)
+            h_hat = _estimate(p, h_b, rng)
+            h_w = _cn(rng, n, 1.0)
+            h_w2 = np.abs(h_w) ** 2
+            statistic = _radiometer(p, h == "H1", h_w2, rng.standard_gamma(p.n_d, n))
+            batches[h] = h_b, h_hat, h_w, h_w2, statistic
         outages = []
         for i, row in enumerate(rows):
             slot, hyp, *values, decision, outage = row.split(",")
-            b = batches[hyp]
+            h_b, h_hat, h_w, h_w2, statistic = batches[hyp]
             j = i // 2
             assert int(slot) == i
             assert values == [f"{v:.12g}" for v in (
-                b["h_b"][j].real, b["h_b"][j].imag, b["h_w"][j].real,
-                b["h_w"][j].imag, b["statistic"][j])]
-            threshold = np.broadcast_to(_thresholds(p, lam, b["h_w2"]), (b["h_w2"].size,))[j]
-            assert decision == ("H1" if b["statistic"][j] > threshold else "H0")
+                h_b[j].real, h_b[j].imag, h_w[j].real, h_w[j].imag, statistic[j])]
+            threshold = np.broadcast_to(_thresholds(p, lam, h_w2), (h_w2.size,))[j]
+            assert decision == ("H1" if statistic[j] > threshold else "H0")
             if hyp == "H0":
                 assert outage == ""
             else:
                 # Bob's post-estimation SNR from the gain and its estimate alone
-                h_b, h_hat = b["h_b"][j], b["h_b_hat"][j]
+                h_b, h_hat = h_b[j], h_hat[j]
                 snr = p.p_d * np.abs(h_hat) ** 2 / (p.p_d * np.abs(h_b - h_hat) ** 2 + p.sigma_b2)
                 assert outage == str(int(np.log2(1.0 + snr) <= p.rate))
                 outages.append(outage)
         if extra:
             assert set(outages) == {"0", "1"}
+
+    @pytest.mark.parametrize("name, argv", [
+        ("mixed_outage", ["--policy", "csi_optimal", "--rate", "2.0", "--trace-slots", "16"]),
+        ("fixed", ["--policy", "fixed", "--trace-slots", "7"]),
+    ])
+    def test_golden_trace_bytes(self, tmp_path, name, argv):
+        # Pinned trace bytes: a change to the trace stream's draws, their
+        # order or the stage kernels that moves any printed digit shows up here.
+        path = _dump_traces(tmp_path, "t.csv", "--seed", "71", "--p-d", "0.02",
+                            "--fixed-threshold", "0.055", *argv)
+        golden = Path(__file__).with_name("data") / f"traces_seed71_{name}.csv"
+        assert path.read_bytes() == golden.read_bytes()
 
     def test_subnormal_power_runs_without_warnings(self, tmp_path, capsys):
         with warnings.catch_warnings():

@@ -5,9 +5,11 @@ Every subcommand takes ``--params``, ``--out`` and the scenario flags, which
 are declared once on a shared parent parser and typed by
 ``params._FIELD_TYPES``; each subcommand binds its handler as ``run``, and
 ``main`` builds the parser once per process.  Every count (the int fields,
-``--trials``, ``--force-nd``, ``--n-d-list``) is read by ``params.count`` and
-judged by ``params.check_value``, so ``50.0`` runs as 50 and ``50.5`` exits 2;
-``--seed`` and ``--trace-slots`` take ints.
+``--trials``, ``--force-nd``, ``--n-d-list``) is read by ``params.count`` at the
+exact decimal value of its text and judged by ``params.check_value``, so
+``50.0`` runs as 50 and ``1e24`` as 10**24, while ``50.5``,
+``50.0000000000000001`` and ``1e1000000000`` exit 2; ``--seed`` and
+``--trace-slots`` take ints.
 
 ``simulate`` runs its two Monte Carlo stages at the same time, each on its own
 streams: P_cc on a worker thread, detection on the calling thread.  The bytes

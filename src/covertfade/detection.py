@@ -66,8 +66,10 @@ __all__ = [
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
 _PANELS_PER_DECADE = 3
-# Log panels of the cached CSI node set: they cover the rule of every mean
-# SNR a in [1e-8, 1e8] (for n_d <= 1e16).
+# Log panels of the cached CSI node set: they span the rule of every mean SNR
+# a in [1e-8, 1e8] while the knee 1/sqrt(n_d) is >= 1e-8.  That bounds the span,
+# not the digits: from about n_d 1e16 the gamma arguments of zeta*_n near the
+# knee differ from n_d by less than their last bits carry.
 _TABLE_SPAN = (1e-9, 4e9)
 _TABLE_CACHE = 128  # n_d values; the default design range needs 51
 # Offsets, in units of 1/sqrt(n_d) in ln(1 + x), of the panel edges around the
@@ -77,8 +79,9 @@ _STEP_OFFSETS.flags.writeable = False
 # Points per lockstep block: a flat rule array holds 256 points' nodes, under
 # 1 MB at a few hundred nodes a point and 30 MB at the widest span (1e300 / lo).
 _GRID_BLOCK = 256
-# scipy's incomplete gamma gives NaN at some arguments from a shape of about 3e305
-_N_D_MAX = 1e305
+# scipy's incomplete gamma gives NaN at some arguments from a shape of about 3e305;
+# an int, so that the count 10**305, read exactly from "1e305", is not above it
+_N_D_MAX = 10**305
 # B_2k / (2k (2k - 1)), k = 1..5: the Stirling series of ln Gamma(n) less
 # (n - 1/2) ln n - n + ln(2 pi) / 2.  From _EXACT_BELOW on, its first omitted
 # term is below 1e-17.

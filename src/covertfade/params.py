@@ -43,12 +43,17 @@ def check_value(name, value, group):
 
 
 def count(text):
-    """A count's text: an integer literal exactly, other real text as a float
-    whose integrality and range the count's own check then judges."""
-    try:
-        return int(text)
-    except ValueError:
-        return float(text)
+    """A count's text at its exact decimal value: a whole number within the
+    range of doubles as the int it spells, any other real text as the text,
+    which the count's own check then rejects; ValueError on text that is no
+    real.  The float read first bounds the power of ten that is built."""
+    if not 0 < abs(float(text)) < math.inf:  # so 0e9999 and 1e9999 build nothing
+        return text
+    mantissa, _, exponent = text.strip().replace("_", "").lower().partition("e")
+    whole, _, frac = mantissa.partition(".")
+    shift = int(exponent or 0) - len(frac)
+    value, rest = divmod(int(whole + frac) * 10 ** max(shift, 0), 10 ** max(-shift, 0))
+    return text if rest else value
 
 
 @contextlib.contextmanager

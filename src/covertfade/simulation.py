@@ -31,9 +31,8 @@ trial.  Both estimators run over blocks of ``_BLOCK`` trials, drawn in order
 on the stage's one generator, and sum integer hit counts, so their memory
 does not grow with the number of trials.  An estimator allocates its block
 arrays once per run, draws each block's variates into them with ``out=``
-(the same values) and decides in place: Willie's side in the floating-point
-operations, and order, of its allocating form, so bit for bit; Bob's
-|h_b_hat|^2 and |h_b - h_b_hat|^2 as re^2 + im^2 of real parts.  Once its
+(the same values) and decides in place, Bob's side forming |h_b_hat|^2 and
+|h_b - h_b_hat|^2 as re^2 + im^2 of real parts.  Once its
 ``threading.Event`` ``stop`` is set, an estimator raises KeyboardInterrupt
 before its next block.  The two estimators share no generator, so
 ``cli.cmd_simulate`` runs them at the same time, P_cc on a worker thread,
@@ -45,9 +44,10 @@ A run's threshold is resolved once, by ``policy_threshold``, and carried in
 ``McConfig.threshold`` (None: the per-slot CSI threshold set from h_w).  The
 rows of ``simulate --dump-traces`` come from ``trace_rows``: one H0 batch then
 one H1 batch on the trace stream (stream 9; the estimators use 0-2), each
-batch drawing a complex h_b, the pilot-mean noise of Bob's estimate, a
-complex h_w (the file prints both), then one Gamma variate per slot for the
-radiometer at |h_w|^2, with the run's threshold and outage rule per slot.
+batch drawing a complex h_b, then, in the H1 batch alone, whose rows print the
+outage, the pilot-mean noise of Bob's estimate, then a complex h_w (the file
+prints both gains) and one Gamma variate per slot for the radiometer at
+|h_w|^2, with the run's threshold and, on H1 rows, outage rule per slot.
 
 Randomness comes from numpy's counter-based Philox generator keyed by the
 two words (seed, stream), with a 64-bit seed; batch estimators consume one
@@ -309,15 +309,16 @@ def analytic_detection(params, mc: McConfig):
 def trace_rows(params: SystemParams, mc: McConfig, n_slots: int) -> list:
     """Rows (slot, hypothesis, h_b re/im, h_w re/im, statistic, decision,
     outage) of ceil(n/2) H0 then floor(n/2) H1 slots drawn on the trace stream,
-    interleaved so that even slots are H0; outage is empty on H0 rows.  The
-    radiometer reads the printed complex h_w through |h_w|^2."""
+    interleaved so that even slots are H0; outage is empty on H0 rows, so
+    only the H1 batch forms Bob's estimate.  The radiometer reads the printed
+    complex h_w through |h_w|^2."""
     rng = _rng(mc.seed, 9)
     rows = {}
     for hyp, n in (("H0", n_slots - n_slots // 2), ("H1", n_slots // 2)):
         if n == 0:
             continue
         h_b = _cn(rng, n, 1.0)
-        h_hat = _estimate(params, h_b, rng)
+        h_hat = _estimate(params, h_b, rng) if hyp == "H1" else None
         h_w = _cn(rng, n, 1.0)
         h_w2 = np.abs(h_w) ** 2
         statistic = _radiometer(params, hyp == "H1", h_w2, rng.standard_gamma(params.n_d, n))

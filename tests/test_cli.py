@@ -747,6 +747,68 @@ class TestParameterHandling:
         assert header == "epsilon,method,p_d_star,n_d_star,throughput,power_capped,diagnostics"
 
 
+class TestExactCounts:
+    """A count is read at the exact decimal value of its text."""
+
+    @pytest.mark.parametrize("argv, column, expected", [
+        (["optimize", "--epsilon-grid", "0.05", "--method", "suboptimal",
+          "--n-d-min", "1e24", "--n-d-max", "1e24"], "n_d_star", str(10**24)),
+        (["optimize", "--epsilon-grid", "0.05", "--method", "suboptimal",
+          "--n-d-min", "9007199254740993.0", "--n-d-max", "9007199254740993.0"],
+         "n_d_star", "9007199254740993"),
+        (["detect-sweep", "--p-d-grid", "0.01", "--n-d-list", "1e300", "--mode", "cdi_approx"],
+         "n_d", str(10**300)),
+        (["detect-sweep", "--p-d-grid", "0.01", "--n-d-list", "1e305", "--mode", "cdi_approx"],
+         "n_d", str(10**305)),
+        (["detect-sweep", "--p-d-grid", "0.01", "--n-d-list", "9007199254740993.0",
+          "--mode", "cdi_approx"], "n_d", "9007199254740993"),
+    ], ids=["optimize-1e24", "optimize-2**53+1", "n-d-list-1e300", "n-d-list-1e305-limit",
+            "n-d-list-2**53+1"])
+    def test_e_notation_and_decimal_point_print_the_exact_integer(self, argv, column, expected,
+                                                                  capsys):
+        code, out = run(capsys, *argv)
+        assert code == 0
+        assert {row[column] for row in parse_csv(out)[1]} == {expected}
+
+    def test_exact_count_in_file(self, tmp_path, capsys):
+        cfg = tmp_path / "params.txt"
+        cfg.write_text("n_d_min = 1e24\nn_d_max = 1e24\n")
+        code, out = run(capsys, "optimize", "--epsilon-grid", "0.05", "--method", "suboptimal",
+                        "--params", str(cfg))
+        assert code == 0
+        assert parse_csv(out)[1][0]["n_d_star"] == str(10**24)
+
+    @pytest.mark.parametrize("argv, field", [
+        (["simulate", "--trials", "1000", "--seed", "1", "--n-d", "50.0000000000000001"], "n_d"),
+        (["simulate", "--trials", "1000.0000000000000001", "--seed", "1"], "trials"),
+        (["optimize", "--epsilon-grid", "0.05", "--force-nd", "60.0000000000000001"],
+         "force_nd"),
+        (["detect-sweep", "--p-d-grid", "0.01", "--n-d-list", "50.0000000000000001"],
+         "--n-d-list"),
+    ], ids=["n_d", "trials", "force_nd", "n_d_list"])
+    def test_fraction_below_double_precision_exits_2(self, argv, field, capsys):
+        code, err = run_err(capsys, *argv)
+        assert code == 2
+        assert field in err and ".0000000000000001" in err  # the text as written
+
+    @pytest.mark.parametrize("value", ["1e1000000000", "1e-1000000000", "0e1000000000"])
+    @pytest.mark.parametrize("argv, flag, field", [
+        (["simulate", "--trials", "10", "--seed", "1"], "--n-d", "n_d"),
+        (["simulate", "--seed", "1"], "--trials", "trials"),
+        (["simulate", "--trials", "10", "--seed", "1"], "--n-t", "n_t"),
+        (["optimize", "--epsilon-grid", "0.05"], "--n-d-min", "n_d_min"),
+        (["optimize", "--epsilon-grid", "0.05"], "--n-d-max", "n_d_max"),
+        (["optimize", "--epsilon-grid", "0.05"], "--force-nd", "force_nd"),
+        (["detect-sweep", "--p-d-grid", "0.01"], "--n-d-list", "--n-d-list"),
+    ])
+    def test_unbounded_exponent_exits_2_at_once(self, value, argv, flag, field, capsys):
+        start = time.perf_counter()
+        code, err = run_err(capsys, *argv, flag, value)
+        assert time.perf_counter() - start < 1.0
+        assert code == 2
+        assert field in err and value in err
+
+
 def test_main_reuses_one_parser(capsys, monkeypatch):
     built = []
     init = argparse.ArgumentParser.__init__

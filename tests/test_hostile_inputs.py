@@ -13,7 +13,10 @@ from covertfade import cli
 from covertfade.params import _FIELD_TYPES
 
 VALUES = ["nan", "inf", "-inf", "0", "-1", "5e-324", "1e-310", "1e-8", "0.5", "2", "1e20",
-          str(2**53 + 1), "1e308", repr(sys.float_info.max), "1e400", "1" + "0" * 400, "abc"]
+          str(2**53 + 1), "1e308", repr(sys.float_info.max), "1e400", "1" + "0" * 400, "abc",
+          # counts read at their exact decimal value, and exponents too large to build
+          "1e24", "1e300", "9007199254740993.0", "50.0000000000000001", "1e1000000000",
+          "1e-1000000000"]
 
 # Each run is small: one point, one covertness level, 200 trials.
 BASE = {
@@ -31,7 +34,8 @@ CASES = [(cmd, flag) for cmd in BASE for flag in SHARED_FLAGS + OWN_FLAGS[cmd]]
 
 # An accepted trial count runs that many trials, with nothing that bounds
 # its time: those values are left out.
-UNBOUNDED = {"--trials": {"1e20", str(2**53 + 1), "1e308", repr(sys.float_info.max)}}
+UNBOUNDED = {"--trials": {"1e20", str(2**53 + 1), "1e308", repr(sys.float_info.max), "1e24",
+                          "1e300", "9007199254740993.0"}}
 
 FAILURE_LINE = re.compile(r"^(error: |numeric failure: |covertfade [a-z-]+: error: )")
 

@@ -9,6 +9,7 @@ from conftest import sign_threshold, throughput_derivative_sign
 from covertfade.detection import WillieParams, csi_average_and_slope, expected_zeta_star_csi
 from covertfade.errors import DomainError, NumericError
 from covertfade import link, optimizer
+from covertfade.cli import main
 from covertfade.optimizer import (
     power_for_covertness_exact,
     power_for_covertness_suboptimal,
@@ -351,6 +352,19 @@ class TestSeededScenarios:
         monkeypatch.setattr(optimizer, "power_for_covertness_exact",
                             lambda n_d, params, top=None: cold(n_d, params))
         assert design(solve_p1(prob)) == expected
+
+    @pytest.mark.parametrize("prob", SEEDED, ids=[f"seeded-{i}" for i in range(len(SEEDED))])
+    def test_searched_and_forced_designs_print_the_same_row(self, capsys, prob):
+        # The searched design's root is warm and the forced one's cold; they
+        # agree far below the 12 printed digits.
+        argv = ["optimize", "--method", "exact", "--epsilon-grid", repr(prob.epsilon)]
+        for name in ("sigma_b2", "sigma_w2", "rate", "p_max", "n_t", "p_t", "n_d_min", "n_d_max"):
+            argv += [f"--{name.replace('_', '-')}", repr(getattr(prob, name))]
+        assert main(argv) == 0
+        searched = capsys.readouterr().out
+        n_d = searched.splitlines()[1].split(",")[3]
+        assert main([*argv, "--force-nd", n_d]) == 0
+        assert capsys.readouterr().out == searched
 
     def test_grid_covers_interior_and_capped_then_uncapped_optima(self):
         kinds = set()

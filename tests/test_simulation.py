@@ -581,7 +581,8 @@ class TestTraceDump:
         batches = {}
         for h, n in (("H0", slots - slots // 2), ("H1", slots // 2)):
             h_b = _cn(rng, n, 1.0)
-            h_hat = _estimate(p, h_b, rng)
+            # H0 rows print no outage, so their batch draws no pilot-mean noise
+            h_hat = _estimate(p, h_b, rng) if h == "H1" else None
             h_w = _cn(rng, n, 1.0)
             h_w2 = np.abs(h_w) ** 2
             statistic = _radiometer(p, h == "H1", h_w2, rng.standard_gamma(p.n_d, n))
@@ -606,6 +607,15 @@ class TestTraceDump:
                 outages.append(outage)
         if extra:
             assert set(outages) == {"0", "1"}
+
+    def test_h0_only_dump_forms_no_estimate(self, monkeypatch):
+        calls = []
+        estimate = simulation._estimate
+        monkeypatch.setattr(simulation, "_estimate",
+                            lambda *args, **kwargs: (calls.append(1), estimate(*args, **kwargs))[1])
+        p, mc = params(p_d=0.02), McConfig(trials=100, seed=71)
+        assert len(trace_rows(p, mc, 1)) == 1 and calls == []
+        assert len(trace_rows(p, mc, 2)) == 2 and calls == [1]
 
     @pytest.mark.parametrize("name, argv", [
         ("mixed_outage", ["--policy", "csi_optimal", "--rate", "2.0", "--trace-slots", "16"]),

@@ -27,10 +27,10 @@ starts at a closed-form estimate of its root (``_argmin_start``), so most
 points take three rounds.  The average at the roots is one more such rule:
 its missed-detection term is taken by parts against the bump z f(z) of the
 Gamma(n_d, 1) density f, so a point takes one incomplete gamma beside its
-false-alarm rate, not one per node.  Below a mean SNR of 1e-300
-the averages are their zero-power limits; a non-finite table entry or
-average raises NumericError, and a count above 1e305, where scipy's
-incomplete gamma fails, a DomainError.
+false-alarm rate.  Below a mean SNR of 1e-300 the averages are their
+zero-power limits; a non-finite table entry or average raises NumericError,
+and a count above 1e305, where scipy's incomplete gamma fails, a
+DomainError.
 """
 
 import functools
@@ -180,10 +180,12 @@ def optimal_threshold_csi(w: WillieParams) -> float:
 
 
 def _gamma_count(n_d):
-    """``n_d``, if the incomplete gamma functions serve it; else DomainError."""
+    """``n_d``, if the incomplete gamma functions serve it; else DomainError
+    naming n_d in all its digits, so that it reads as above the limit."""
     if n_d > _N_D_MAX:
-        raise DomainError(f"n_d={n_d:.6g} is above {_N_D_MAX:g}, beyond which the incomplete"
-                          " gamma functions fail")
+        from decimal import Context, Decimal  # loaded here, on the error path alone
+        raise DomainError(f"n_d={Decimal(n_d).normalize(Context(prec=400)):e} is above"
+                          f" {_N_D_MAX:g}, beyond which the incomplete gamma functions fail")
     return n_d
 
 
@@ -503,7 +505,7 @@ class _CdiGrid:
         if brackets:
             f, df = self.slopes(range(len(brackets)), guesses)
             starts = [(0.0, hi, u, f0, df0) for hi, u, f0, df0 in zip(brackets, guesses, f, df)]
-            for j, u in enumerate(newton_lockstep(self.slopes, starts, 1e-8)):
+            for j, u in enumerate(newton_lockstep(self.slopes, starts)):
                 lams[self.above[j]] = math.exp(min(self.ln_s[j] + u, _LN_MAX))
         return lams
 
@@ -582,10 +584,10 @@ def threshold_cdi_exact(w: WillieParams) -> float:
     the noise floor sigma_w2, its low-power limit, is returned there and
     wherever the averaged error is its zero-power limit (below the SNR floor).
     The search runs in u = ln(lam / sigma_w2) on a bracket [0, hi] fixed in
-    advance, to 1e-8 relative in lam (below the largest double).  It starts at
-    an estimate of the root (``_argmin_start``: the density-matching root at
-    high mean SNR, near ln(1 + a) at low), the one point evaluated before the
-    Newton steps; the end u = 0 needs none.  Below the noise floor the
+    advance, to ``solver.TOL`` relative in lam (below the largest double).  It
+    starts at an estimate of the root (``_argmin_start``: the density-matching
+    root at high mean SNR, near ln(1 + a) at low), the one point evaluated
+    before the Newton steps; the end u = 0 needs none.  Below the noise floor the
     averaged error only falls: a Gamma density at
     lam < sigma_w2 shrinks as its scale grows past sigma_w2, so there the
     missed-detection rate rises more slowly than the false-alarm rate drops.

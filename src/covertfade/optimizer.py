@@ -34,7 +34,6 @@ __all__ = [
     "solve_p1_1",
 ]
 
-_CONSTRAINT_RTOL = 1e-8
 _CONSTRAINT_SLACK = 1e-6
 
 
@@ -68,7 +67,7 @@ def power_for_covertness_exact(n_d: int, params: SystemParams, top: float = None
     lies above its linearization, so the root is bracketed by the closed-form
     power and p_max.  One average at p_max decides the cap; otherwise
     ``solver.newton_bracket`` runs in ln P_D from the closed-form power, on
-    the error and its slope, to relative tolerance _CONSTRAINT_RTOL.  The
+    the error and its slope, to relative tolerance ``solver.TOL``.  The
     capped case can only make the constraint slack, never violate it.  A
     ``top`` at or above this root (``solve_p1`` passes the last uncapped
     count's) starts Newton there, unless adjacent roots round together."""
@@ -94,7 +93,7 @@ def power_for_covertness_exact(n_d: int, params: SystemParams, top: float = None
         x, start = lo, gap(lo)
         if start[0] > 0.0:
             raise NumericError(f"the closed-form power overshoots the covertness root (n_d={n_d})")
-    return _capped(math.exp(newton_bracket(gap, lo, hi, x, *start, _CONSTRAINT_RTOL)), params)
+    return _capped(math.exp(newton_bracket(gap, lo, hi, x, *start)), params)
 
 
 def power_for_covertness_suboptimal(n_d: int, params: SystemParams) -> CovertPower:

@@ -23,31 +23,35 @@ CN(0, sigma_b2 / n_t) and independent of |h_b|; so ``estimate_pcc`` draws the
 gain as its magnitude |h_b| = sqrt(Exp(1)).  The symbol-level routes are kept
 in the tests as their oracles.
 
-Each estimator draws only the stage its decision reads.  Streams 0 and 1
-(H0, H1 of ``estimate_detection``) hold, block by block, |h_w|^2 ~ Exp(1)
-then one Gamma variate per slot; stream 2 (``estimate_pcc``) holds, block by
-block, one exponential per slot then the pilot-mean noise, 3 variates per
-trial.  Both estimators run over blocks of ``_BLOCK`` trials, drawn in order
-on the stage's one generator, and sum integer hit counts, so their memory
-does not grow with the number of trials.  An estimator allocates its block
-arrays once per run, draws each block's variates into them with ``out=``
-(the same values) and decides in place, Bob's side forming |h_b_hat|^2 and
-|h_b - h_b_hat|^2 as re^2 + im^2 of real parts.  Once its
-``threading.Event`` ``stop`` is set, an estimator raises KeyboardInterrupt
-before its next block.  The two estimators share no generator, so
-``cli.cmd_simulate`` runs them at the same time, P_cc on a worker thread,
-with the bytes of running them one after the other; on an interrupt it sets
-the worker's stop event.  ``analytic_detection`` and ``analytic_zeta`` give
-the closed forms.
+Each estimator draws only what its decisions read.  Streams 0 and 1 (H0,
+H1 of ``estimate_detection``) hold, block by block, |h_w|^2 ~ Exp(1) where a
+decision reads it (under the per-slot CSI threshold, or on H1 slots at
+p_d > 0), then one Gamma variate per slot: at a fixed threshold an H0 slot
+draws its Gamma variate alone, and at p_d = 0 every slot does.  Stream 2
+(``estimate_pcc``) holds, block by block, one exponential per slot then the
+pilot-mean noise, 3 variates per trial; at p_d = 0 every slot is an outage
+and nothing is drawn.  Both estimators run over blocks of ``_BLOCK`` trials,
+drawn in order on the stage's one generator, and sum integer hit counts, so
+their memory does not grow with the number of trials.  An estimator
+allocates its block arrays once per run, draws each block's variates into
+them with ``out=`` (the same values) and decides in place, Bob's side
+forming |h_b_hat|^2 and |h_b - h_b_hat|^2 as re^2 + im^2 of real parts.
+Once its ``threading.Event`` ``stop`` is set, an estimator raises
+KeyboardInterrupt before its next block.  The two estimators share no
+generator, so ``cli.cmd_simulate`` runs them at the same time, P_cc on a
+worker thread, with the bytes of running them one after the other; on an
+interrupt it sets the worker's stop event.  ``analytic_detection`` and
+``analytic_zeta`` give the closed forms.
 
 A run's threshold is resolved once, by ``policy_threshold``, and carried in
-``McConfig.threshold`` (None: the per-slot CSI threshold set from h_w).  The
-rows of ``simulate --dump-traces`` come from ``trace_rows``: one H0 batch then
-one H1 batch on the trace stream (stream 9; the estimators use 0-2), each
-batch drawing a complex h_b, then, in the H1 batch alone, whose rows print the
-outage, the pilot-mean noise of Bob's estimate, then a complex h_w (the file
-prints both gains) and one Gamma variate per slot for the radiometer at
-|h_w|^2, with the run's threshold and, on H1 rows, outage rule per slot.
+``McConfig.threshold`` (None: the per-slot CSI threshold set from h_w, at
+p_d > 0).  The rows of ``simulate --dump-traces`` come from ``trace_rows``:
+one H0 batch then one H1 batch on the trace stream (stream 9; the estimators
+use 0-2), each batch drawing a complex h_b, then, in the H1 batch alone,
+whose rows print the outage, the pilot-mean noise of Bob's estimate, then a
+complex h_w (the file prints both gains) and one Gamma variate per slot for
+the radiometer at |h_w|^2, with the run's threshold and, on H1 rows, outage
+rule per slot.
 
 Randomness comes from numpy's counter-based Philox generator keyed by the
 two words (seed, stream), with a 64-bit seed; batch estimators consume one
@@ -128,11 +132,13 @@ def _power_overflow(params: SystemParams):
 
 def policy_threshold(params, policy: str, fixed_threshold=None):
     """Detector threshold of ``policy``, one of ``POLICIES``: None for
-    csi_optimal, whose threshold is set per slot from h_w; the CDI argmin or
-    its noise-floor approximation; or ``fixed_threshold``.  ``params`` is a
-    ``SystemParams`` or a ``detection.WillieParams``, read alike."""
+    csi_optimal, whose threshold is set per slot from h_w, except at p_d = 0,
+    where it is the noise floor sigma_w2 of every slot (``csi_threshold`` at
+    zero signal power); the CDI argmin or its noise-floor approximation; or
+    ``fixed_threshold``.  ``params`` is a ``SystemParams`` or a
+    ``detection.WillieParams``, read alike."""
     if policy == "csi_optimal":
-        return None
+        return None if params.p_d > 0 else params.sigma_w2
     if policy == "cdi_exact":
         return detection.threshold_cdi_exact(params)
     if policy == "cdi_approx":
@@ -230,12 +236,15 @@ def _blocks(trials, stop):
 def _errors(params: SystemParams, hypothesis: str, trials: int, lam, rng, arrays, stop) -> int:
     """Wrong decisions at threshold ``lam`` in ``trials`` slots of ``hypothesis``,
     each block drawn into and decided in ``arrays`` (four float rows and a
-    bool row of at least one block)."""
+    bool row of at least one block).  |h_w|^2 is drawn only where a decision
+    reads it: for the per-slot threshold, or for the radiometer of H1 at
+    p_d > 0."""
     wrong = np.greater if hypothesis == "H0" else np.less_equal
     hits = 0
     for n in _blocks(trials, stop):
         h_w2, g, work, log = arrays[0][:, :n]
-        rng.standard_exponential(out=h_w2)
+        if lam is None or (hypothesis == "H1" and params.p_d > 0):
+            rng.standard_exponential(out=h_w2)
         statistic = _radiometer(params, hypothesis == "H1", h_w2,
                                 rng.standard_gamma(params.n_d, out=g), work)
         thresholds = _thresholds(params, lam, h_w2, s=h_w2, out=work, work=log)
@@ -273,10 +282,13 @@ def estimate_pcc(params: SystemParams, mc: McConfig, stop=None) -> PccEstimate:
 
     Draws Bob's stage alone, on stream 2, at gain magnitudes |h_b| =
     sqrt(Exp(1)); Willie's gain is never drawn.  The pilot budget is checked
-    before any draw.  Once the Event ``stop`` is set, the next block raises
-    KeyboardInterrupt.
+    before any draw.  At p_d = 0 every slot is an outage, so P_cc is 0 with
+    standard error 0 and nothing is drawn.  Once the Event ``stop`` is set,
+    the next block raises KeyboardInterrupt.
     """
     link.estimation_error_var(params)
+    if params.p_d == 0:
+        return PccEstimate(0.0, 0.0)
     rng = _rng(mc.seed, 2)
     size = min(_BLOCK, mc.trials)
     gains, z, work, flags = (np.empty(size), np.empty(2 * size), np.empty((3, size)),

@@ -154,13 +154,19 @@ class TestDetectSweep:
 
 
     def test_huge_count_exits_2_in_short_form(self, capsys):
-        for argv in (["detect-sweep", "--p-d-grid", "1e-3", "--n-d-list", "1e308"],
-                     ["simulate", "--trials", "1000", "--seed", "1", "--n-d", "1e308"]):
+        # The last two counts round to the double 1e305; the message spells
+        # each in all its digits, so that it reads as above the limit.
+        sweep = ["detect-sweep", "--p-d-grid", "0.01", "--mode", "csi", "--n-d-list"]
+        for argv, named in (
+                (["detect-sweep", "--p-d-grid", "1e-3", "--n-d-list", "1e308"], "1e+308"),
+                (["simulate", "--trials", "1000", "--seed", "1", "--n-d", "1e308"], "1e+308"),
+                (sweep + ["1.0000000000000001e305"], "1.0000000000000001e+305"),
+                (sweep + [str(10**305 + 1)], "1." + "0" * 304 + "1e+305")):
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 code, err = run_err(capsys, *argv)
             assert code == 2
-            assert err == ("error: n_d=1e+308 is above 1e+305, beyond which the incomplete"
+            assert err == (f"error: n_d={named} is above 1e+305, beyond which the incomplete"
                            " gamma functions fail\n")
 
 
@@ -378,19 +384,20 @@ class TestSimulate:
         assert {r["pass_3sigma"] for r in rows} <= {"true", "false", "n/a"}
 
     def test_cdi_exact_at_zero_power_matches_cdi_approx(self, tmp_path, capsys):
-        # Both policies use the noise floor sigma_w2 as threshold at p_d = 0,
-        # so they consume the same streams and print the same bytes.
+        # Every policy uses the noise floor sigma_w2 (0.05 by default) as
+        # threshold at p_d = 0, so they consume the same streams and print the
+        # same bytes.
         outputs = []
-        for policy in ("cdi_exact", "cdi_approx"):
+        for policy in ("cdi_exact", "cdi_approx", "csi_optimal", "fixed"):
             traces = tmp_path / f"{policy}.csv"
             code, out = run(
                 capsys, "simulate", "--trials", "2000", "--seed", "8", "--p-d", "0",
-                "--policy", policy, "--dump-traces", str(traces),
+                "--policy", policy, "--fixed-threshold", "0.05", "--dump-traces", str(traces),
                 "--trace-slots", "6",
             )
             assert code == 0
             outputs.append((out, traces.read_bytes()))
-        assert outputs[0] == outputs[1]
+        assert outputs[1:] == outputs[:1] * 3
 
     @pytest.mark.parametrize("seed", ["-1", str(2**64)])
     def test_seed_out_of_range_exits_2(self, seed, capsys):

@@ -8,7 +8,7 @@ from scipy.optimize import brentq
 from conftest import sign_threshold, throughput_derivative_sign
 from covertfade.detection import WillieParams, csi_average_and_slope, expected_zeta_star_csi
 from covertfade.errors import DomainError, NumericError
-from covertfade import link, optimizer
+from covertfade import link, optimizer, solver
 from covertfade.cli import main
 from covertfade.optimizer import (
     power_for_covertness_exact,
@@ -347,7 +347,7 @@ class TestSeededScenarios:
         expected = enumerate_designs(prob)
         warm = design(solve_p1(prob))
         assert warm[0] == expected[0] and warm[3:] == expected[3:]
-        assert warm[1:3] == pytest.approx(expected[1:3], rel=2 * optimizer._CONSTRAINT_RTOL)
+        assert warm[1:3] == pytest.approx(expected[1:3], rel=2 * solver.TOL)
         cold = optimizer.power_for_covertness_exact
         monkeypatch.setattr(optimizer, "power_for_covertness_exact",
                             lambda n_d, params, top=None: cold(n_d, params))

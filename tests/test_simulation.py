@@ -49,10 +49,12 @@ def allocating_outage(p, rng, n):
 
 def allocating_wrong(p, hypothesis, lam, rng, n):
     """Wrong decisions in n slots of ``hypothesis`` drawn as
-    ``estimate_detection`` draws them, on the allocating route: the
-    radiometer's law, then the CSI threshold formula and its mask."""
-    h_w2 = rng.standard_exponential(n)
-    v = h_w2 * p.p_d + p.sigma_w2 if hypothesis == "H1" and p.p_d > 0 else p.sigma_w2
+    ``estimate_detection`` draws them, on the allocating route: |h_w|^2 where
+    a decision reads it, the radiometer's law, then the CSI threshold formula
+    and its mask."""
+    transmit = hypothesis == "H1" and p.p_d > 0
+    h_w2 = rng.standard_exponential(n) if lam is None or transmit else None
+    v = h_w2 * p.p_d + p.sigma_w2 if transmit else p.sigma_w2
     statistic = v * rng.standard_gamma(p.n_d, n) / p.n_d
     if lam is None:
         s = h_w2 * p.p_d
@@ -64,8 +66,10 @@ def allocating_wrong(p, hypothesis, lam, rng, n):
 
 
 class TestSimulateSlot:
-    # Willie's stage as the detection estimator draws it: |h_w|^2 ~ Exp(1),
-    # then one Gamma(n_d, 1) variate per slot for the radiometer.
+    # Willie's stage as the detection estimator draws it where a decision
+    # reads |h_w|^2 (under the per-slot threshold, or on H1 slots at p_d > 0):
+    # |h_w|^2 ~ Exp(1), then one Gamma(n_d, 1) variate per slot for the
+    # radiometer.  Elsewhere the estimator draws the Gamma variate alone.
     def test_noise_only_statistic_mean(self):
         p = params(p_d=0.02, n_d=50)
         rng = _rng(11, 0)
@@ -103,7 +107,8 @@ class TestStages:
         # Each stage rebuilt from its own stream on the allocating route, one
         # block of _BLOCK trials after another, at trial counts on both sides
         # of the block edges: the in-place estimators give the same counts.
-        # p_d 5e-324 takes every CSI threshold down the masked path.
+        # p_d 5e-324 takes every CSI threshold down the masked path; at p_d 0
+        # csi_optimal resolves to the noise floor, so no stage draws |h_w|^2.
         block = simulation._BLOCK
         for scenario, policy in [
             (dict(p_d=0.05), "csi_optimal"), (dict(p_d=0.05), "fixed"),
@@ -112,6 +117,8 @@ class TestStages:
         ]:
             p = params(n_d=50, n_t=n_t, **scenario)
             lam = policy_threshold(p, policy, 0.055)
+            if p.p_d == 0:  # the noise floor, which csi_threshold gives every slot
+                assert lam == p.sigma_w2
             for trials in (1, block - 1, block, block + 1, 2 * block + 3):
                 mc = McConfig(trials=trials, seed=seed, threshold=lam)
                 bob, h0, h1 = _rng(seed, 2), _rng(seed, 0), _rng(seed, 1)
@@ -140,14 +147,15 @@ class TestStages:
             assert estimate_pcc(p, McConfig(trials=trials, seed=seed)).p_cc == (
                 (trials - outages) / trials), seed
 
-    @pytest.mark.parametrize("estimate, per_trial", [
-        (estimate_detection, {"standard_exponential": 1, "standard_gamma": 1}),
-        (estimate_pcc, {"standard_exponential": 1, "standard_normal": 2})],
-        ids=["estimate_detection", "estimate_pcc"])
-    def test_each_estimator_draws_only_what_it_reads(self, monkeypatch, estimate, per_trial):
-        # Detection reads |h_w|^2 and one Gamma variate per slot; P_cc reads
-        # |h_b|, the root of one exponential |h_b|^2, and the pilot-mean
-        # noise, a complex variate of two real normals.
+    @pytest.mark.parametrize("estimate", [estimate_detection, estimate_pcc],
+                             ids=["estimate_detection", "estimate_pcc"])
+    def test_each_estimator_draws_only_what_it_reads(self, monkeypatch, estimate):
+        # Detection reads one Gamma variate per slot, and |h_w|^2 where a
+        # decision reads it: under the per-slot CSI threshold, and on H1 slots
+        # (trials // 2) at a fixed threshold; at p_d 0 nothing reads it.  P_cc
+        # reads |h_b|, the root of one exponential |h_b|^2, and the pilot-mean
+        # noise, a complex variate of two real normals; at p_d 0 every slot is
+        # an outage and it draws nothing.
         # Every method called is counted, so an unexpected draw shows up.
         drawn = Counter()
 
@@ -167,8 +175,21 @@ class TestStages:
         rng = simulation._rng
         monkeypatch.setattr(simulation, "_rng", lambda *key: Counting(rng(*key)))
         trials = 1_001
-        estimate(params(p_d=0.02, n_d=50), McConfig(trials=trials, seed=5))
-        assert drawn == {name: k * trials for name, k in per_trial.items()}
+        for policy in simulation.POLICIES:
+            for p_d in (0.02, 0.0):
+                p = params(p_d=p_d, n_d=50)
+                mc = McConfig(trials=trials, seed=5, threshold=policy_threshold(p, policy, 0.055))
+                drawn.clear()
+                estimate(p, mc)
+                if estimate is estimate_pcc:
+                    expected = {"standard_exponential": trials,
+                                "standard_normal": 2 * trials} if p_d else {}
+                else:
+                    expected = {"standard_gamma": trials}
+                    if p_d:
+                        gains = trials if policy == "csi_optimal" else trials // 2
+                        expected["standard_exponential"] = gains
+                assert drawn == expected, (policy, p_d)
 
     @pytest.mark.parametrize("transmit", [True, False])
     @pytest.mark.parametrize("n_d", [1, 50, 400])
@@ -362,6 +383,7 @@ class TestPolicyThreshold:
     def test_policies(self):
         p = params(p_d=0.02)
         assert policy_threshold(p, "csi_optimal") is None
+        assert policy_threshold(params(p_d=0.0), "csi_optimal") == p.sigma_w2
         assert policy_threshold(p, "cdi_approx") == p.sigma_w2
         assert policy_threshold(p, "fixed", 0.055) == 0.055
         w = detection.WillieParams(sigma_w2=p.sigma_w2, n_d=p.n_d, p_d=p.p_d)

@@ -4,12 +4,10 @@ import pytest
 from scipy.optimize import brentq
 
 from covertfade.errors import NumericError
-from covertfade.solver import newton_bracket
-
-TOL = 1e-8
+from covertfade.solver import TOL, newton_bracket
 
 
-def solve(f, df, lo, hi, x=None, tol=TOL):
+def solve(f, df, lo, hi, x=None):
     """newton_bracket from x (lo by default), counting evaluations."""
     calls = []
 
@@ -18,7 +16,7 @@ def solve(f, df, lo, hi, x=None, tol=TOL):
         return f(u), df(u)
 
     x = lo if x is None else x
-    root = newton_bracket(fn, lo, hi, x, f(x), df(x), tol)
+    root = newton_bracket(fn, lo, hi, x, f(x), df(x))
     return root, calls
 
 

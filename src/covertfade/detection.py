@@ -33,6 +33,7 @@ and a count above 1e305, where scipy's incomplete gamma fails, a
 DomainError.
 """
 
+import bisect
 import functools
 import math
 from dataclasses import dataclass
@@ -309,13 +310,16 @@ def _span(a, n_d):
 
 @functools.cache
 def _table_rule():
-    return _rule(*_TABLE_SPAN)
+    """The cached rule's nodes and weights, and its nodes as a list to bisect."""
+    x, weights = _rule(*_TABLE_SPAN)
+    return x, weights, x.tolist()
 
 
 @functools.lru_cache(maxsize=_TABLE_CACHE)
 def _csi_table(n_d):
-    """The two terms of zeta*_n on the cached node set, read-only."""
-    terms = _csi_terms(_table_rule()[0], n_d)
+    """The two terms of zeta*_n on the cached node set and their sum, read-only."""
+    fa, md = _csi_terms(_table_rule()[0], n_d)
+    terms = fa, md, fa + md
     for t in terms:
         t.flags.writeable = False
     return terms
@@ -340,14 +344,19 @@ def _csi_averages(n_d, a, slope=False):
     sum and its derivative in ln a (the weights times x/a - 1)."""
     lo, hi = _span(a, n_d)
     if _TABLE_SPAN[0] <= lo and hi <= _TABLE_SPAN[1]:
-        x, weights = _table_rule()
-        fa, md = _csi_table(n_d)
+        x, weights, nodes = _table_rule()
+        fa, md, both = _csi_table(n_d)
+        # the nodes rise; past x = 746a, e^(-x/a) is exactly 0
+        end = bisect.bisect_right(nodes, 746.0 * a)
+        x, weights, fa, md, both = x[:end], weights[:end], fa[:end], md[:end], both[:end]
     else:
         x, weights = _rule(lo, hi)
         fa, md = _csi_terms(x, n_d)
-    k = weights * np.exp(-x / a)
+        both = fa + md
+    r = x / a
+    k = weights * np.exp(-r)
     averages = _average(k, fa, a), _average(k, md, a)
-    return (sum(averages), _average(k * (x / a - 1.0), fa + md, a)) if slope else averages
+    return (sum(averages), _average(k * (r - 1.0), both, a)) if slope else averages
 
 
 def _argmin_start(n, a, ln_a, ln_1pa, peak):

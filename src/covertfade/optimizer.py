@@ -8,9 +8,11 @@ order, and differ only in the power rule.  A throughput bound from the last
 visited count lets the search jump past every count that cannot beat the best
 design so far, at most doubling the count per jump, and stop once no larger
 count can.  Exact solver: the data power meeting the fading-averaged
-covertness constraint with equality (safeguarded Newton in ln P_D, below and
-from the last uncapped count's root).  Closed-form
-solver: the inverted linearized constraint.  Either solver can be pinned to
+covertness constraint with equality (safeguarded Newton in ln P_D).  After the
+first uncapped root, one fading average at a certificate power P bounds a
+count's root by P, so a count that cannot win even at P takes no root; the
+chosen count reports its cold root.  Closed-form solver: the inverted
+linearized constraint.  Either solver can be pinned to
 one admissible count (``force_nd``).  Either power is capped at ``p_max``, and
 a capped design is checked against the fading-averaged constraint.
 """
@@ -59,7 +61,7 @@ def _avg_error(n_d: int, p_d: float, params: SystemParams) -> float:
     return csi_average_and_slope(n_d, p_d / params.sigma_w2)[0]
 
 
-def power_for_covertness_exact(n_d: int, params: SystemParams, top: float = None) -> CovertPower:
+def power_for_covertness_exact(n_d: int, params: SystemParams, start=None) -> CovertPower:
     """Data power putting the averaged detection error exactly at 1 - epsilon,
     capped at p_max when the uncapped root exceeds it.
 
@@ -69,8 +71,10 @@ def power_for_covertness_exact(n_d: int, params: SystemParams, top: float = None
     ``solver.newton_bracket`` runs in ln P_D from the closed-form power, on
     the error and its slope, to relative tolerance ``solver.TOL``.  The
     capped case can only make the constraint slack, never violate it.  A
-    ``top`` at or above this root (``solve_p1`` passes the last uncapped
-    count's) starts Newton there, unless adjacent roots round together."""
+    ``start`` (P, E[zeta*](P), its slope in ln P), an average already taken
+    (``solve_p1`` passes its certificate), starts Newton at P instead: on
+    [closed form, P] where that average is at most 1 - epsilon, else on
+    [P, p_max] after the cap decision."""
     n_d = check_value("n_d", n_d, "counts")
     target = 1.0 - params.epsilon
 
@@ -81,19 +85,21 @@ def power_for_covertness_exact(n_d: int, params: SystemParams, top: float = None
     closed_form = power_for_covertness_suboptimal(n_d, params).value
     if closed_form == 0.0:
         raise NumericError(f"the closed-form power underflows to 0 (n_d={n_d})")
-    lo = math.log(closed_form)
-    if top is not None:
-        x = hi = math.log(top)
-        start = gap(x)
-    if top is None or start[0] <= 0.0:
-        hi = math.log(params.p_max)
-        if gap(hi)[0] <= 0.0:
-            # root lies beyond p_max: cap, constraint still satisfied
-            return CovertPower(value=params.p_max, capped=True)
-        x, start = lo, gap(lo)
-        if start[0] > 0.0:
+    lo, hi = math.log(closed_form), math.log(params.p_max)
+    if start is not None:
+        x, here = math.log(start[0]), (target - start[1], -start[2])
+    if (start is None or here[0] < 0.0) and gap(hi)[0] <= 0.0:
+        # root lies beyond p_max: cap, constraint still satisfied
+        return CovertPower(value=params.p_max, capped=True)
+    if start is None:
+        x, here = lo, gap(lo)
+        if here[0] > 0.0:
             raise NumericError(f"the closed-form power overshoots the covertness root (n_d={n_d})")
-    return _capped(math.exp(newton_bracket(gap, lo, hi, x, *start)), params)
+    elif here[0] < 0.0:
+        lo = x
+    else:
+        hi = x
+    return _capped(math.exp(newton_bracket(gap, lo, hi, x, *here)), params)
 
 
 def power_for_covertness_suboptimal(n_d: int, params: SystemParams) -> CovertPower:
@@ -102,39 +108,66 @@ def power_for_covertness_suboptimal(n_d: int, params: SystemParams) -> CovertPow
     return _capped(params.epsilon * params.sigma_w2 * low_power_scale(n_d), params)
 
 
-def _search(params: SystemParams, candidates, power_rule, warm=False) -> DesignSolution:
+def _named(n_d, fn, *args):
+    """``fn(*args)``, with a NumericError naming the count ``n_d``."""
+    try:
+        return fn(*args)
+    except NumericError as exc:
+        raise NumericError(f"n_d={n_d}: {exc}") from exc
+
+
+def _search(params: SystemParams, candidates, power_rule, certify=False) -> DesignSolution:
     """Throughput-maximizing count in ``candidates`` (a range of step 1) with
     its power from ``power_rule(n_d, params)``; ties break toward fewer symbols.
 
     Both power rules are nonincreasing in n_d: with CSI the radiometer is the
     likelihood-ratio test, so its averaged error cannot rise with n_d, and the
     closed-form power falls with n_d.  At a fixed power the throughput is
-    linear in n_d, so after count k with throughput ``value`` every later
-    count m delivers at most value * m / k.  The search stops once that bound
-    at the last count cannot beat the best design so far; otherwise it jumps
-    to the smallest m whose bound can, but never past 2k: a huge range is
-    crossed in doublings, not in one jump to counts where the fading average
-    loses its digits.  The last uncapped power ``top`` bounds every later
-    one: with ``warm``, ``power_rule(n_d, params, top)`` starts from it.
+    linear in n_d, so a count k whose power is at most p, with throughput
+    ``value`` at p, bounds every later count m by value * m / k.  The search
+    stops once that bound at the last count cannot beat the best design so
+    far; otherwise it jumps to the smallest m whose bound can, but never past
+    2k: a huge range is crossed in doublings, not in one jump to counts where
+    the fading average loses its digits.
+
+    With ``certify`` (the exact rule), each count after the last uncapped
+    root p*(k) first takes one fading average at P = p*(k) times the ratio of
+    the closed-form powers at m and k.  The average falls strictly in the
+    power, so a reading of at most 1 - epsilon proves p*(m) <= P, and m is
+    skipped where its throughput at P cannot beat the best; that bound then
+    steers the jump.  Any other m is rooted by
+    ``power_rule(n_d, params, start)`` from P with its average in hand.  The
+    chosen count reports its cold root, so the design does not depend on the
+    path that reached it.
     """
-    best = top = None
+    best, ref = (-math.inf,), None
     n_d, n_top = candidates[0], candidates[-1]
     while True:
-        try:
-            power = power_rule(n_d, params) if top is None else power_rule(n_d, params, top)
-        except NumericError as exc:
-            raise NumericError(f"n_d={n_d}: {exc}") from exc
-        top = power.value if warm and not power.capped else None
-        value = throughput_at(n_d, power.value, params)
-        if best is None or value > best[0]:
-            best = (value, n_d, power)
+        # value: the throughput at n_d, or its bound at a certified P; start:
+        # () or the certificate (P, its average, slope) to root from
+        value, start = math.inf, ()
+        if ref is not None:
+            p = ref * low_power_scale(n_d)
+            start = ((p, *_named(n_d, csi_average_and_slope, n_d, p / params.sigma_w2)),)
+            if start[0][1] <= 1.0 - params.epsilon:  # p*(n_d) <= P
+                value = throughput_at(n_d, p, params)
+        if value > best[0] * (1.0 - 1e-12):  # with the jump's slack
+            power = _named(n_d, power_rule, n_d, params, *start)
+            value = throughput_at(n_d, power.value, params)
+            # the last uncapped root over its closed-form scale
+            ref = power.value / low_power_scale(n_d) if certify and not power.capped else None
+            if value > best[0]:
+                best = (value, n_d, power, start)
         if value * (n_top / n_d) <= best[0]:
             break
         # counts up to ``reach`` cannot beat the best; the slack covers rounding
         reach = n_d * (best[0] / value) * (1.0 - 1e-12)
         n_d = min(2 * n_d if reach >= 2 * n_d else max(n_d + 1, math.floor(reach) + 1), n_top)
 
-    value, n_d, power = best
+    value, n_d, power, start = best
+    if start:  # rooted from a certificate: report the cold root
+        power = _named(n_d, power_rule, n_d, params)
+        value = throughput_at(n_d, power.value, params)
     violated = power.capped and (
         _avg_error(n_d, power.value, params) < 1.0 - params.epsilon - _CONSTRAINT_SLACK)
     return DesignSolution(power.value, n_d, value, power.capped, violated)
@@ -153,8 +186,9 @@ def _candidates(params: SystemParams, force_nd) -> range:
 
 def solve_p1(params: SystemParams, force_nd: int = None) -> DesignSolution:
     """Exact design: ``_search`` over ``_candidates`` with the constraint-equality
-    power at each count, warm-started after the first uncapped one."""
-    return _search(params, _candidates(params, force_nd), power_for_covertness_exact, warm=True)
+    power at each count it cannot rule out, certified after the first
+    uncapped one."""
+    return _search(params, _candidates(params, force_nd), power_for_covertness_exact, certify=True)
 
 
 def solve_p1_1(params: SystemParams, force_nd: int = None) -> DesignSolution:

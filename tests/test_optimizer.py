@@ -8,7 +8,7 @@ from scipy.optimize import brentq
 from conftest import sign_threshold, throughput_derivative_sign
 from covertfade.detection import WillieParams, csi_average_and_slope, expected_zeta_star_csi
 from covertfade.errors import DomainError, NumericError
-from covertfade import link, optimizer, solver
+from covertfade import detection, link, optimizer, solver
 from covertfade.cli import main
 from covertfade.optimizer import (
     power_for_covertness_exact,
@@ -184,16 +184,24 @@ class TestSharedSearch:
          pytest.param(solve_p1, "power_for_covertness_exact", None, id="uncapped")],
     )
     def test_power_rule_looked_up_at_call_time(self, monkeypatch, solve, rule, calls):
-        # tracers wrap the module attribute, so the solvers must call through it.
-        # Capped: every throughput is positive, so the throughput bound cannot
-        # stop early.  Uncapped (calls None): every root after the first starts
-        # warm from the last one, and still goes through the wrapper.
-        seen, scored = [], []
+        # tracers wrap the module attributes, so the solvers must call through
+        # them.  Capped: every throughput is positive, so the throughput bound
+        # cannot stop early.  Uncapped (calls None): the wrappers on the root
+        # and on the fading average see every root and every average; each
+        # root after the first starts from a certificate, but the chosen
+        # count's reported root is cold.
+        seen, scored, brackets, averages = [], [], [], []
+        rooting = []
         original, score = getattr(optimizer, rule), optimizer.throughput_at
+        bracket, average = optimizer.newton_bracket, detection._csi_averages
 
-        def counting(n_d, params, *top):
-            seen.append(top)
-            return original(n_d, params, *top)
+        def counting(n_d, params, *start):
+            seen.append(start)
+            rooting.append(n_d)
+            try:
+                return original(n_d, params, *start)
+            finally:
+                rooting.pop()
 
         def scoring(n_d, p_d, params):
             scored.append(n_d)
@@ -201,11 +209,81 @@ class TestSharedSearch:
 
         monkeypatch.setattr(optimizer, rule, counting)
         monkeypatch.setattr(optimizer, "throughput_at", scoring)
-        p_max, n_d_max = (1e-4, 52) if calls else (1.0, 100)
-        solve(problem(epsilon=0.05, p_max=p_max, n_d_min=50, n_d_max=n_d_max, p_t=1.0))
-        assert len(seen) == len(scored) == (calls or len(scored))
-        if calls is None:
-            assert len(seen) > 1 and seen[0] == () and all(seen[1:])
+        monkeypatch.setattr(optimizer, "newton_bracket",
+                            lambda *args: brackets.append(list(rooting)) or bracket(*args))
+        monkeypatch.setattr(detection, "_csi_averages",
+                            lambda *args, **kw: averages.append(args[0]) or average(*args, **kw))
+        if calls:
+            solve(problem(epsilon=0.05, p_max=1e-4, n_d_min=50, n_d_max=52, p_t=1.0))
+            assert len(seen) == len(scored) == calls
+            return
+        traced = SearchTrace(monkeypatch)
+        sol = solve(problem(epsilon=0.2, n_d_min=1, n_d_max=400))
+        assert len(seen) > 2 and seen[0] == () and all(len(start) == 1 for start in seen[1:-1])
+        assert seen[-1] == () and sol.n_d_star == 28
+        assert len(brackets) == len(seen) and all(len(inside) == 1 for inside in brackets)
+        assert len(averages) == len(traced.averages) > len(traced.certificates()) > 0
+
+
+class SearchTrace:
+    """What the exact search does, seen through wrappers on the module names
+    it calls: ``optimizer.power_for_covertness_exact`` (the roots, with their
+    ``start``), ``optimizer.csi_average_and_slope`` (the averages, each marked
+    as inside a root or not) and ``optimizer.throughput_at``.  ``reading``,
+    if given, replaces the value of each average taken outside a root."""
+
+    def __init__(self, monkeypatch, reading=None):
+        self.roots, self.averages, self.scores, self.depth = [], [], [], 0
+        root, average, score = (optimizer.power_for_covertness_exact,
+                                optimizer.csi_average_and_slope, optimizer.throughput_at)
+
+        def rooting(n_d, params, *start):
+            self.depth += 1
+            try:
+                power = root(n_d, params, *start)
+            finally:
+                self.depth -= 1
+            self.roots.append((n_d, start, power))
+            return power
+
+        def averaging(n_d, a):
+            value, slope = average(n_d, a)
+            if reading is not None and not self.depth:
+                value = reading(n_d, a, value)
+            self.averages.append((n_d, a, value, self.depth > 0))
+            return value, slope
+
+        def scoring(n_d, p_d, params):
+            self.scores.append((n_d, p_d, score(n_d, p_d, params)))
+            return self.scores[-1][2]
+
+        monkeypatch.setattr(optimizer, "power_for_covertness_exact", rooting)
+        monkeypatch.setattr(optimizer, "csi_average_and_slope", averaging)
+        monkeypatch.setattr(optimizer, "throughput_at", scoring)
+
+    def clear(self):
+        for calls in (self.roots, self.averages, self.scores):
+            calls.clear()
+
+    def certificates(self):
+        """(count, a, value) of each average taken outside a root."""
+        return [(n_d, a, value) for n_d, a, value, inside in self.averages if not inside]
+
+    def visits(self):
+        """(count, power, throughput) of each visited count in order, at its
+        root or at the certificate power that ruled it out (the last score of
+        its visit); a closing cold root of the chosen count is no visit."""
+        rooted = [n_d for n_d, _, _ in self.roots]
+        scores = self.scores
+        if len(rooted) > 1 and not self.roots[-1][1] and rooted[-1] in rooted[:-1]:
+            scores = scores[:-1]
+        visits = []
+        for n_d, p_d, value in scores:
+            if visits and visits[-1][0] == n_d:
+                visits[-1] = (n_d, p_d, value)
+            else:
+                visits.append((n_d, p_d, value))
+        return visits
 
 
 def enumerate_designs(params, power_rule=power_for_covertness_exact):
@@ -278,46 +356,57 @@ class TestThroughputBound:
         ids=["reference", "interior", "huge-0.05", "huge-0.2"])
     def test_search_jumps_past_dominated_counts(self, monkeypatch, solve, epsilon,
                                                 n_d_min, n_d_max):
-        # each visited count is scored once; the next one is at most twice it,
-        # and every count jumped over delivers at most the best so far even at
-        # the last visited count's power
-        visits = []
-        original = optimizer.throughput_at
-
-        def scoring(n_d, p_d, params):
-            visits.append((n_d, p_d, original(n_d, p_d, params)))
-            return visits[-1][2]
-
-        monkeypatch.setattr(optimizer, "throughput_at", scoring)
+        # Visited counts rise, each at most twice the last.  A visited count
+        # is rooted, or ruled out at a certificate power P whose average read
+        # at most 1 - epsilon (so its root is at most P); every count skipped,
+        # visited or jumped over, delivers at most the best so far at the
+        # power that ruled it out, and the design is a rooted count.
+        trace = SearchTrace(monkeypatch)
         prob = problem(epsilon=epsilon, n_d_min=n_d_min, n_d_max=n_d_max)
         sol = solve(prob)
+        visits = trace.visits()
         counts = [n for n, _, _ in visits]
-        assert counts[0] == n_d_min and sol.n_d_star in counts
+        rooted = {n for n, _, _ in trace.roots} if solve is solve_p1 else set(counts)
+        certified = {(n, a): value for n, a, value in trace.certificates()}
+        assert counts[0] == n_d_min and sol.n_d_star in rooted
         assert all(k < m <= 2 * k for k, m in zip(counts, counts[1:]))
         best = -math.inf
-        for (k, p_k, value), m in zip(visits, counts[1:]):
+        for (k, p_k, value), m in zip(visits, counts[1:] + [None]):
+            if k not in rooted:
+                assert certified[k, p_k / SW2] <= 1.0 - epsilon
+                assert value <= best
             best = max(best, value)
-            skipped = range(k + 1, m) if m - k <= 1000 else (k + 1, m - 1)
-            assert all(link.throughput_at(n, p_k, prob) <= best for n in skipped)
+            if m is not None:
+                skipped = range(k + 1, m) if m - k <= 1000 else (k + 1, m - 1)
+                assert all(link.throughput_at(n, p_k, prob) <= best for n in skipped)
         assert max(counts) < 10**7
         if n_d_max == 100:
             assert counts[:2] == [50, 51] and len(counts) < 10
+        if solve is solve_p1 and n_d_max == 100:
+            assert rooted == {50}
 
     def test_fewer_visits_on_the_reference_grid(self, monkeypatch):
-        # one root (exact) or one closed-form power per visited count
-        roots, visits = [], []
-        root, score = optimizer.power_for_covertness_exact, optimizer.throughput_at
-        monkeypatch.setattr(optimizer, "power_for_covertness_exact",
-                            lambda *args: roots.append(args[0]) or root(*args))
-        monkeypatch.setattr(optimizer, "throughput_at",
-                            lambda n_d, p_d, params: visits.append(n_d) or score(n_d, p_d, params))
+        # exact: the first count takes the one root, each later visit one
+        # certificate average; closed form: one power per visited count
+        trace = SearchTrace(monkeypatch)
+        visits = roots = 0
         for eps in np.linspace(0.01, 0.2, 20):
             assert solve_p1(problem(epsilon=float(eps))).n_d_star == 50
-        assert roots == visits and len(roots) <= 107  # 317 stepping by one count
-        visits.clear()
+            visits += len(trace.visits())
+            roots += len(trace.roots)
+            trace.clear()
+        # 107 visits with a root at each; a count ruled out at its certificate
+        # power P >= its root bounds the counts after it at P, so its jump can
+        # be shorter than one from the root
+        assert roots == 20 and visits <= 112  # 317 stepping by one count
+        monkeypatch.undo()
+        scored = []
+        score = optimizer.throughput_at
+        monkeypatch.setattr(optimizer, "throughput_at",
+                            lambda n_d, p_d, params: scored.append(n_d) or score(n_d, p_d, params))
         for eps in np.linspace(0.01, 0.2, 20):
             assert solve_p1_1(problem(epsilon=float(eps))).n_d_star == 50
-        assert len(visits) <= 102  # 306 stepping by one count
+        assert len(scored) <= 102  # 306 stepping by one count
 
 
 def seeded_scenarios(count=12, seed=20261019):
@@ -337,26 +426,17 @@ SEEDED = list(seeded_scenarios())
 
 class TestSeededScenarios:
     @pytest.mark.parametrize("prob", SEEDED, ids=[f"seeded-{i}" for i in range(len(SEEDED))])
-    def test_search_equals_full_enumeration(self, monkeypatch, prob):
-        # The closed-form power depends on the count alone, so its search must
-        # give the enumeration's bytes.  A warm root may differ from the cold
-        # one in its last digits (within the root tolerance, here and one count
-        # by one count alike), so the jumps are checked bit for bit with every
-        # root cold, and the warm search for its count and to the tolerance.
+    def test_search_equals_full_enumeration(self, prob):
+        # Either power depends on the count alone: the closed form, and the
+        # exact design's reported root, which is cold however the search
+        # reached its count.  So both searches give the enumeration's bits.
         assert design(solve_p1_1(prob)) == enumerate_designs(prob, power_for_covertness_suboptimal)
-        expected = enumerate_designs(prob)
-        warm = design(solve_p1(prob))
-        assert warm[0] == expected[0] and warm[3:] == expected[3:]
-        assert warm[1:3] == pytest.approx(expected[1:3], rel=2 * solver.TOL)
-        cold = optimizer.power_for_covertness_exact
-        monkeypatch.setattr(optimizer, "power_for_covertness_exact",
-                            lambda n_d, params, top=None: cold(n_d, params))
-        assert design(solve_p1(prob)) == expected
+        assert design(solve_p1(prob)) == enumerate_designs(prob)
 
     @pytest.mark.parametrize("prob", SEEDED, ids=[f"seeded-{i}" for i in range(len(SEEDED))])
     def test_searched_and_forced_designs_print_the_same_row(self, capsys, prob):
-        # The searched design's root is warm and the forced one's cold; they
-        # agree far below the 12 printed digits.
+        # Both designs report the cold root at the chosen count, so the rows
+        # are the same bytes.
         argv = ["optimize", "--method", "exact", "--epsilon-grid", repr(prob.epsilon)]
         for name in ("sigma_b2", "sigma_w2", "rate", "p_max", "n_t", "p_t", "n_d_min", "n_d_max"):
             argv += [f"--{name.replace('_', '-')}", repr(getattr(prob, name))]
@@ -365,6 +445,23 @@ class TestSeededScenarios:
         n_d = searched.splitlines()[1].split(",")[3]
         assert main([*argv, "--force-nd", n_d]) == 0
         assert capsys.readouterr().out == searched
+
+    def test_search_forced_and_enumerated_designs_agree_bit_for_bit(self):
+        # 40 random ranges of up to 150 counts within n_d 1..300, uncapped and
+        # capped up to a count in mid-range, with a cold root at every count
+        rng = np.random.default_rng(20261020)
+        kinds = set()
+        for i in range(40):
+            p_max = [1.0, 2e-3, 5e-3, float(10 ** rng.uniform(-3.5, -2))][i % 4]
+            n_d_min = int(rng.integers(1, 60))
+            prob = problem(epsilon=float(rng.uniform(0.01, 0.5)), p_max=p_max, p_t=1.0,
+                           sigma_b2=float(10 ** rng.uniform(-3, -1)), n_d_min=n_d_min,
+                           n_d_max=int(rng.integers(n_d_min, min(n_d_min + 150, 300) + 1)))
+            searched = design(solve_p1(prob))
+            assert design(solve_p1(prob, force_nd=searched[0])) == searched
+            assert enumerate_designs(prob) == searched
+            kinds.add(power_for_covertness_exact(prob.n_d_min, prob).capped)
+        assert kinds == {False, True}
 
     def test_grid_covers_interior_and_capped_then_uncapped_optima(self):
         kinds = set()
@@ -380,8 +477,10 @@ class TestSeededScenarios:
 
 
 class TestWarmStart:
-    """After the first uncapped count, ``solve_p1`` starts each root from the
-    last one, bracketed above by it."""
+    """After the first uncapped count, ``solve_p1`` takes one average at a
+    certificate power before it roots a count: a reading of at most
+    1 - epsilon with a losing throughput bound rules the count out, and any
+    other count is rooted from that power, with that average in hand."""
 
     @staticmethod
     def record(monkeypatch, answer=None):
@@ -397,6 +496,9 @@ class TestWarmStart:
 
     def test_fewer_averages_on_the_reference_grid(self, monkeypatch):
         calls = self.record(monkeypatch)
+        roots, root = [], optimizer.power_for_covertness_exact
+        monkeypatch.setattr(optimizer, "power_for_covertness_exact",
+                            lambda *args: roots.append(args[0]) or root(*args))
         for eps in np.linspace(0.01, 0.2, 20):
             prob = problem(epsilon=float(eps))
             start = len(calls)
@@ -404,7 +506,8 @@ class TestWarmStart:
             # every count is uncapped, so only the first decides the cap
             a_max = math.exp(math.log(prob.p_max)) / SW2
             assert {n for n, a in calls[start:] if a == a_max} == {prob.n_d_min}
-        assert len(calls) <= 437  # 992 stepping by one count, 1,567 with a cold root at each
+        # 437 averages and 107 roots with a root at each visited count
+        assert len(calls) <= 190 and len(roots) <= 20
 
     def test_no_cap_decision_after_the_first_uncapped_count(self, monkeypatch):
         prob = problem(epsilon=0.2, p_max=2e-3, p_t=1.0, n_d_min=1, n_d_max=400)
@@ -418,25 +521,49 @@ class TestWarmStart:
         assert power_for_covertness_exact(first - 1, prob).capped
         assert not power_for_covertness_exact(first, prob).capped
 
-    def test_top_end_without_a_positive_gap_falls_back_to_the_cold_bracket(self, monkeypatch):
-        # Adjacent roots closer than the tolerance can leave the gap at the
-        # last root <= 0 by rounding; here the first average of every count
-        # past n_d_min, the one at the warm top end, reads exactly 1 - epsilon.
-        prob = problem(epsilon=0.2, n_d_min=1, n_d_max=60)
+    @pytest.mark.parametrize("eps", [0.01, 0.05, 0.2])
+    def test_certificate_reading_exactly_the_target_rules_its_count_out(self, monkeypatch, eps):
+        # A reading of exactly 1 - epsilon at P still proves the root at most
+        # P (it is P), so every count past n_d_min is ruled out by its bound
+        # without a root, and the design is the enumeration's.
+        prob = problem(epsilon=eps)
         expected = enumerate_designs(prob)
-        seen = set()
-
-        def first_reads_the_target(n_d, a, value):
-            first = n_d not in seen
-            seen.add(n_d)
-            return 1.0 - prob.epsilon if first and n_d > prob.n_d_min else value
-
-        calls = self.record(monkeypatch, first_reads_the_target)
+        trace = SearchTrace(monkeypatch, reading=lambda n_d, a, value: 1.0 - eps)
         assert design(solve_p1(prob)) == expected
-        visited = {n for n, _ in calls}
-        a_max = math.exp(math.log(prob.p_max)) / SW2
-        assert {n for n, a in calls if a == a_max} == visited
-        assert max(visited) > prob.n_d_min
+        certificates = trace.certificates()
+        assert len(certificates) > 1 and {v for _, _, v in certificates} == {1.0 - eps}
+        assert [n for n, _, _ in trace.roots] == [prob.n_d_min]
+
+    def test_certificate_reading_above_the_target_roots_its_count(self, monkeypatch):
+        # A reading above 1 - epsilon proves nothing, so every visited count
+        # is rooted (from P, on [P, p_max] after the cap decision), and the
+        # design is still the enumeration's.
+        prob = problem(epsilon=0.05)
+        expected = enumerate_designs(prob)
+        trace = SearchTrace(monkeypatch, reading=lambda n_d, a, value: 0.975)
+        assert design(solve_p1(prob)) == expected
+        rooted = [n for n, start, _ in trace.roots if start]
+        assert len(rooted) > 1 and rooted == [n for n, _, _ in trace.visits()[1:]]
+
+    def test_started_root_matches_the_cold_one(self, monkeypatch):
+        # From a P above or below the root, the started root takes no second
+        # average at P and lands within the tolerance of the cold root; from
+        # below it decides the cap first, as the cold root does.
+        prob = problem(epsilon=0.2, n_d_min=1, n_d_max=400)
+        for n_d in (1, 28, 400):
+            cold = power_for_covertness_exact(n_d, prob).value
+            for p in (cold * 1.3, cold / 1.3):
+                start = (p, *csi_average_and_slope(n_d, p / SW2))
+                calls = self.record(monkeypatch)
+                power = power_for_covertness_exact(n_d, prob, start)
+                assert power.value == pytest.approx(cold, rel=2 * solver.TOL)
+                assert not power.capped and p / SW2 not in {a for _, a in calls}
+                a_max = math.exp(math.log(prob.p_max)) / SW2
+                assert (a_max in {a for _, a in calls}) == (p < cold)
+                monkeypatch.undo()
+        start = (1e-3, *csi_average_and_slope(1, 1e-3 / SW2))
+        assert power_for_covertness_exact(1, problem(epsilon=0.2, p_max=2e-3), start) == (
+            optimizer.CovertPower(2e-3, True))
 
 
 class TestSolveP11:

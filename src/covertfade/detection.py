@@ -33,7 +33,6 @@ and a count above 1e305, where scipy's incomplete gamma fails, a
 DomainError.
 """
 
-import bisect
 import functools
 import math
 from dataclasses import dataclass
@@ -310,9 +309,7 @@ def _span(a, n_d):
 
 @functools.cache
 def _table_rule():
-    """The cached rule's nodes and weights, and its nodes as a list to bisect."""
-    x, weights = _rule(*_TABLE_SPAN)
-    return x, weights, x.tolist()
+    return _rule(*_TABLE_SPAN)
 
 
 @functools.lru_cache(maxsize=_TABLE_CACHE)
@@ -344,10 +341,10 @@ def _csi_averages(n_d, a, slope=False):
     sum and its derivative in ln a (the weights times x/a - 1)."""
     lo, hi = _span(a, n_d)
     if _TABLE_SPAN[0] <= lo and hi <= _TABLE_SPAN[1]:
-        x, weights, nodes = _table_rule()
+        x, weights = _table_rule()
         fa, md, both = _csi_table(n_d)
         # the nodes rise; past x = 746a, e^(-x/a) is exactly 0
-        end = bisect.bisect_right(nodes, 746.0 * a)
+        end = int(np.searchsorted(x, 746.0 * a, side="right"))
         x, weights, fa, md, both = x[:end], weights[:end], fa[:end], md[:end], both[:end]
     else:
         x, weights = _rule(lo, hi)

@@ -9,11 +9,12 @@ visited count lets the search jump past every count that cannot beat the best
 design so far, at most doubling the count per jump, and stop once no larger
 count can.  Exact solver: the data power meeting the fading-averaged
 covertness constraint with equality (safeguarded Newton in ln P_D).  After the
-first uncapped root, one fading average at a certificate power P bounds a
-count's root by P, so a count that cannot win even at P takes no root; the
-chosen count reports its cold root.  Closed-form solver: the inverted
-linearized constraint.  Either solver can be pinned to
-one admissible count (``force_nd``).  Either power is capped at ``p_max``, and
+first uncapped root, one fading average at a certificate power P, predicted
+just above the root, bounds a count's root by P, so a count that cannot win
+even at P takes no root, and any other is rooted from P; the chosen count
+reports its cold root.  Closed-form solver: the inverted linearized
+constraint.  Either solver can be pinned to one
+admissible count (``force_nd``).  Either power is capped at ``p_max``, and
 a capped design is checked against the fading-averaged constraint.
 """
 
@@ -74,7 +75,8 @@ def power_for_covertness_exact(n_d: int, params: SystemParams, start=None) -> Co
     ``start`` (P, E[zeta*](P), its slope in ln P), an average already taken
     (``solve_p1`` passes its certificate), starts Newton at P instead: on
     [closed form, P] where that average is at most 1 - epsilon, else on
-    [P, p_max] after the cap decision."""
+    [P, p_max] after the cap decision.  Without ``start`` the root depends on
+    the count alone; with it, on P too, within the tolerance."""
     n_d = check_value("n_d", n_d, "counts")
     target = 1.0 - params.epsilon
 
@@ -116,6 +118,19 @@ def _named(n_d, fn, *args):
         raise NumericError(f"n_d={n_d}: {exc}") from exc
 
 
+def _certificate_ratio(rooted, estimated, n_d):
+    """Predicted ratio of the exact to the closed-form power at ``n_d``, from
+    (count, ratio) at the last uncapped root and at the last certificate.  The
+    ratio falls as n_d grows, its logarithm close to linear in n_d^(-1/2), so
+    that logarithm is extrapolated linearly in n_d^(-1/2) through both (a
+    rising ratio is not), and the prediction is raised by 1e-4 to land just
+    above the root."""
+    (k, r_k), (m, r_m) = rooted, estimated
+    run = k ** -0.5 - m ** -0.5  # 0 with no certificate since the root
+    fall = math.log(r_m / r_k) * (m ** -0.5 - n_d ** -0.5) / run if run > 0.0 else 0.0
+    return r_m * math.exp(min(fall, 0.0)) * (1.0 + 1e-4)
+
+
 def _search(params: SystemParams, candidates, power_rule, certify=False) -> DesignSolution:
     """Throughput-maximizing count in ``candidates`` (a range of step 1) with
     its power from ``power_rule(n_d, params)``; ties break toward fewer symbols.
@@ -130,32 +145,43 @@ def _search(params: SystemParams, candidates, power_rule, certify=False) -> Desi
     2k: a huge range is crossed in doublings, not in one jump to counts where
     the fading average loses its digits.
 
-    With ``certify`` (the exact rule), each count after the last uncapped
-    root p*(k) first takes one fading average at P = p*(k) times the ratio of
-    the closed-form powers at m and k.  The average falls strictly in the
-    power, so a reading of at most 1 - epsilon proves p*(m) <= P, and m is
-    skipped where its throughput at P cannot beat the best; that bound then
-    steers the jump.  Any other m is rooted by
-    ``power_rule(n_d, params, start)`` from P with its average in hand.  The
-    chosen count reports its cold root, so the design does not depend on the
-    path that reached it.
+    With ``certify`` (the exact rule), each count after an uncapped root
+    first takes one fading average at a certificate power P.  The average
+    falls strictly in the power, so a reading of at most 1 - epsilon proves
+    that the count's root is at most P, and the count is skipped where its
+    throughput at P cannot beat the best; that bound then steers the jump.
+    Any other count is rooted by ``power_rule(n_d, params, start)`` from P
+    with its average in hand.  P is the closed-form power times a predicted
+    ratio (``_certificate_ratio``) from the last root and from a Newton step
+    at the last certificate; the prediction only places P, the reading
+    certifies it.  The chosen count reports its cold root, so its power does
+    not depend on the path that reached it; the choice between counts
+    compares roots good to ``solver.TOL``.
     """
-    best, ref = (-math.inf,), None
+    target = 1.0 - params.epsilon
+    floor = params.epsilon * params.sigma_w2  # the closed form's ratio, below every root's
+    best, rooted, estimated = (-math.inf,), None, None
     n_d, n_top = candidates[0], candidates[-1]
     while True:
         # value: the throughput at n_d, or its bound at a certified P; start:
         # () or the certificate (P, its average, slope) to root from
         value, start = math.inf, ()
-        if ref is not None:
-            p = ref * low_power_scale(n_d)
-            start = ((p, *_named(n_d, csi_average_and_slope, n_d, p / params.sigma_w2)),)
-            if start[0][1] <= 1.0 - params.epsilon:  # p*(n_d) <= P
+        if rooted is not None:
+            scale = low_power_scale(n_d)
+            p = max(_certificate_ratio(rooted, estimated, n_d), floor) * scale
+            error, slope = _named(n_d, csi_average_and_slope, n_d, p / params.sigma_w2)
+            start = ((p, error, slope),)
+            if error <= target:  # the root at n_d is at most p
                 value = throughput_at(n_d, p, params)
+                if slope < 0.0:  # a Newton step in ln P_D estimates the root
+                    step = math.exp((target - error) / slope)
+                    estimated = n_d, max(p * step / scale, floor)
         if value > best[0] * (1.0 - 1e-12):  # with the jump's slack
             power = _named(n_d, power_rule, n_d, params, *start)
             value = throughput_at(n_d, power.value, params)
-            # the last uncapped root over its closed-form scale
-            ref = power.value / low_power_scale(n_d) if certify and not power.capped else None
+            if certify:  # ratio to the closed form at the last uncapped root
+                ratio = None if power.capped else (n_d, power.value / low_power_scale(n_d))
+                rooted = estimated = ratio
             if value > best[0]:
                 best = (value, n_d, power, start)
         if value * (n_top / n_d) <= best[0]:

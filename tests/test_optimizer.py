@@ -395,10 +395,9 @@ class TestThroughputBound:
             visits += len(trace.visits())
             roots += len(trace.roots)
             trace.clear()
-        # 107 visits with a root at each; a count ruled out at its certificate
-        # power P >= its root bounds the counts after it at P, so its jump can
-        # be shorter than one from the root
-        assert roots == 20 and visits <= 112  # 317 stepping by one count
+        # 107 visits with a root at each: a certificate power just above the
+        # root jumps as far as the root
+        assert roots == 20 and visits <= 107  # 317 stepping by one count
         monkeypatch.undo()
         scored = []
         score = optimizer.throughput_at
@@ -427,9 +426,10 @@ SEEDED = list(seeded_scenarios())
 class TestSeededScenarios:
     @pytest.mark.parametrize("prob", SEEDED, ids=[f"seeded-{i}" for i in range(len(SEEDED))])
     def test_search_equals_full_enumeration(self, prob):
-        # Either power depends on the count alone: the closed form, and the
-        # exact design's reported root, which is cold however the search
-        # reached its count.  So both searches give the enumeration's bits.
+        # Either reported power depends on the count alone: the closed form,
+        # and the exact design's cold root, however the search reached its
+        # count.  So where the search picks the enumeration's count (no two
+        # throughputs within solver.TOL), it gives the enumeration's bits.
         assert design(solve_p1_1(prob)) == enumerate_designs(prob, power_for_covertness_suboptimal)
         assert design(solve_p1(prob)) == enumerate_designs(prob)
 
@@ -480,16 +480,17 @@ class TestWarmStart:
     """After the first uncapped count, ``solve_p1`` takes one average at a
     certificate power before it roots a count: a reading of at most
     1 - epsilon with a losing throughput bound rules the count out, and any
-    other count is rooted from that power, with that average in hand."""
+    other count is rooted from that power, with that average in hand.  The
+    certificate power extrapolates the ratio of the exact to the closed-form
+    power from the last root and a Newton step at the last certificate."""
 
     @staticmethod
-    def record(monkeypatch, answer=None):
+    def record(monkeypatch):
         calls = []
 
         def recording(n_d, a):
             calls.append((n_d, a))
-            value, slope = csi_average_and_slope(n_d, a)
-            return (value, slope) if answer is None else (answer(n_d, a, value), slope)
+            return csi_average_and_slope(n_d, a)
 
         monkeypatch.setattr(optimizer, "csi_average_and_slope", recording)
         return calls
@@ -564,6 +565,36 @@ class TestWarmStart:
         start = (1e-3, *csi_average_and_slope(1, 1e-3 / SW2))
         assert power_for_covertness_exact(1, problem(epsilon=0.2, p_max=2e-3), start) == (
             optimizer.CovertPower(2e-3, True))
+
+    def test_certificate_powers_land_just_above_the_roots(self, monkeypatch):
+        # On the reference grid every certificate reads at most 1 - epsilon,
+        # at a power less than 1e-3 above its count's root.
+        trace = SearchTrace(monkeypatch)
+        certificates = []
+        for eps in np.linspace(0.01, 0.2, 20):
+            prob = problem(epsilon=float(eps))
+            solve_p1(prob)
+            certificates += [(prob, n_d, a * SW2, value) for n_d, a, value in trace.certificates()]
+            trace.clear()
+        monkeypatch.undo()
+        assert len(certificates) == 87
+        for prob, n_d, p, value in certificates:
+            assert value <= 1.0 - prob.epsilon
+            assert 1.0 <= p / power_for_covertness_exact(n_d, prob).value < 1.0 + 1e-3
+
+    def test_certificate_ratio(self):
+        # No certificate since the root, counts too close to tell apart, or a
+        # rising ratio: the last ratio, raised by 1e-4.  A falling ratio is
+        # extrapolated linearly in n_d^(-1/2) on the log scale.
+        lift = 1.0 + 1e-4
+        ratio = optimizer._certificate_ratio
+        assert ratio((50, 0.5), (50, 0.5), 60) == 0.5 * lift
+        assert ratio((10**17, 0.5), (10**17 + 1, 0.4), 10**17 + 2) == 0.4 * lift
+        assert ratio((50, 0.5), (51, 0.6), 60) == 0.6 * lift
+        extrapolated = ratio((50, 0.5), (51, 0.499), 60) / lift
+        t = (51 ** -0.5 - 60 ** -0.5) / (50 ** -0.5 - 51 ** -0.5)
+        assert extrapolated == pytest.approx(0.499 * (0.499 / 0.5) ** t, rel=1e-14)
+        assert extrapolated < 0.499
 
 
 class TestSolveP11:

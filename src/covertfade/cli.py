@@ -4,7 +4,10 @@ and Monte Carlo validation runs, all emitted as CSV (stdout or --out).
 Every subcommand takes ``--params``, ``--out`` and the scenario flags, which
 are declared once on a shared parent parser and typed by
 ``params._FIELD_TYPES``; each subcommand binds its handler as ``run``, and
-``main`` builds the parser once per process.  Every count (the int fields,
+``main`` builds the parser once per process.  ``main`` parses with the named
+subcommand's parser alone, so argv is scanned once; the top-level parser
+parses only an argv that names no subcommand (none, ``-h``, an unknown one),
+and reports a subcommand's unrecognized arguments.  Every count (the int fields,
 ``--trials``, ``--force-nd``, ``--n-d-list``) is read by ``params.count`` at the
 exact decimal value of its text and judged by ``params.check_value``, so
 ``50.0`` runs as 50 and ``1e24`` as 10**24, while ``50.5``,
@@ -242,8 +245,26 @@ def cmd_simulate(args) -> int:
     return 0
 
 
+def _parse(argv):
+    """``argv`` parsed once: by the parser of the subcommand that ``argv[0]``
+    names, else (no argv, ``-h``, an unknown command) by the top-level parser,
+    with the usage, help and error bytes of a top-level parse either way."""
+    parser = _parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    (commands,) = (a.choices for a in parser._actions
+                   if isinstance(a, argparse._SubParsersAction))
+    command = commands.get(argv[0]) if argv else None
+    if command is None:
+        return parser.parse_args(argv)
+    args, extras = command.parse_known_args(argv[1:])
+    if extras:  # reported by the top-level parser, as parse_args does
+        parser.error(f"unrecognized arguments: {' '.join(extras)}")
+    args.command = argv[0]
+    return args
+
+
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    args = _parse(argv)
     try:
         for path in (args.out, getattr(args, "dump_traces", None)):
             if path:  # an unusable path exits 2 before any work; no file is left

@@ -31,10 +31,13 @@ _RANGES = {
 
 def check_value(name, value, group):
     """``value`` if it is a finite real in ``group``'s range (a ``check_fields``
-    keyword), a count as an int; else a DomainError naming ``name``."""
+    keyword), a count as an int; else a DomainError naming ``name``.  A plain
+    float or int is known real by its exact type; any other value (bool, numpy
+    scalars, ``Fraction``) takes the slower ``numbers.Real`` test."""
     in_range, what = _RANGES[group]
     try:
-        if isinstance(value, numbers.Real) and math.isfinite(value) and in_range(value):
+        if ((type(value) in (float, int) or isinstance(value, numbers.Real))
+                and math.isfinite(value) and in_range(value)):
             return int(value) if group == "counts" else value
         got = repr(value)
     except OverflowError:  # an int beyond the largest double; repr may refuse it
@@ -46,13 +49,22 @@ def count(text):
     """A count's text at its exact decimal value: a whole number within the
     range of doubles as the int it spells, any other real text as the text,
     which the count's own check then rejects; ValueError on text that is no
-    real.  The float read first bounds the power of ten that is built."""
+    real.  The float read first bounds the power of ten that is built, and
+    ``int`` sees no leading or trailing zeros, so that a long spelling of a
+    count stays within its 4300-digit limit."""
     if not 0 < abs(float(text)) < math.inf:  # so 0e9999 and 1e9999 build nothing
         return text
     mantissa, _, exponent = text.strip().replace("_", "").lower().partition("e")
-    whole, _, frac = mantissa.partition(".")
-    shift = int(exponent or 0) - len(frac)
-    value, rest = divmod(int(whole + frac) * 10 ** max(shift, 0), 10 ** max(-shift, 0))
+    sign = mantissa[:1] if mantissa[:1] in "+-" else ""
+    whole, _, frac = mantissa[len(sign):].partition(".")
+    digits = (whole + frac).lstrip("0")
+    significant = digits.rstrip("0")  # not empty: the value is not 0
+    if len(significant) > 309:  # more than any whole number below the largest double has
+        return text
+    power = exponent.lstrip("+-")
+    shift = (int(exponent[:len(exponent) - len(power)] + (power.lstrip("0") or "0"))
+             + len(digits) - len(significant) - len(frac))
+    value, rest = divmod(int(sign + significant) * 10 ** max(shift, 0), 10 ** max(-shift, 0))
     return text if rest else value
 
 

@@ -1,21 +1,25 @@
 import _thread
 import argparse
+import math
+import numbers
 import os
 import subprocess
 import sys
 import threading
 import time
 import warnings
+from decimal import Decimal
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from covertfade import detection, optimizer, simulation
-from covertfade.cli import _fmt, main
+from covertfade import cli, detection, optimizer, simulation
+from covertfade.cli import _fmt, build_parser, main
 from covertfade.errors import DomainError, NumericError
 from covertfade.optimizer import power_for_covertness_suboptimal
-from covertfade.params import SystemParams
+from covertfade.params import _RANGES, SystemParams, check_value
 
 DATA = Path(__file__).with_name("data")
 BEYOND_DOUBLE = "1" * 401  # an integer literal past the largest double
@@ -26,13 +30,19 @@ def run(capsys, *argv):
     return code, capsys.readouterr().out
 
 
-def run_err(capsys, *argv):
-    """Exit code and stderr, counting argparse's SystemExit as an exit."""
+def run_all(capsys, *argv):
+    """Exit code, stdout and stderr, counting argparse's SystemExit as an exit."""
     try:
         code = main(list(argv))
     except SystemExit as exc:
         code = exc.code
-    return code, capsys.readouterr().err
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+def run_err(capsys, *argv):
+    code, _, err = run_all(capsys, *argv)
+    return code, err
 
 
 def parse_csv(text):
@@ -798,6 +808,25 @@ class TestExactCounts:
         assert code == 2
         assert field in err and ".0000000000000001" in err  # the text as written
 
+    @pytest.mark.parametrize("text, expected", [
+        ("1" + "0" * 5000 + "e-5000", "1"),
+        ("0." + "0" * 4999 + "1e5000", "1"),
+        ("1e" + "0" * 5000 + "1", "10"),
+        ("1." + "0" * 4998 + "1", None),
+    ], ids=["5001-digit-1", "5000-leading-zeros", "5000-digit-exponent", "5000-digit-fraction"])
+    def test_long_spelling_is_read_exactly_at_once(self, text, expected, capsys):
+        # past int()'s 4300-digit limit on text, yet exactly a count, or exactly none
+        start = time.perf_counter()
+        code, out, err = run_all(capsys, "optimize", "--epsilon-grid", "0.05", "--method",
+                                 "suboptimal", "--n-d-min", text, "--n-d-max", text)
+        assert time.perf_counter() - start < 1.0
+        if expected is None:
+            assert code == 2
+            assert err.startswith("error: n_d_min must be an integer >= 1") and text in err
+        else:
+            assert code == 0
+            assert parse_csv(out)[1][0]["n_d_star"] == expected
+
     @pytest.mark.parametrize("value", ["1e1000000000", "1e-1000000000", "0e1000000000"])
     @pytest.mark.parametrize("argv, flag, field", [
         (["simulate", "--trials", "10", "--seed", "1"], "--n-d", "n_d"),
@@ -829,6 +858,79 @@ def test_main_reuses_one_parser(capsys, monkeypatch):
     monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
     assert [main(argv), main(argv)] == [0, 0]
     assert built == []
+
+
+DESIGN_ARGV = ["optimize", "--epsilon-grid", "0.081", "--method", "both", "--sigma-b2", "0.01",
+               "--sigma-w2", "0.05", "--n-d-min", "50", "--n-d-max", "100", "--p-max", "1",
+               "--rate", "1"]
+
+
+def test_main_parses_argv_once(capsys, monkeypatch):
+    parsed = []
+    parse = argparse.ArgumentParser.parse_known_args
+
+    def recording(self, *args, **kwargs):
+        parsed.append(self.prog)
+        return parse(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", recording)
+    assert main(DESIGN_ARGV) == 0
+    assert parsed == ["covertfade optimize"]
+
+
+@pytest.mark.parametrize("argv", [
+    [], ["-h"], ["nope"],
+    ["optimize"], ["optimize", "-h"],
+    ["optimize", "--epsilon-grid", "0.1", "--bogus", "1"],
+    ["optimize", "--epsilon-grid", "0.1", "stray"],
+    ["optimize", "--eps", "0.1"],
+    ["optimize", "--epsilon-grid", "0.1,nan"],
+    ["simulate", "--trials", "0.5"],
+], ids=["empty", "help", "unknown-command", "optimize-no-grid", "optimize-help", "bogus-flag",
+        "stray-positional", "ambiguous-eps", "nan-grid", "fractional-trials"])
+def test_subcommand_parse_prints_the_top_level_parse_bytes(argv, capsys, monkeypatch):
+    mine = run_all(capsys, *argv)
+    monkeypatch.setattr(cli, "_parse", lambda argv: build_parser().parse_args(argv))
+    assert mine == run_all(capsys, *argv)
+
+
+@pytest.mark.parametrize("argv", [
+    DESIGN_ARGV,
+    ["detect-sweep", "--p-d-grid", "1e-3,1", "--n-d-list", "50.0,1e3", "--mode", "csi"],
+    ["simulate", "--trials", "1e3", "--seed", "7", "--policy", "fixed", "--fixed-threshold",
+     "0.05", "--out", "x.csv", "--n-d=60"],
+], ids=["optimize", "detect-sweep", "simulate"])
+def test_subcommand_parse_gives_the_top_level_namespace(argv):
+    assert vars(cli._parse(argv)) == vars(build_parser().parse_args(argv))
+
+
+def _check_value_by_abc(name, value, group):
+    """The reference rule: every value is tested through ``numbers.Real``."""
+    in_range, what = _RANGES[group]
+    try:
+        if isinstance(value, numbers.Real) and math.isfinite(value) and in_range(value):
+            return int(value) if group == "counts" else value
+        got = repr(value)
+    except OverflowError:
+        got = "an integer beyond the largest double"
+    raise DomainError(f"{name} must be {what}, got {got}")
+
+
+def _judged(check, value, group):
+    try:
+        result = check("x", value, group)
+    except DomainError as exc:
+        return "rejected", str(exc)
+    return type(result), repr(result)
+
+
+@pytest.mark.parametrize("group", sorted(_RANGES))
+def test_check_value_judges_as_the_abc_rule(group):
+    values = [0.5, -0.0, 1, 3.0, True, np.float64(0.5), np.int64(3), np.float32(0.25),
+              Fraction(1, 2), Decimal("0.5"), 10**400, -(10**400), math.inf, -math.inf,
+              math.nan, "0.5", None, 1 + 0j]
+    for value in values:
+        assert _judged(check_value, value, group) == _judged(_check_value_by_abc, value, group)
 
 
 def test_package_import_loads_no_layer_module():

@@ -27,10 +27,11 @@ starts at a closed-form estimate of its root (``_argmin_start``), so most
 points take three rounds.  The average at the roots is one more such rule:
 its missed-detection term is taken by parts against the bump z f(z) of the
 Gamma(n_d, 1) density f, so a point takes one incomplete gamma beside its
-false-alarm rate.  Below a mean SNR of 1e-300 the averages are their
-zero-power limits; a non-finite table entry or average raises NumericError,
-and a count above 1e305, where scipy's incomplete gamma fails, a
-DomainError.
+false-alarm rate, each taken for a whole block in one call.  Below a mean
+SNR of 1e-300 the averages are their zero-power limits; a non-finite table
+entry or average raises NumericError.  Every incomplete gamma is ``special``'s,
+behind its shape check: a count above 1e305, where scipy's fail, raises a
+DomainError wherever one is taken, so not at zero power.
 """
 
 import functools
@@ -38,12 +39,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
-from .errors import DegenerateHypothesesError, DomainError, NumericError
+from .errors import DegenerateHypothesesError, NumericError
 from .params import check_fields, check_value
 from .solver import newton_lockstep
-from .special import reg_lower_gamma, reg_upper_gamma
+from .special import gamma_shape, gammainc, gammaincc
 
 __all__ = [
     "WillieParams",
@@ -79,9 +79,6 @@ _STEP_OFFSETS.flags.writeable = False
 # Points per lockstep block: a flat rule array holds 256 points' nodes, under
 # 1 MB at a few hundred nodes a point and 30 MB at the widest span (1e300 / lo).
 _GRID_BLOCK = 256
-# scipy's incomplete gamma gives NaN at some arguments from a shape of about 3e305;
-# an int, so that the count 10**305, read exactly from "1e305", is not above it
-_N_D_MAX = 10**305
 # B_2k / (2k (2k - 1)), k = 1..5: the Stirling series of ln Gamma(n) less
 # (n - 1/2) ln n - n + ln(2 pi) / 2.  From _EXACT_BELOW on, its first omitted
 # term is below 1e-17.
@@ -119,10 +116,9 @@ class WillieParams:
 
 def p_fa(lam: float, w: WillieParams) -> float:
     """False-alarm probability of the radiometer at threshold ``lam``; its
-    limit 0 where the gamma argument overflows."""
+    limit 0 where the gamma argument overflows (to inf: no numpy warning)."""
     check_value("threshold", lam, "positive")
-    x = w.n_d * (float(lam) / w.sigma_w2)  # inf where it overflows: no numpy warning
-    return reg_upper_gamma(w.n_d, x) if x < math.inf else 0.0
+    return float(gammaincc(gamma_shape("n_d", w.n_d), w.n_d * (float(lam) / w.sigma_w2)))
 
 
 def p_md(lam: float, w: WillieParams) -> float:
@@ -130,8 +126,8 @@ def p_md(lam: float, w: WillieParams) -> float:
     Its limit 1 where the gamma argument overflows."""
     check_value("threshold", lam, "positive")
     check_value("h_w2", w.h_w2, "nonnegative")
-    x = w.n_d * (float(lam) / (w.h_w2 * w.p_d + w.sigma_w2))  # inf where it overflows
-    return reg_lower_gamma(w.n_d, x) if x < math.inf else 1.0
+    x = w.n_d * (float(lam) / (w.h_w2 * w.p_d + w.sigma_w2))
+    return float(gammainc(gamma_shape("n_d", w.n_d), x))
 
 
 def csi_threshold(s, sigma_w2, out=None, work=None):
@@ -179,24 +175,14 @@ def optimal_threshold_csi(w: WillieParams) -> float:
     return float(csi_threshold(w.h_w2 * w.p_d, w.sigma_w2))
 
 
-def _gamma_count(n_d):
-    """``n_d``, if the incomplete gamma functions serve it; else DomainError
-    naming n_d in all its digits, so that it reads as above the limit."""
-    if n_d > _N_D_MAX:
-        from decimal import Context, Decimal  # loaded here, on the error path alone
-        raise DomainError(f"n_d={Decimal(n_d).normalize(Context(prec=400)):e} is above"
-                          f" {_N_D_MAX:g}, beyond which the incomplete gamma functions fail")
-    return n_d
-
-
 def _csi_terms(x, n_d):
     """False-alarm and missed-detection probabilities at the error-minimizing
     threshold, at SNRs x > 0 (arrays); their sum is zeta*_n(x)."""
-    _gamma_count(n_d)
+    gamma_shape("n_d", n_d)
     log_term = np.log1p(x)
     md_arg = n_d * (log_term / x)
-    fa = special.gammaincc(n_d, md_arg + n_d * log_term)
-    md = special.gammainc(n_d, md_arg)
+    fa = gammaincc(n_d, md_arg + n_d * log_term)
+    md = gammainc(n_d, md_arg)
     if not (np.isfinite(fa).all() and np.isfinite(md).all()):
         raise NumericError(f"non-finite error probability at n_d={n_d}")
     return fa, md
@@ -406,7 +392,7 @@ class _CdiGrid:
         self.above = [i for i, w in enumerate(points) if w.p_d / w.sigma_w2 >= _SNR_FLOOR]
         ws = [points[i] for i in self.above]
         self.a = np.array([w.p_d / w.sigma_w2 for w in ws])
-        self.n = np.array([float(_gamma_count(w.n_d)) for w in ws])
+        self.n = np.array([float(gamma_shape("n_d", w.n_d)) for w in ws])
         self.ln_s = [math.log(w.sigma_w2) for w in ws]
         spans = [_span(a, w.n_d) for a, w in zip(self.a.tolist(), ws)]
         self.top = np.array([hi for _, hi in spans])
@@ -526,18 +512,17 @@ class _CdiGrid:
         F(x_c) times the bump's whole mass on [0, X], P(n_d, y) - P(n_d, y / (1 + X)),
         with P(n_d, y) = 1 - p_fa, so that only F(x) - F(x_c) is integrated:
         a bump narrower than the rule resolves (n_d beyond about 1e30) then
-        still counts in full.  One incomplete gamma per point, beside p_fa."""
+        still counts in full.  One incomplete gamma per point beside p_fa's, each
+        taken for the whole block in one call."""
         zetas = [1.0] * len(self.points)
         if self.above:
             index = np.arange(len(self.above))
-            lams_above = [lams[i] for i in self.above]
+            lams_above = [float(lams[i]) for i in self.above]
+            ratios = [lam / self.points[i].sigma_w2 for i, lam in zip(self.above, lams_above)]
             # u = ln(lam / sigma_w2) from the rounded ratio that p_fa reads, else a
             # difference of logs where the ratio overflows or underflows
-            u = []
-            for i, lam, ln_s in zip(self.above, lams_above, self.ln_s):
-                ratio = lam / self.points[i].sigma_w2
-                u.append(math.log(ratio) if 0.0 < ratio < math.inf else math.log(lam) - ln_s)
-            u = np.array(u)
+            u = np.array([math.log(r) if 0.0 < r < math.inf else math.log(lam) - ln_s
+                          for r, lam, ln_s in zip(ratios, lams_above, self.ln_s)])
             x, k, panel, first = self.rule(index, lams_above)
             t, _, _, log_h = self._log_bump(index, u, x, panel)
             log_h += t  # h / (1 + x) = e^(ln h + t - u)
@@ -548,13 +533,13 @@ class _CdiGrid:
             k *= np.expm1((x - centre[panel][:, None]) / self.a[panel][:, None])
             log_h *= k
             parts = np.add.reduceat(log_h.ravel(), first).tolist()
-            with np.errstate(over="ignore"):  # inf where it overflows: P = 1
-                top = special.gammainc(self.n, self.n * np.exp(u - self.ends[:, 1])).tolist()
+            with np.errstate(over="ignore"):  # inf where it overflows: P = 1, Q = 0
+                top = gammainc(self.n, self.n * np.exp(u - self.ends[:, 1])).tolist()
+                fas = gammaincc(self.n, self.n * np.array(ratios)).tolist()  # p_fa's values
             f_top = (-np.expm1(-self.top / self.a)).tolist()
             f_centre = (-np.expm1(-centre / self.a)).tolist()
-            for i, lam, a, f_x, p_x, f_c, part in zip(self.above, lams_above, self.a.tolist(),
-                                                      f_top, top, f_centre, parts):
-                fa = p_fa(lam, self.points[i])
+            for i, a, f_x, p_x, f_c, part, fa in zip(self.above, self.a.tolist(), f_top, top,
+                                                     f_centre, parts, fas):
                 zetas[i] = fa + _checked(f_x * p_x + f_c * (1.0 - fa - p_x) + part, a)
         return zetas
 

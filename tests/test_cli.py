@@ -166,18 +166,34 @@ class TestDetectSweep:
     def test_huge_count_exits_2_in_short_form(self, capsys):
         # The last two counts round to the double 1e305; the message spells
         # each in all its digits, so that it reads as above the limit.
+        # At p_d = 0 the analytic false-alarm rate of every policy is an
+        # incomplete gamma too.
         sweep = ["detect-sweep", "--p-d-grid", "0.01", "--mode", "csi", "--n-d-list"]
-        for argv, named in (
+        zero_power = [["simulate", "--trials", "100", "--seed", "1", "--p-d", "0", "--policy",
+                       policy, *(["--fixed-threshold", "0.1"] if policy == "fixed" else []),
+                       "--n-d"] for policy in simulation.POLICIES]
+        for argv, named in [
                 (["detect-sweep", "--p-d-grid", "1e-3", "--n-d-list", "1e308"], "1e+308"),
                 (["simulate", "--trials", "1000", "--seed", "1", "--n-d", "1e308"], "1e+308"),
                 (sweep + ["1.0000000000000001e305"], "1.0000000000000001e+305"),
-                (sweep + [str(10**305 + 1)], "1." + "0" * 304 + "1e+305")):
+                (sweep + [str(10**305 + 1)], "1." + "0" * 304 + "1e+305"),
+        ] + [(argv + [n_d], named) for argv in zero_power for n_d, named in (
+                ("1e306", "1e+306"), ("1.0000000000000001e305", "1.0000000000000001e+305"))]:
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
-                code, err = run_err(capsys, *argv)
-            assert code == 2
+                code, out, err = run_all(capsys, *argv)
+            assert (code, out) == (2, ""), argv
             assert err == (f"error: n_d={named} is above 1e+305, beyond which the incomplete"
                            " gamma functions fail\n")
+
+    def test_zero_power_takes_no_incomplete_gamma_above_the_limit(self, capsys):
+        # every average at p_d = 0 is its limit 1, so the count's limit is not checked
+        code, out = run(capsys, "detect-sweep", "--p-d-grid", "0", "--n-d-list", "1e306",
+                        "--mode", "both")
+        assert code == 0
+        _, rows = parse_csv(out)
+        assert [(row["n_d"], row["mode"], row["zeta"]) for row in rows] == [
+            (str(10**306), "csi", "1"), (str(10**306), "cdi_exact", "1")]
 
 
 class TestOptimize:
@@ -946,6 +962,15 @@ def test_cli_start_loads_no_scipy_optimize():
     # both numeric searches run on covertfade.solver; scipy.optimize serves the tests only
     code = ("import sys, covertfade.cli; covertfade.cli.build_parser(); "
             "print('scipy.optimize' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+    assert out.stdout.strip() == "False"
+
+
+def test_cli_start_loads_no_cython_special():
+    # covertfade.special calls scipy's ufuncs, not its scalar cython_special kernels
+    code = ("import sys, covertfade.cli; covertfade.cli.build_parser(); "
+            "print('scipy.special.cython_special' in sys.modules)")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
     assert out.stdout.strip() == "False"

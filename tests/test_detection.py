@@ -3,7 +3,6 @@ import os
 import subprocess
 import sys
 import warnings
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -77,8 +76,19 @@ class TestErrorProbabilities:
         empirical = float(np.mean(stats <= lam))
         assert p_md(lam, w) == pytest.approx(empirical, abs=0.002)
 
+    @pytest.mark.parametrize("n_d, named", [(10**306, "1e+306"),
+                                            (10**305 + 1, "1." + "0" * 304 + "1e+305")],
+                             ids=["1e306", "above-by-one"])
+    def test_count_above_the_limit_raises(self, n_d, named):
+        # scipy gives NaN from a shape of about 3e305; zero power takes p_fa too
+        for form in (lambda w: p_fa(0.1, w), lambda w: p_md(0.1, w), detection.expected_p_fa_csi):
+            with pytest.raises(DomainError) as info:
+                form(WillieParams(SW2, n_d, 0.0, 1.0))
+            assert str(info.value) == (f"n_d={named} is above 1e+305, beyond which the"
+                                       " incomplete gamma functions fail")
+
     def test_overflowing_gamma_argument_gives_the_limit(self):
-        # n_d * lam / sigma_w2 is inf here; special rejects x = inf itself
+        # n_d * lam / sigma_w2 is inf here, where scipy's Q is 0 and P is 1
         w = willie(p_d=0.01, h_w2=1.0)
         assert p_fa(1e306, w) == 0.0 and p_md(1e306, w) == 1.0
         assert p_fa(1e300, w) == 0.0 and p_md(1e300, w) == 1.0
@@ -432,8 +442,7 @@ class TestAgainstSplitQuadOracle:
 class TestRuleGuard:
     def test_non_finite_table_entry_raises(self, monkeypatch):
         nan_md = lambda n, x: np.full_like(x, np.nan)
-        monkeypatch.setattr(detection, "special",
-                            SimpleNamespace(gammainc=nan_md, gammaincc=sp_gammaincc))
+        monkeypatch.setattr(detection, "gammainc", nan_md)
         detection._csi_table.cache_clear()
         try:
             for p_d in (0.02, 1e-12, 1e10):  # the cached table and rules of their own
@@ -582,9 +591,23 @@ class TestLockstepGrid:
         with pytest.raises(DomainError, match="threshold"):
             detection.cdi_grid([willie(p_d=0.0), willie(p_d=1.0)], [SW2, -1.0])
 
+    def test_block_false_alarm_rates_are_p_fa_bits(self, singles, monkeypatch):
+        # zero power and a sub-floor SNR take none; lam / sigma_w2 overflows in the last point
+        points, lams, _ = singles
+        points, lams = points + [willie(p_d=1.0, sigma_w2=1e-3)], lams + [1e306]
+        expected = [p_fa(lam, w).hex() for lam, w in zip(lams, points)
+                    if w.p_d / w.sigma_w2 >= 1e-300]
+        taken = []
+        monkeypatch.setattr(detection, "gammaincc",
+                            lambda n, x: taken.append(sp_gammaincc(n, x)) or taken[-1])
+        detection.cdi_grid(points, lams)
+        assert len(taken) == 1
+        assert [v.hex() for v in taken[0].tolist()] == expected
+        assert expected[-1] == (0.0).hex()
+
     def test_non_finite_average_names_its_point(self, monkeypatch):
         nan_md = lambda n, x: np.where(n > 10, np.nan, 0.5)
-        monkeypatch.setattr(detection, "special", SimpleNamespace(gammainc=nan_md))
+        monkeypatch.setattr(detection, "gammainc", nan_md)
         with pytest.raises(NumericError, match="mean SNR 20.0"):
             detection.cdi_grid([willie(n_d=1, p_d=0.5), willie(n_d=50, p_d=1.0)], [SW2, SW2])
 

@@ -1,10 +1,15 @@
+import ast
 import math
+import warnings
+from fractions import Fraction
+from pathlib import Path
 
 import mpmath
 import numpy as np
 import pytest
 from scipy import integrate
 from scipy import special as sp
+from scipy.special import cython_special
 
 from covertfade.errors import DomainError
 from covertfade.special import digamma, ln_gamma, reg_lower_gamma, reg_upper_gamma
@@ -109,12 +114,14 @@ class TestIdentities:
 
 
 class TestNumpyScalars:
-    @pytest.mark.parametrize("kind", [np.int64, np.float32, np.float64])
+    @pytest.mark.parametrize("kind", [np.int64, np.uint64, np.float16, np.float32, np.float64])
     def test_accepted_like_python_floats(self, kind):
-        assert reg_lower_gamma(kind(5), kind(1)) == reg_lower_gamma(5.0, 1.0)
-        assert reg_upper_gamma(kind(5), kind(1)) == reg_upper_gamma(5.0, 1.0)
-        assert ln_gamma(kind(5)) == ln_gamma(5.0)
-        assert digamma(kind(5)) == digamma(5.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # the shape limit compares without overflow
+            assert reg_lower_gamma(kind(5), kind(1)) == reg_lower_gamma(5.0, 1.0)
+            assert reg_upper_gamma(kind(5), kind(1)) == reg_upper_gamma(5.0, 1.0)
+            assert ln_gamma(kind(5)) == ln_gamma(5.0)
+            assert digamma(kind(5)) == digamma(5.0)
 
     @pytest.mark.parametrize(
         "bad", [np.float64("nan"), np.float32("inf"), np.float64("-inf"), np.int64(-1)],
@@ -129,9 +136,63 @@ class TestNumpyScalars:
             digamma(bad)
 
 
+class TestShapeLimit:
+    """Above a shape of 1e305 scipy's incomplete gammas give NaN; the scalar
+    functions raise a DomainError naming the shape ``a`` instead."""
+
+    @pytest.mark.parametrize("fn", [reg_lower_gamma, reg_upper_gamma])
+    @pytest.mark.parametrize("a, named", [
+        (1e306, "1e+306"), (10**306, "1e+306"), (np.float64(1e306), "1e+306"),
+        (Fraction(10**306), "1e+306"),
+        # the int just above the limit rounds to the double 1e305; its digits do not
+        (10**305 + 1, "1." + "0" * 304 + "1e+305"),
+    ], ids=["float", "int", "float64", "fraction", "int-above-by-one"])
+    def test_above_the_limit_raises(self, fn, a, named):
+        with pytest.raises(DomainError) as info:
+            fn(a, 2e306)
+        assert str(info.value) == (f"a={named} is above 1e+305, beyond which the incomplete"
+                                   " gamma functions fail")
+
+    @pytest.mark.parametrize("fn", [reg_lower_gamma, reg_upper_gamma])
+    @pytest.mark.parametrize("a", [10**305, 1e305, np.float64(1e305)])
+    def test_at_the_limit_is_served(self, fn, a):
+        assert 0.0 < fn(a, float(a)) < 1.0
+
+
+class TestMatchesRetiredScalarKernels:
+    """The functions call scipy's ufuncs, which replaced its scalar
+    ``cython_special`` kernels; both give the same bits, from shape 1 to the
+    limit and at arguments around each shape's mean."""
+
+    SHAPES = [1.0, 2.5, 50.0, 1e3, 1e6, 1e12, 1e30, 1e100, 1e200, 1e305]
+    FACTORS = [0.0, 0.5, 0.9, 0.99, 1.0 - 1e-8, 1.0, 1.0 + 1e-8, 1.01, 1.1, 2.0]
+
+    @pytest.mark.parametrize("a", SHAPES)
+    def test_incomplete_gamma_bits(self, a):
+        for x in [a * f for f in self.FACTORS] + [max(a + math.sqrt(a) * k, 0.0) for k in (-3, 3)]:
+            assert reg_lower_gamma(a, x) == cython_special.gammainc(a, x)
+            assert reg_upper_gamma(a, x) == cython_special.gammaincc(a, x)
+
+    def test_digamma_bits(self):
+        for x in np.geomspace(1e-300, 1e300, 2001).tolist() + [0.5, 1.0, 1.5, 2.0, 10.0]:
+            assert digamma(x) == cython_special.psi(x)
+
+
+def test_only_special_imports_scipy():
+    package = Path(__file__).parents[1] / "src" / "covertfade"
+    importers = set()
+    for path in package.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            names = ([alias.name for alias in node.names] if isinstance(node, ast.Import)
+                     else [node.module or ""] if isinstance(node, ast.ImportFrom) else [])
+            if any(name == "scipy" or name.startswith("scipy.") for name in names):
+                importers.add(path.name)
+    assert importers == {"special.py"}
+
+
 class TestMatchesScipyUfuncs:
-    """The shim calls scipy's compiled scalar kernels; they must give exactly
-    the values of the vectorized ufuncs the rest of the code uses."""
+    """The scalar functions give exactly the values of the vectorized ufuncs
+    the rest of the code uses."""
 
     SHAPES = [1.0, 50.0, 75.0, 114.0, 200.0, 400.0, 500.0]
     FACTORS = np.geomspace(1e-3, 30.0, 41)

@@ -53,13 +53,15 @@ def snr_bob(h_hat2, h_tilde2, params: SystemParams, out=None, work=None):
     """Effective SNR with the estimation error acting as extra noise,
     elementwise over arrays of squared magnitudes.  ``out`` (which may be
     h_hat2) receives the SNR and ``work`` (which may be h_tilde2) the noise
-    power, each allocated if None."""
+    power, each allocated if None.  A received power beyond the largest
+    double is a DomainError; an SNR beyond it is inf."""
     if np.any(h_hat2 < 0) or np.any(h_tilde2 < 0):
         raise DomainError("squared magnitudes must be nonnegative")
     with overflow_check(f"p_d={params.p_d!r} overflows Bob's received power"):
         signal = np.multiply(h_hat2, params.p_d, out=out)
         noise = np.multiply(h_tilde2, params.p_d, out=work)
         noise += params.sigma_b2
+    with np.errstate(over="ignore"):  # a tiny noise power: the slot connects
         return np.divide(signal, noise, out=out)
 
 

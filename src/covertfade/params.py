@@ -49,23 +49,14 @@ def count(text):
     """A count's text at its exact decimal value: a whole number within the
     range of doubles as the int it spells, any other real text as the text,
     which the count's own check then rejects; ValueError on text that is no
-    real.  The float read first bounds the power of ten that is built, and
-    ``int`` sees no leading or trailing zeros, so that a long spelling of a
-    count stays within its 4300-digit limit."""
+    real.  The float read first bounds the power of ten that is built; the
+    text is then read exactly by ``decimal.Decimal``."""
     if not 0 < abs(float(text)) < math.inf:  # so 0e9999 and 1e9999 build nothing
         return text
-    mantissa, _, exponent = text.strip().replace("_", "").lower().partition("e")
-    sign = mantissa[:1] if mantissa[:1] in "+-" else ""
-    whole, _, frac = mantissa[len(sign):].partition(".")
-    digits = (whole + frac).lstrip("0")
-    significant = digits.rstrip("0")  # not empty: the value is not 0
-    if len(significant) > 309:  # more than any whole number below the largest double has
-        return text
-    power = exponent.lstrip("+-")
-    shift = (int(exponent[:len(exponent) - len(power)] + (power.lstrip("0") or "0"))
-             + len(digits) - len(significant) - len(frac))
-    value, rest = divmod(int(sign + significant) * 10 ** max(shift, 0), 10 ** max(-shift, 0))
-    return text if rest else value
+    from decimal import Decimal  # loaded here, not at CLI start
+
+    value = Decimal(text)
+    return int(value) if value == value.to_integral_value() else text
 
 
 @contextlib.contextmanager

@@ -36,12 +36,12 @@ their memory does not grow with the number of trials.  An estimator
 allocates its block arrays once per run, draws each block's variates into
 them with ``out=`` (the same values) and decides in place, Bob's side
 forming |h_b_hat|^2 and |h_b - h_b_hat|^2 as re^2 + im^2 of real parts.
-Once its ``threading.Event`` ``stop`` is set, an estimator raises
-KeyboardInterrupt before its next block.  The two estimators share no
-generator, so ``cli.cmd_simulate`` runs them at the same time, P_cc on a
-worker thread, with the bytes of running them one after the other; on an
-interrupt it sets the worker's stop event.  ``analytic_detection`` and
-``analytic_zeta`` give the closed forms.
+The two estimators share no generator, so ``cli.cmd_simulate`` runs them at
+the same time, P_cc on a worker thread, with the bytes of running them one
+after the other.  ``estimate_pcc`` takes a ``threading.Event`` ``stop``, and
+once it is set raises KeyboardInterrupt before its next block; the CLI sets
+it on an interrupt, which lands on the calling thread that runs detection.
+``analytic_detection`` and ``analytic_zeta`` give the closed forms.
 
 A run's threshold is resolved once, by ``policy_threshold``, and carried in
 ``McConfig.threshold`` (None: the per-slot CSI threshold set from h_w, at
@@ -223,7 +223,7 @@ def _binomial_se(p_hat, n):
     return math.sqrt(max(p_hat * (1.0 - p_hat), 0.0) / n)
 
 
-def _blocks(trials, stop):
+def _blocks(trials, stop=None):
     """Sizes of the ``_BLOCK``-trial blocks, in order, that make up ``trials``;
     KeyboardInterrupt before the next block once ``stop`` (an Event, or None)
     is set."""
@@ -233,7 +233,7 @@ def _blocks(trials, stop):
         yield min(_BLOCK, trials - start)
 
 
-def _errors(params: SystemParams, hypothesis: str, trials: int, lam, rng, arrays, stop) -> int:
+def _errors(params: SystemParams, hypothesis: str, trials: int, lam, rng, arrays) -> int:
     """Wrong decisions at threshold ``lam`` in ``trials`` slots of ``hypothesis``,
     each block drawn into and decided in ``arrays`` (four float rows and a
     bool row of at least one block).  |h_w|^2 is drawn only where a decision
@@ -241,7 +241,7 @@ def _errors(params: SystemParams, hypothesis: str, trials: int, lam, rng, arrays
     p_d > 0."""
     wrong = np.greater if hypothesis == "H0" else np.less_equal
     hits = 0
-    for n in _blocks(trials, stop):
+    for n in _blocks(trials):
         h_w2, g, work, log = arrays[0][:, :n]
         if lam is None or (hypothesis == "H1" and params.p_d > 0):
             rng.standard_exponential(out=h_w2)
@@ -252,11 +252,10 @@ def _errors(params: SystemParams, hypothesis: str, trials: int, lam, rng, arrays
     return hits
 
 
-def estimate_detection(params: SystemParams, mc: McConfig, stop=None) -> DetectionEstimate:
+def estimate_detection(params: SystemParams, mc: McConfig) -> DetectionEstimate:
     """Empirical false-alarm / missed-detection / total error rates at
     ``mc.threshold`` with binomial standard errors; half the trials run under
-    each hypothesis.  The pilot budget is checked before any draw.  Once the
-    Event ``stop`` is set, the next block raises KeyboardInterrupt."""
+    each hypothesis.  The pilot budget is checked before any draw."""
     link.estimation_error_var(params)
     n_h1 = mc.trials // 2
     n_h0 = mc.trials - n_h1
@@ -264,9 +263,9 @@ def estimate_detection(params: SystemParams, mc: McConfig, stop=None) -> Detecti
     size = min(_BLOCK, n_h0)
     arrays = np.empty((4, size)), np.empty(size, dtype=bool)
 
-    p_fa_hat = _errors(params, "H0", n_h0, lam, _rng(mc.seed, 0), arrays, stop) / n_h0
+    p_fa_hat = _errors(params, "H0", n_h0, lam, _rng(mc.seed, 0), arrays) / n_h0
     if n_h1 > 0:
-        p_md_hat = _errors(params, "H1", n_h1, lam, _rng(mc.seed, 1), arrays, stop) / n_h1
+        p_md_hat = _errors(params, "H1", n_h1, lam, _rng(mc.seed, 1), arrays) / n_h1
     else:
         p_md_hat = float("nan")
 

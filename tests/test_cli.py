@@ -3,10 +3,12 @@ import argparse
 import math
 import numbers
 import os
+import random
 import subprocess
 import sys
 import threading
 import time
+import unicodedata
 import warnings
 from decimal import Decimal
 from fractions import Fraction
@@ -19,7 +21,7 @@ from covertfade import cli, detection, optimizer, simulation
 from covertfade.cli import _fmt, build_parser, main
 from covertfade.errors import DomainError, NumericError
 from covertfade.optimizer import power_for_covertness_suboptimal
-from covertfade.params import _RANGES, SystemParams, check_value
+from covertfade.params import _RANGES, SystemParams, check_value, count
 
 DATA = Path(__file__).with_name("data")
 BEYOND_DOUBLE = "1" * 401  # an integer literal past the largest double
@@ -564,6 +566,16 @@ class TestSimulate:
         assert stops[0].is_set() and len(after_stop) <= 1 and len(blocks) < 2000
         assert threading.active_count() == before
 
+    def test_snr_beyond_the_largest_double_connects(self, capsys):
+        # a subnormal noise variance overflows Bob's SNR: every slot connects, as P_cc = 1 says
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out = run(capsys, "simulate", "--trials", "1000", "--seed", "1",
+                            "--sigma-b2", "1e-320")
+        assert code == 0
+        row = {r["metric"]: r for r in parse_csv(out)[1]}["p_cc"]
+        assert (row["empirical"], row["analytic"]) == ("1", "1")
+
     @pytest.mark.parametrize("p_d, sigma_w2", [("1e200", "1e-200"), ("1e150", "1e-160")])
     def test_csi_threshold_beyond_the_largest_ratio_detects(self, p_d, sigma_w2, capsys):
         # s / sigma_w2 overflows in the CSI threshold; every slot is still
@@ -860,6 +872,60 @@ class TestExactCounts:
         assert code == 2
         assert field in err and value in err
 
+    def test_count_agrees_with_the_fraction_oracle(self):
+        wrong = [(text, got, want) for text in _count_texts()
+                 for got, want in [(_outcome(count, text), _outcome(_count_oracle, text))]
+                 if got != want]
+        assert wrong == []
+
+
+def _count_oracle(text):
+    """``count``'s contract read off ``fractions.Fraction``: the int of a whole
+    value whose float is nonzero and finite, else the text; ValueError where
+    ``float`` finds no real.  Fraction reads the text in ASCII, its digits
+    mapped and its whitespace and underscores dropped."""
+    if not 0 < abs(float(text)) < math.inf:
+        return text
+    ascii_text = "".join(str(unicodedata.decimal(c)) if c.isdecimal() else c
+                         for c in text.strip() if c != "_")
+    value = Fraction(ascii_text)
+    return int(value) if value.denominator == 1 else text
+
+
+def _outcome(read, text):
+    try:
+        value = read(text)
+    except ValueError:
+        return ValueError
+    return type(value), value
+
+
+def _count_texts():
+    """A seeded fuzz of count texts over ``0-9 . e E + - _`` and space, both
+    free strings and number-shaped ones with exponents up to +-400, then every
+    Unicode whitespace and decimal digit in a few number shapes, nearly all of
+    which ``float`` accepts."""
+    rng = random.Random(20201021)
+    alphabet = "0123456789.eE+-_ "
+    texts = ["".join(rng.choices(alphabet, k=rng.randrange(13))) for _ in range(50_000)]
+    for _ in range(50_000):
+        mantissa = "".join(rng.choices("0123456789_", k=rng.randrange(9)))
+        if rng.random() < 0.5:
+            mantissa += "." + "".join(rng.choices("0123456789", k=rng.randrange(7)))
+        exponent = ""
+        if rng.random() < 0.7:
+            exponent = (rng.choice("eE") + rng.choice(["", "+", "-"]) + "0" * rng.randrange(3)
+                        + str(rng.randrange(401)))
+        texts.append(rng.choice(["", "+", "-", " "]) + mantissa + exponent
+                     + rng.choice(["", " ", "  "]))
+    chars = [chr(c) for c in range(sys.maxunicode + 1)]
+    for space in filter(str.isspace, chars):
+        texts += [space + "7" + space, "7" + space, space + "1e2", space + "5.0" + space]
+    for digit in filter(str.isdecimal, chars):
+        texts += [digit, "1" + digit, digit + ".0", "1e" + digit, digit + "." + digit,
+                  "5." + digit, digit + "000", "0." + digit]
+    return texts
+
 
 def test_main_reuses_one_parser(capsys, monkeypatch):
     built = []
@@ -981,6 +1047,15 @@ def test_cli_start_loads_no_thread_pool():
     # scipy.special loads, may already have imported the concurrent.futures package
     code = ("import sys, covertfade.cli; covertfade.cli.build_parser(); "
             "print('concurrent.futures.thread' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+    assert out.stdout.strip() == "False"
+
+
+def test_cli_start_loads_no_decimal():
+    # params.count imports decimal when it reads a count's text
+    code = ("import sys, covertfade.cli; covertfade.cli.build_parser(); "
+            "print('decimal' in sys.modules)")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
     assert out.stdout.strip() == "False"

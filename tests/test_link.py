@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -119,6 +120,14 @@ class TestSnr:
         expected = snr_bob(h_hat2, h_tilde2, l)
         assert snr_bob(h_hat2, h_tilde2, l, out=h_hat2, work=h_tilde2) is h_hat2
         assert np.array_equal(h_hat2, expected)
+
+    def test_snr_beyond_the_largest_double_is_inf(self):
+        # a subnormal noise variance: the SNR overflows, which is a connection, not an error
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert snr_bob(1.0, 0.0, link(sigma_b2=1e-320)) == math.inf
+            got = snr_bob(np.array([0.0, 1.0]), np.array([0.0, 0.0]), link(sigma_b2=1e-320))
+        assert got.tolist() == [0.0, math.inf]
 
 
 class TestThroughput:

@@ -519,7 +519,7 @@ class TestEstimatorAlone:
         assert str(exc.value) == ("p_d=1e+308 overflows Bob's received power: "
                                   "overflow encountered in multiply")
 
-    @pytest.mark.parametrize("estimate", [estimate_detection, estimate_pcc])
+    @pytest.mark.parametrize("estimate", [estimate_pcc])
     def test_set_stop_event_ends_the_run_before_its_next_block(self, estimate):
         stop = threading.Event()
         stop.set()

@@ -16,21 +16,23 @@ a bounded cache, so each average is a weighted dot product; other a get a
 rule of their own.
 
 The fixed-threshold (CDI) averages run over a grid of points at once
-(``cdi_grid``; the one-point names are fronts over it).  Each point's log
-panels are built once per call, and each threshold only adds panel edges
-around its missed-detection step.  The argmins run Newton in lockstep, one
-``solver.newton_steps`` core per point: a round takes the points still open,
-sorts their panel cuts and step edges together by (point, x) into one flat
-rule, and sums each point's nodes in order with one reduction per segment,
-so a point's values are those of its one-point call.  Each point's Newton
-starts at a closed-form estimate of its root (``_argmin_start``), so most
-points take three rounds.  The average at the roots is one more such rule:
-its missed-detection term is taken by parts against the bump z f(z) of the
-Gamma(n_d, 1) density f, so a point takes one incomplete gamma beside its
-false-alarm rate, each taken for a whole block in one call.  Below a mean
-SNR of 1e-300 the averages are their zero-power limits; a non-finite table
-entry or average raises NumericError.  Every incomplete gamma is ``special``'s,
-behind its shape check: a count above 1e305, where scipy's fail, raises a
+(``cdi_grid``; ``expected_zeta_cdi`` and ``zeta_star_cdi`` are one-point
+calls of it, and ``threshold_cdi_exact`` runs the argmin of a one-point
+grid).  Each point's log panels are built once per call, a row of cuts per
+point, and each threshold only adds panel edges around its missed-detection
+step.  The argmins run Newton in lockstep, one ``solver.newton_steps`` core
+per point: a round takes the rows of the points still open, adds each one's
+step edges, sorts each row, and sums each point's nodes in order with one
+reduction per point, so a point's values are those of its one-point call.
+Each point's Newton starts at a closed-form estimate of its root
+(``_argmin_start``), so most points take three rounds.  The average at the
+roots is one more such rule: its missed-detection term is taken by parts
+against the bump z f(z) of the Gamma(n_d, 1) density f, so a point takes one
+incomplete gamma beside its false-alarm rate, each taken for a whole block
+in one call.  Below a mean SNR of 1e-300 every average is its zero-power
+limit, and a CDI point there builds no rule; a non-finite table entry or
+average raises NumericError.  Every incomplete gamma is ``special``'s, behind
+its shape check: a count above 1e305, where scipy's fail, raises a
 DomainError wherever one is taken, so not at zero power.
 """
 
@@ -40,7 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateHypothesesError, NumericError
+from .errors import DegenerateHypothesesError, DomainError, NumericError
 from .params import check_fields, check_value
 from .solver import newton_lockstep
 from .special import gamma_shape, gammainc, gammaincc
@@ -76,7 +78,7 @@ _TABLE_CACHE = 128  # n_d values; the default design range needs 51
 # missed-detection step of a fixed-threshold average.
 _STEP_OFFSETS = np.array([-8.0, -2.0, 0.0, 2.0, 8.0])
 _STEP_OFFSETS.flags.writeable = False
-# Points per lockstep block: a flat rule array holds 256 points' nodes, under
+# Points per lockstep block: a block's rule holds 256 points' nodes, under
 # 1 MB at a few hundred nodes a point and 30 MB at the widest span (1e300 / lo).
 _GRID_BLOCK = 256
 # B_2k / (2k (2k - 1)), k = 1..5: the Stirling series of ln Gamma(n) less
@@ -147,6 +149,7 @@ def csi_threshold(s, sigma_w2, out=None, work=None):
     sigma_w2 (1 + sigma_w2 / s) ln(1 + s / sigma_w2), the logarithm taken as
     ln s - ln sigma_w2 + log1p(sigma_w2 / s) where s / sigma_w2 overflows.
     """
+    check_value("sigma_w2", sigma_w2, "positive")
     s = np.asarray(s, dtype=float)
     lam = np.empty_like(s) if out is None else out
     with np.errstate(all="ignore"):
@@ -250,40 +253,36 @@ def threshold_cdi_approx(sigma_w2: float) -> float:
 
 
 def _panel_cuts(spans):
-    """0 and the log-spaced panel cuts from lo to hi of each (lo, hi) in
-    ``spans``, concatenated, and the index of the span of each cut.  The cuts
-    are those of np.geomspace(lo, hi, panels + 1), built for all spans at once."""
-    panels = [max(1, math.ceil(_PANELS_PER_DECADE * (math.log10(hi) - math.log10(lo))))
-              for lo, hi in spans]
-    sizes = np.array(panels, dtype=np.intp) + 2
-    first = np.cumsum(sizes) - sizes  # where each span's 0 goes
-    owner = np.repeat(np.arange(sizes.size), sizes)
-    ends = np.array(spans, dtype=float).reshape(-1, 2).T
-    start, stop = np.log10(ends)
-    # the k-th cut is 10^(start + k (stop - start) / panels); k = -1 at the 0
-    k = np.arange(owner.size) - first[owner] - 1.0
-    cuts = np.power(10.0, k * ((stop - start) / panels)[owner] + start[owner])
-    cuts[first] = 0.0
-    cuts[first + 1], cuts[first + sizes - 1] = ends
-    return cuts, owner
+    """A row per (lo, hi) in ``spans``: 0 and the log-spaced panel cuts from
+    lo to hi, those of np.geomspace(lo, hi, panels + 1), padded with hi to
+    the longest row."""
+    panels = np.array([max(1, math.ceil(_PANELS_PER_DECADE * (math.log10(hi) - math.log10(lo))))
+                       for lo, hi in spans])
+    lo, hi = np.array(spans, dtype=float).T
+    start, stop = np.log10(lo), np.log10(hi)
+    # the k-th cut is 10^(start + k (stop - start) / panels); k stops at panels
+    k = np.minimum(np.arange(panels.max() + 1), panels[:, None])
+    cuts = np.power(10.0, k * ((stop - start) / panels)[:, None] + start[:, None])
+    cuts[:, 0] = lo
+    np.copyto(cuts, hi[:, None], where=k == panels[:, None])
+    return np.concatenate((np.zeros((len(spans), 1)), cuts), axis=1)
 
 
-def _panels(cuts, keys):
+def _panels(cuts):
     """Composite 16-node Gauss-Legendre rule on the panels between consecutive
-    distinct ``cuts`` of one key, for runs of cuts (one run per key, each
-    rising from 0): its nodes and weights, a row of 16 per panel, and the
-    key of each panel."""
-    inner = cuts[1:] > cuts[:-1]  # not a repeated cut, nor the 0 that starts a run
-    left, right = cuts[:-1][inner], cuts[1:][inner]
+    distinct cuts of each row of ``cuts`` (each row rising from 0): its nodes
+    and weights, a row of 16 per panel, row by row, and each row's panel count."""
+    inner = cuts[:, 1:] > cuts[:, :-1]  # not a repeated cut
+    left, right = cuts[:, :-1][inner], cuts[:, 1:][inner]
     half = ((right - left) / 2.0)[:, None]
     mid = ((left + right) / 2.0)[:, None]
-    return mid + half * _GL_NODES, half * _GL_WEIGHTS, keys[:-1][inner]
+    return mid + half * _GL_NODES, half * _GL_WEIGHTS, inner.sum(axis=1)
 
 
 def _rule(lo, hi):
     """Nodes and weights of the composite rule on [0, lo] and log-spaced
     panels from lo to hi."""
-    x, weights, _ = _panels(*_panel_cuts([(lo, hi)]))
+    x, weights, _ = _panels(_panel_cuts([(lo, hi)]))
     return x.ravel(), weights.ravel()
 
 
@@ -373,12 +372,13 @@ class _CdiGrid:
 
     The rule of a point at threshold lam is its panels split again at edges
     around the missed-detection step, which falls at x = lam / sigma_w2 - 1
-    over about 1/sqrt(n_d) in ln(1 + x).  A round takes one flat rule for all
-    the points it asks about: their cuts and step edges sorted together by
-    (point, x).  The nodes of a point are contiguous and in order, and its
-    sums run over its own nodes in that order, so its values do not depend on
-    the rest of the grid.  Points below the SNR floor take their zero-power
-    limits and build nothing.
+    over about 1/sqrt(n_d) in ln(1 + x).  A round takes a row of cuts for
+    each point it asks about: the point's panel cuts (padded with its top
+    cut) and its five step edges, an edge outside the span being one more
+    top cut, sorted.  The nodes of a point are contiguous and in order, and
+    its sums run over its own nodes in that order, so its values do not
+    depend on the rest of the grid.  Every point lies above the SNR floor;
+    ``cdi_grid`` gives the others their zero-power limits.
 
     Both the argmin's slope and the average integrate the bump h(z) = z f(z),
     for f the Gamma(n_d, 1) density, at z = y / (1 + x), y = n_d lam / sigma_w2.
@@ -388,38 +388,34 @@ class _CdiGrid:
 
     def __init__(self, points):
         self.points = points
-        # the points above the SNR floor, by their index in this list
-        self.above = [i for i, w in enumerate(points) if w.p_d / w.sigma_w2 >= _SNR_FLOOR]
-        ws = [points[i] for i in self.above]
-        self.a = np.array([w.p_d / w.sigma_w2 for w in ws])
-        self.n = np.array([float(gamma_shape("n_d", w.n_d)) for w in ws])
-        self.ln_s = [math.log(w.sigma_w2) for w in ws]
-        spans = [_span(a, w.n_d) for a, w in zip(self.a.tolist(), ws)]
+        self.a = np.array([w.p_d / w.sigma_w2 for w in points])
+        self.n = np.array([float(gamma_shape("n_d", w.n_d)) for w in points])
+        self.ln_s = [math.log(w.sigma_w2) for w in points]
+        spans = [_span(a, w.n_d) for a, w in zip(self.a.tolist(), points)]
         self.top = np.array([hi for _, hi in spans])
         self.ends = np.array([(math.log1p(lo), math.log1p(hi)) for lo, hi in spans])
         self.offsets = _STEP_OFFSETS / np.sqrt(self.n)[:, None]  # of the step edges
         self.floor = -2e3 / self.n  # of t - e^t + 1, where h underflows, e^c(n_d) included
         peaks = {n: _ln_peak(n) for n in set(self.n.tolist())}
         self.peak = np.array([peaks[n] for n in self.n.tolist()])
-        self.cuts, self.owner = _panel_cuts(spans)
+        # then a top cut per step edge; ``rule`` writes each edge inside the span there
+        edges = np.repeat(self.top[:, None], _STEP_OFFSETS.size, axis=1)
+        self.cuts = np.concatenate((_panel_cuts(spans), edges), axis=1)
 
     def rule(self, index, lams):
         """Nodes x and weights times e^(-x/a), a row per panel, the point of
         each panel, and where each point's nodes start, of the averages of the
-        points ``index`` (an increasing array into ``above``) at thresholds
-        ``lams``."""
+        points ``index`` (an array) at thresholds ``lams``."""
         step = np.array([math.log(lam) - self.ln_s[j] for j, lam in zip(index.tolist(), lams)])
         step = step[:, None] + self.offsets[index]
         ends = self.ends[index]
-        inside = (ends[:, :1] < step) & (step < ends[:, 1:])
-        keep = np.zeros(self.a.size, dtype=bool)
-        keep[index] = True
-        keep = keep[self.owner]
-        cuts = np.concatenate((self.cuts[keep], np.expm1(step[inside])))
-        keys = np.concatenate((self.owner[keep], index[inside.nonzero()[0]]))
-        order = np.lexsort((cuts, keys))
-        x, weights, panel = _panels(cuts[order], keys[order])
-        first = np.searchsorted(panel, index) * _GL_NODES.size
+        cuts = self.cuts[index]
+        np.expm1(step, out=cuts[:, -_STEP_OFFSETS.size:],
+                 where=(ends[:, :1] < step) & (step < ends[:, 1:]))
+        cuts.sort(axis=1)
+        x, weights, counts = _panels(cuts)
+        panel = np.repeat(index, counts)
+        first = (np.cumsum(counts) - counts) * _GL_NODES.size
         k = np.divide(x, self.a[panel][:, None])
         np.negative(k, out=k)
         np.exp(k, out=k)
@@ -452,12 +448,12 @@ class _CdiGrid:
         return t, e_t, n, log_h
 
     def slopes(self, index, u):
-        """For the points ``index`` (into ``above``) at u = ln(lam / sigma_w2): a
-        function with the sign of d/du of the averaged error, and its
-        u-derivative.  That slope is E_x[h(y / (1 + x))] - h(y), and
-        d/du h = (n_d - y) h.  Up to the common factor e^c(n_d), the log of
-        the ratio of the two terms, returned here, is near linear about the
-        root, and -inf where E_x underflows."""
+        """For the points ``index`` at u = ln(lam / sigma_w2): a function with
+        the sign of d/du of the averaged error, and its u-derivative.  That
+        slope is E_x[h(y / (1 + x))] - h(y), and d/du h = (n_d - y) h.  Up to
+        the common factor e^c(n_d), the log of the ratio of the two terms,
+        returned here, is near linear about the root, and -inf where E_x
+        underflows."""
         index = np.asarray(index, dtype=np.intp)
         lams = [math.exp(min(self.ln_s[j] + v, _LN_MAX)) for j, v in zip(index.tolist(), u)]
         x, k, panel, first = self.rule(index, lams)
@@ -483,23 +479,19 @@ class _CdiGrid:
     def argmin(self):
         """The CDI argmin of every point (``threshold_cdi_exact``): Newton on
         [0, hi] from ``_argmin_start``."""
-        lams = [w.sigma_w2 for w in self.points]
         brackets, guesses = [], []
-        for j, (i, n, a, peak) in enumerate(zip(self.above, self.n.tolist(), self.a.tolist(),
-                                                self.peak.tolist())):
+        for w, ln_s, n, a, peak in zip(self.points, self.ln_s, self.n.tolist(), self.a.tolist(),
+                                       self.peak.tolist()):
             # ln a and ln(1 + a) as differences of logs, so that a may overflow
-            w = self.points[i]
-            ln_1pa = math.log(w.sigma_w2 + w.p_d) - self.ln_s[j]
-            hi = min(ln_1pa + math.log1p(ln_1pa), _LN_MAX - self.ln_s[j])
-            ln_a = math.log(w.p_d) - self.ln_s[j]
+            ln_1pa = math.log(w.sigma_w2 + w.p_d) - ln_s
+            hi = min(ln_1pa + math.log1p(ln_1pa), _LN_MAX - ln_s)
+            ln_a = math.log(w.p_d) - ln_s
             brackets.append(hi)
             guesses.append(min(_argmin_start(n, a, ln_a, ln_1pa, peak), hi))
-        if brackets:
-            f, df = self.slopes(range(len(brackets)), guesses)
-            starts = [(0.0, hi, u, f0, df0) for hi, u, f0, df0 in zip(brackets, guesses, f, df)]
-            for j, u in enumerate(newton_lockstep(self.slopes, starts)):
-                lams[self.above[j]] = math.exp(min(self.ln_s[j] + u, _LN_MAX))
-        return lams
+        f, df = self.slopes(range(len(brackets)), guesses)
+        starts = [(0.0, hi, u, f0, df0) for hi, u, f0, df0 in zip(brackets, guesses, f, df)]
+        return [math.exp(min(ln_s + u, _LN_MAX))
+                for ln_s, u in zip(self.ln_s, newton_lockstep(self.slopes, starts))]
 
     def average(self, lams):
         """The fading-averaged total error of every point at its threshold in
@@ -514,51 +506,53 @@ class _CdiGrid:
         a bump narrower than the rule resolves (n_d beyond about 1e30) then
         still counts in full.  One incomplete gamma per point beside p_fa's, each
         taken for the whole block in one call."""
-        zetas = [1.0] * len(self.points)
-        if self.above:
-            index = np.arange(len(self.above))
-            lams_above = [float(lams[i]) for i in self.above]
-            ratios = [lam / self.points[i].sigma_w2 for i, lam in zip(self.above, lams_above)]
-            # u = ln(lam / sigma_w2) from the rounded ratio that p_fa reads, else a
-            # difference of logs where the ratio overflows or underflows
-            u = np.array([math.log(r) if 0.0 < r < math.inf else math.log(lam) - ln_s
-                          for r, lam, ln_s in zip(ratios, lams_above, self.ln_s)])
-            x, k, panel, first = self.rule(index, lams_above)
-            t, _, _, log_h = self._log_bump(index, u, x, panel)
-            log_h += t  # h / (1 + x) = e^(ln h + t - u)
-            log_h += (self.peak - u)[panel][:, None]
-            np.exp(log_h, out=log_h)
-            centre = np.clip(np.expm1(np.minimum(u, _LN_MAX)), 0.0, self.top)
-            # the weights times F(x) - F(x_c) = e^(-x_c/a) - e^(-x/a)
-            k *= np.expm1((x - centre[panel][:, None]) / self.a[panel][:, None])
-            log_h *= k
-            parts = np.add.reduceat(log_h.ravel(), first).tolist()
-            with np.errstate(over="ignore"):  # inf where it overflows: P = 1, Q = 0
-                top = gammainc(self.n, self.n * np.exp(u - self.ends[:, 1])).tolist()
-                fas = gammaincc(self.n, self.n * np.array(ratios)).tolist()  # p_fa's values
-            f_top = (-np.expm1(-self.top / self.a)).tolist()
-            f_centre = (-np.expm1(-centre / self.a)).tolist()
-            for i, a, f_x, p_x, f_c, part, fa in zip(self.above, self.a.tolist(), f_top, top,
-                                                     f_centre, parts, fas):
-                zetas[i] = fa + _checked(f_x * p_x + f_c * (1.0 - fa - p_x) + part, a)
-        return zetas
+        index = np.arange(len(self.points))
+        ratios = [float(lam) / w.sigma_w2 for w, lam in zip(self.points, lams)]
+        # u = ln(lam / sigma_w2) from the rounded ratio that p_fa reads, else a
+        # difference of logs where the ratio overflows or underflows
+        u = np.array([math.log(r) if 0.0 < r < math.inf else math.log(lam) - ln_s
+                      for r, lam, ln_s in zip(ratios, lams, self.ln_s)])
+        x, k, panel, first = self.rule(index, lams)
+        t, _, _, log_h = self._log_bump(index, u, x, panel)
+        log_h += t  # h / (1 + x) = e^(ln h + t - u)
+        log_h += (self.peak - u)[panel][:, None]
+        np.exp(log_h, out=log_h)
+        centre = np.clip(np.expm1(np.minimum(u, _LN_MAX)), 0.0, self.top)
+        # the weights times F(x) - F(x_c) = e^(-x_c/a) - e^(-x/a)
+        k *= np.expm1((x - centre[panel][:, None]) / self.a[panel][:, None])
+        log_h *= k
+        parts = np.add.reduceat(log_h.ravel(), first).tolist()
+        with np.errstate(over="ignore"):  # inf where it overflows: P = 1, Q = 0
+            top = gammainc(self.n, self.n * np.exp(u - self.ends[:, 1])).tolist()
+            fas = gammaincc(self.n, self.n * np.array(ratios)).tolist()  # p_fa's values
+        f_top = (-np.expm1(-self.top / self.a)).tolist()
+        f_centre = (-np.expm1(-centre / self.a)).tolist()
+        return [fa + _checked(f_x * p_x + f_c * (1.0 - fa - p_x) + part, a)
+                for a, f_x, p_x, f_c, part, fa in zip(self.a.tolist(), f_top, top, f_centre,
+                                                      parts, fas)]
 
 
 def cdi_grid(points, lams=None):
     """Thresholds and fading-averaged total errors over a grid of ``points``
-    (``WillieParams`` or ``SystemParams``): at the thresholds ``lams``, or,
-    where ``lams`` is None, at each point's CDI argmin, the argmins running
-    Newton in lockstep (``solver.newton_lockstep``) over blocks of
-    ``_GRID_BLOCK`` points.  Two lists; a point's values are those of its
-    one-point call."""
+    (``WillieParams`` or ``SystemParams``): at the thresholds ``lams``, one a
+    point, or, where ``lams`` is None, at each point's CDI argmin, the
+    argmins running Newton in lockstep (``solver.newton_lockstep``) over
+    blocks of ``_GRID_BLOCK`` points.  A point below the SNR floor takes its
+    zero-power limits, the threshold sigma_w2 and the error 1, and builds
+    nothing.  Two lists; a point's values are those of its one-point call."""
     if lams is not None:
+        if len(lams) != len(points):
+            raise DomainError(f"lams has {len(lams)} entries for {len(points)} points")
         lams = [check_value("threshold", lam, "positive") for lam in lams]
-    thresholds, zetas = [], []
-    for start in range(0, len(points), _GRID_BLOCK):
-        grid = _CdiGrid(points[start:start + _GRID_BLOCK])
-        block = grid.argmin() if lams is None else lams[start:start + _GRID_BLOCK]
-        thresholds += block
-        zetas += grid.average(block)
+    thresholds = [w.sigma_w2 for w in points] if lams is None else lams
+    zetas = [1.0] * len(points)
+    above = [i for i, w in enumerate(points) if w.p_d / w.sigma_w2 >= _SNR_FLOOR]
+    for start in range(0, len(above), _GRID_BLOCK):
+        block = above[start:start + _GRID_BLOCK]
+        grid = _CdiGrid([points[i] for i in block])
+        block_lams = grid.argmin() if lams is None else [lams[i] for i in block]
+        for i, lam, zeta in zip(block, block_lams, grid.average(block_lams)):
+            thresholds[i], zetas[i] = lam, zeta
     return thresholds, zetas
 
 
@@ -585,7 +579,7 @@ def threshold_cdi_exact(w: WillieParams) -> float:
     Above, the argmin lies below lam = sigma_w2 (1 + a)(1 + ln(1 + a)) at mean
     SNR a (at every n_d 1-5000 and p_d / sigma_w2 2e-5-2e9 tried).
     """
-    return _CdiGrid([w]).argmin()[0]
+    return w.sigma_w2 if w.p_d / w.sigma_w2 < _SNR_FLOOR else _CdiGrid([w]).argmin()[0]
 
 
 def zeta_star_cdi(w: WillieParams) -> float:

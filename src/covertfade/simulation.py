@@ -322,7 +322,9 @@ def trace_rows(params: SystemParams, mc: McConfig, n_slots: int) -> list:
     outage) of ceil(n/2) H0 then floor(n/2) H1 slots drawn on the trace stream,
     interleaved so that even slots are H0; outage is empty on H0 rows, so
     only the H1 batch forms Bob's estimate.  The radiometer reads the printed
-    complex h_w through |h_w|^2."""
+    complex h_w through |h_w|^2.  ``n_slots`` is an integer in [0, 2**64),
+    else a DomainError."""
+    check_value("n_slots", n_slots, "seeds")
     rng = _rng(mc.seed, 9)
     rows = {}
     for hyp, n in (("H0", n_slots - n_slots // 2), ("H1", n_slots // 2)):

@@ -181,6 +181,11 @@ class TestCsiThreshold:
         with pytest.raises(DegenerateHypothesesError):
             optimal_threshold_csi(willie(p_d=0.05, h_w2=0.0))
 
+    @pytest.mark.parametrize("sigma_w2", [-1.0, 0.0, math.nan, math.inf])
+    def test_noise_power_is_checked(self, sigma_w2):
+        with pytest.raises(DomainError, match="sigma_w2"):
+            detection.csi_threshold(1.0, sigma_w2)
+
 
 class TestZetaStarCsi:
     def test_zero_power_limit(self):
@@ -501,7 +506,7 @@ def _lam_with_an_edge_on_a_cut(cuts, n_d):
 
 
 class TestCachedCuts:
-    """Each point's slice of the flat rule equals a rule built from scratch, bit for bit."""
+    """Each point's row of the rule equals a rule built from scratch, bit for bit."""
 
     @pytest.mark.parametrize("p_d", [1e-6, 1e-4, 1e-2, 1.0, 100.0, 1e10])
     @pytest.mark.parametrize("n_d", [1, 10, 50, 200, 5000])
@@ -528,16 +533,20 @@ class TestCachedCuts:
             assert np.array_equal(k[panel == j].ravel(), want[1]), lam
         # Edges exactly on cuts at every p_d, through the panels themselves.
         edges = np.concatenate((cuts[1:3], [(cuts[2] + cuts[3]) / 2]))
-        merged = np.sort(np.concatenate((cuts, edges)))
-        got = detection._panels(merged, np.zeros(merged.size, dtype=np.intp))
-        for g, r in zip(got, rule_ref(lo, hi, edges)):
+        merged = np.sort(np.concatenate((cuts, edges, [hi, hi])))  # a row padded with its top
+        x, weights, counts = detection._panels(merged[None, :])
+        for g, r in zip((x, weights), rule_ref(lo, hi, edges)):
             assert np.array_equal(g.ravel(), r)
+        assert counts.tolist() == [len(x)]
 
     def test_panel_cuts_are_those_of_geomspace(self):
         spans = [(1e-9, 4e9), (0.1, 0.2), (1e-300, 1e300), (2e-3, 8.0), (1e-5, 1e-5 * 1.001)]
-        cuts, owner = detection._panel_cuts(spans)
-        for j, span in enumerate(spans):
-            assert np.array_equal(cuts[owner == j], panel_cuts_ref(*span))
+        rows = detection._panel_cuts(spans)
+        for row, span in zip(rows, spans):
+            want = panel_cuts_ref(*span)
+            assert np.array_equal(row[:want.size], want)
+            assert (row[want.size:] == span[1]).all()  # padded with the top
+        assert rows.shape == (len(spans), panel_cuts_ref(*spans[2]).size)
 
 
 MIXED_P_D = [0.0, 1e-320, 1e-4, 1.0, 1e10, 1e308]
@@ -610,6 +619,51 @@ class TestLockstepGrid:
         monkeypatch.setattr(detection, "gammainc", nan_md)
         with pytest.raises(NumericError, match="mean SNR 20.0"):
             detection.cdi_grid([willie(n_d=1, p_d=0.5), willie(n_d=50, p_d=1.0)], [SW2, SW2])
+
+
+class TestGridBlocks:
+    """Points below the SNR floor take their limits outside the lockstep
+    blocks, and a threshold list must hold one threshold a point."""
+
+    def test_mixed_grid_across_a_block_boundary_matches_one_point_calls(self):
+        # 300 positive powers, a zero and a sub-floor power every fifth point:
+        # the 256th point above the floor is not the 256th of the grid
+        powers = np.geomspace(1e-4, 1e4, 150).tolist()
+        points = []
+        for j, (n_d, p_d) in enumerate((n_d, p_d) for n_d in (1, 50) for p_d in powers):
+            if j % 5 == 0:
+                points += [willie(n_d=n_d, p_d=0.0), willie(n_d=n_d, p_d=1e-320)]
+            points.append(willie(n_d=n_d, p_d=p_d))
+        assert sum(w.p_d >= 1e-4 for w in points) == 300 > detection._GRID_BLOCK
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            lams, zetas = detection.cdi_grid(points)
+            fixed = detection.cdi_grid(points, [0.7 * lam for lam in lams])
+        assert [lam.hex() for lam in lams] == [threshold_cdi_exact(w).hex() for w in points]
+        assert [z.hex() for z in zetas] == [zeta_star_cdi(w).hex() for w in points]
+        assert [z.hex() for z in fixed[1]] == [
+            expected_zeta_cdi(0.7 * lam, w).hex() for lam, w in zip(lams, points)]
+
+    def test_floor_points_build_no_rule_and_take_no_gamma(self, monkeypatch):
+        # at n_d 1e306 any incomplete gamma would raise
+        taken = []
+        monkeypatch.setattr(detection, "_panel_cuts", lambda spans: taken.append(spans))
+        for name in ("gammainc", "gammaincc"):
+            monkeypatch.setattr(detection, name, lambda n, x: taken.append((n, x)))
+        points = [willie(n_d=10**306, p_d=p_d) for p_d in (0.0, 1e-320, 0.0)]
+        assert detection.cdi_grid(points) == ([SW2] * 3, [1.0] * 3)
+        assert detection.cdi_grid(points, [1.0, 2.0, 3.0]) == ([1.0, 2.0, 3.0], [1.0] * 3)
+        assert (threshold_cdi_exact(points[1]), zeta_star_cdi(points[1])) == (SW2, 1.0)
+        assert expected_zeta_cdi(1.0, points[0]) == 1.0
+        assert taken == []
+
+    @pytest.mark.parametrize("lams", [[SW2, SW2, SW2], [SW2]], ids=["longer", "shorter"])
+    def test_threshold_list_of_another_length_raises_before_any_work(self, lams, monkeypatch):
+        built = []
+        monkeypatch.setattr(detection, "_panel_cuts", lambda spans: built.append(spans))
+        with pytest.raises(DomainError, match=f"lams has {len(lams)} entries for 2 points"):
+            detection.cdi_grid([willie(p_d=0.01), willie(p_d=1.0)], lams)
+        assert built == []
 
 
 class TestByPartsAverage:

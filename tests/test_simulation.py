@@ -639,6 +639,11 @@ class TestTraceDump:
         assert len(trace_rows(p, mc, 1)) == 1 and calls == []
         assert len(trace_rows(p, mc, 2)) == 2 and calls == [1]
 
+    @pytest.mark.parametrize("n_slots", [-3, 2.5, 7.0, "7", None])
+    def test_slot_count_is_an_integer_at_least_zero(self, n_slots):
+        with pytest.raises(DomainError, match="n_slots"):
+            trace_rows(params(), McConfig(trials=100, seed=71), n_slots)
+
     @pytest.mark.parametrize("name, argv", [
         ("mixed_outage", ["--policy", "csi_optimal", "--rate", "2.0", "--trace-slots", "16"]),
         ("fixed", ["--policy", "fixed", "--trace-slots", "7"]),
